@@ -68,9 +68,6 @@ class RunConfig:
     c: Optional[int] = None
     n_max: int = 12
     tol: Fraction = Fraction(1, 10)
-    json_out: Optional[Path] = None
-    csv_out: Optional[Path] = None
-    cache_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if self.ladder is not None:
@@ -161,9 +158,6 @@ def _cmd_density(args) -> int:
         ladder=ladder,
         grid=grid,
         tol=parse_fraction(args.tol) if args.tol else Fraction(1, 10),
-        json_out=Path(args.json_out) if args.json_out else None,
-        csv_out=Path(args.csv_out) if args.csv_out else None,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
     )
     cache = _make_cache(args)
     table = LengthLadder(module, cache)

@@ -1,21 +1,21 @@
 """Exact graded-piece length counting for term modules.
 
-The primitive is ``count_ideal_degree``: the number of degree-t monomials in
-a monomial ideal, computed by a variable-splitting recursion.  Monomials
-divisible by the split variable x_s are counted through the colon ideal
-(I : x_s) at degree t-1; monomials with zero x_s-exponent are counted in the
-restriction of I to the remaining variables.  Both branches shrink (degree or
-variable count), so the recursion terminates, and memoization over canonical
-generator sets makes repeated ladders cheap.  Inclusion-exclusion over
-generator lcm's is kept as an independent cross-check for small inputs.
+Every count comes from one recursion, ``k_polynomial``: the numerator N_I(t)
+of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal,
+computed by Bigatti's pivot recursion.  One numerator per component ideal
+yields every degree at once:
 
-The saturation-quotient census ``quotient_census`` counts msat/m from
-K-polynomials: ``k_polynomial`` gives the numerator N_I(t) of the Hilbert
-series of A/I by Bigatti's pivot recursion, and per basis component the
-census is (N_I - N_J) / (1-t)^d.  One recursion per component ideal yields
-every degree at once.  ``core.quotient_monomials``, a search over standard
-monomials, lists the same quotient term by term and is kept as the reference
-enumeration.
+* graded lengths: the ideal has HS(I) = (1 - N_I(t)) / (1-t)^d, so
+  l(I_t) = C(t+d-1, d-1) - sum_k N_I[k] C(t-k+d-1, d-1);
+* cumulative lengths: summing over degrees <= t divides by one more (1-t),
+  which is the same sum with d+1 in place of d;
+* the saturation-quotient census ``quotient_census``: per basis component
+  the census of msat/m is (N_I - N_J) / (1-t)^d.
+
+Inclusion-exclusion over generator lcm's (``count_ideal_degree_ie``) is kept
+as an independent cross-check for small inputs, and
+``core.quotient_monomials``, a search over standard monomials, lists the
+census term by term and is kept as the reference enumeration.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -41,82 +41,25 @@ from .core import (
     saturate,
 )
 
-_MEMO: dict = {}
-_MEMO_LOCK = threading.Lock()
-
 
 def _canonical_gens(gens) -> tuple:
     return tuple(map(tuple, minimalize_exponents(gens)))
 
 
-def _colon_variable(gens: tuple, s: int) -> tuple:
-    return _canonical_gens(
-        g[:s] + (g[s] - 1,) + g[s + 1 :] if g[s] > 0 else g for g in gens
-    )
-
-
-def _restrict_variable(gens: tuple, s: int) -> tuple:
-    return _canonical_gens(g[:s] + g[s + 1 :] for g in gens if g[s] == 0)
-
-
-def _split_variable(gens: tuple) -> int:
-    d = len(gens[0])
-    maxima = [max(g[s] for g in gens) for s in range(d)]
-    return maxima.index(max(maxima))
-
-
-def _base_count(gens: tuple, t: int) -> Optional[int]:
-    if t < 0:
-        return 0
-    if not gens:
-        return 0
-    d = len(gens[0])
-    first = gens[0]
-    if sum(first) == 0:
-        # unit ideal: all monomials of degree t
-        return comb(t + d - 1, d - 1)
-    if t < sum(first):
+def _count(gens: tuple, t: int, memo: Optional[dict], cumulative: bool = False) -> int:
+    """Monomials of degree t (of all degrees <= t when ``cumulative``) in the
+    ideal of the canonical generator tuple ``gens``."""
+    if not gens or t < sum(gens[0]):
         # canonical order puts a minimal-degree generator first
         return 0
-    if d == 1:
-        return 1 if t >= first[0] else 0
-    return None
+    r = len(gens[0]) - 1 + cumulative
+    numerator = k_polynomial(gens, memo)[: t + 1]
+    return comb(t + r, r) - sum(c * comb(t - k + r, r) for k, c in enumerate(numerator))
 
 
 def count_ideal_degree(gens, t: int) -> int:
     """Number of monomials of degree t in the ideal generated by ``gens``."""
-    root = (_canonical_gens(gens), int(t))
-    cached = _MEMO.get(root)
-    if cached is not None:
-        return cached
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in _MEMO:
-            stack.pop()
-            continue
-        kgens, kt = key
-        base = _base_count(kgens, kt)
-        if base is not None:
-            with _MEMO_LOCK:
-                _MEMO[key] = base
-            stack.pop()
-            continue
-        s = _split_variable(kgens)
-        left = (_colon_variable(kgens, s), kt - 1)
-        right = (_restrict_variable(kgens, s), kt)
-        lv = _MEMO.get(left)
-        rv = _MEMO.get(right)
-        if lv is not None and rv is not None:
-            with _MEMO_LOCK:
-                _MEMO[key] = lv + rv
-            stack.pop()
-        else:
-            if rv is None:
-                stack.append(right)
-            if lv is None:
-                stack.append(left)
-    return _MEMO[root]
+    return _count(_canonical_gens(gens), t, None)
 
 
 def count_ideal_degree_ie(gens, t: int) -> int:
@@ -137,32 +80,28 @@ def count_ideal_degree_ie(gens, t: int) -> int:
     return total
 
 
-def length_component(m: TermModule, degree: int) -> int:
-    """k-dimension of the graded piece M_degree (a monomial count)."""
-    total = 0
-    for basis, gens in m.components:
-        t = degree - m.ambient.basis_degree(basis)
-        if t >= 0:
-            total += count_ideal_degree(gens, t)
-    return total
+def length_component(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
+    """k-dimension of the graded piece M_degree (a monomial count).
+
+    ``memo`` is passed on to ``k_polynomial``.
+    """
+    return sum(
+        _count(gens, degree - m.ambient.basis_degree(basis), memo)
+        for basis, gens in m.components
+    )
 
 
-def module_min_degree(m: TermModule) -> Optional[int]:
-    """Least degree in which M is nonzero (None for the zero module)."""
-    return m.min_degree
-
-
-def cumulative_length(m: TermModule, degree: int) -> int:
+def cumulative_length(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
     """Sum of length_component over all degrees <= ``degree``.
 
     This equals the graded-piece length at ``degree`` of the extension of M
     along a polynomial extension by one extra degree-one variable, without
-    materializing that extension.
+    materializing that extension.  ``memo`` is passed on to ``k_polynomial``.
     """
-    lo = module_min_degree(m)
-    if lo is None or degree < lo:
-        return 0
-    return sum(length_component(m, j) for j in range(lo, degree + 1))
+    return sum(
+        _count(gens, degree - m.ambient.basis_degree(basis), memo, cumulative=True)
+        for basis, gens in m.components
+    )
 
 
 @dataclass
@@ -225,6 +164,10 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     across calls.
     """
     memo = {} if memo is None else memo
+    # components of a TermModule are already canonical, so a hit skips the
+    # minimalize pass
+    if isinstance(gens, tuple) and gens in memo:
+        return memo[gens]
     root = _canonical_gens(gens)
     stack = [root]
     while stack:
@@ -315,18 +258,18 @@ def quotient_total_length(m: TermModule) -> tuple[int, LengthTable]:
 class LengthLadder:
     """Shared exact length data for the powers of one module.
 
-    Wraps a power cache and memoizes per-(n, degree) lengths, saturations,
-    cumulative sums, and saturation-quotient censuses, so the density,
-    multiplicity, and dependence layers all draw on the same computations.
-    Insertions are idempotent; recomputation is harmless.
+    Wraps a power cache and memoizes saturations, saturation-quotient
+    censuses, and the K-polynomials of every component ideal it meets, so
+    graded and cumulative lengths of all powers and degrees, and the
+    censuses, come from one numerator per ideal.  The density, multiplicity,
+    and dependence layers all draw on the same computations.  Insertions
+    are idempotent; recomputation is harmless.
     """
 
     def __init__(self, module: TermModule, cache: Optional[PowerCache] = None):
         self.module = module
         self.cache = cache if cache is not None else PowerCache()
         self._sat: dict[int, TermModule] = {}
-        self._len: dict[tuple[int, int], int] = {}
-        self._sat_len: dict[tuple[int, int], int] = {}
         self._census: dict[int, tuple[int, LengthTable]] = {}
         self._kpoly: dict = {}
         self._lock = threading.Lock()
@@ -344,29 +287,13 @@ class LengthLadder:
         return cached
 
     def length(self, n: int, degree: int) -> int:
-        key = (n, degree)
-        val = self._len.get(key)
-        if val is None:
-            val = length_component(self.power(n), degree)
-            with self._lock:
-                val = self._len.setdefault(key, val)
-        return val
+        return length_component(self.power(n), degree, self._kpoly)
 
     def sat_length(self, n: int, degree: int) -> int:
-        key = (n, degree)
-        val = self._sat_len.get(key)
-        if val is None:
-            val = length_component(self.sat_power(n), degree)
-            with self._lock:
-                val = self._sat_len.setdefault(key, val)
-        return val
+        return length_component(self.sat_power(n), degree, self._kpoly)
 
     def cumulative(self, n: int, degree: int) -> int:
-        p = self.power(n)
-        lo = module_min_degree(p)
-        if lo is None or degree < lo:
-            return 0
-        return sum(self.length(n, j) for j in range(lo, degree + 1))
+        return cumulative_length(self.power(n), degree, self._kpoly)
 
     def sat_quotient(self, n: int) -> tuple[int, LengthTable]:
         val = self._census.get(n)

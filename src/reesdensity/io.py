@@ -32,7 +32,6 @@ from .core import (
     TermModule,
     term_module,
 )
-from .counting import LengthTable
 from .density import ChamberDecomposition, DensityGrid
 from .dependence import DependenceVerdict
 from .multiplicity import MultiplicityReport
@@ -279,15 +278,6 @@ def grid_payload(grid: DensityGrid) -> dict:
         ],
         "support": jsonable(grid.support),
         "meta": jsonable(grid.meta),
-    }
-
-
-def length_table_payload(table: LengthTable) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "total": table.total,
-        "lengths": {str(k): v for k, v in sorted(table.lengths.items())},
-        "max_degree": table.max_degree,
     }
 
 

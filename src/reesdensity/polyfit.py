@@ -59,10 +59,6 @@ def poly_interpolate(points: Sequence[tuple]) -> Poly:
     return poly_trim(coeffs)
 
 
-def poly_to_strings(p: Sequence[Fraction]) -> list[str]:
-    return [str(Fraction(c)) for c in p]
-
-
 # -- finite differences ----------------------------------------------------
 
 
@@ -131,16 +127,6 @@ def poly2_eval(p: Poly2, x, y) -> Fraction:
         (c * Fraction(x) ** i * Fraction(y) ** j for (i, j), c in p.items()),
         Fraction(0),
     )
-
-
-def poly2_total_degree(p: Poly2) -> int:
-    live = [i + j for (i, j), c in p.items() if c != 0]
-    return max(live) if live else -1
-
-
-def poly2_leading_form(p: Poly2) -> Poly2:
-    t = poly2_total_degree(p)
-    return {k: c for k, c in p.items() if c != 0 and k[0] + k[1] == t}
 
 
 def poly2_trim(p: Poly2) -> Poly2:

@@ -5,7 +5,14 @@ import random
 import pytest
 
 import oracles
-from util import census_by_enumeration, components_of, ideal, module, random_module
+from util import (
+    RING_XYZ,
+    census_by_enumeration,
+    components_of,
+    ideal,
+    module,
+    random_module,
+)
 
 from reesdensity import (
     InputError,
@@ -54,14 +61,23 @@ def test_count_single_variable():
     assert count_ideal_degree([(3,)], 2) == 0
 
 
+def _random_gens_with_edge_cases(rng, cases, max_exp, max_gens):
+    """Random generator lists for d = 2, 3, then ten for d = 1, then the unit
+    and zero ideals."""
+    for dims in [(2, 3)] * cases + [(1,)] * 10:
+        d = rng.choice(dims)
+        yield d, [
+            tuple(rng.randint(0, max_exp) for _ in range(d))
+            for _ in range(rng.randint(1, max_gens))
+        ]
+    for d in (1, 2, 3):
+        yield d, [(0,) * d]
+        yield d, []
+
+
 def test_count_matches_enumeration_oracle():
     rng = random.Random(7)
-    for _ in range(60):
-        d = rng.choice((2, 3))
-        gens = [
-            tuple(rng.randint(0, 4) for _ in range(d))
-            for _ in range(rng.randint(1, 6))
-        ]
+    for d, gens in _random_gens_with_edge_cases(rng, 60, 4, 6):
         for t in range(0, 13):
             want = len(oracles.ideal_members_at_degree(gens, d, t))
             assert count_ideal_degree(gens, t) == want
@@ -69,12 +85,7 @@ def test_count_matches_enumeration_oracle():
 
 def test_count_matches_inclusion_exclusion():
     rng = random.Random(13)
-    for _ in range(40):
-        d = rng.choice((2, 3))
-        gens = [
-            tuple(rng.randint(0, 3) for _ in range(d))
-            for _ in range(rng.randint(1, 8))
-        ]
+    for d, gens in _random_gens_with_edge_cases(rng, 40, 3, 8):
         for t in range(0, 11):
             assert count_ideal_degree(gens, t) == count_ideal_degree_ie(gens, t)
             assert count_ideal_degree_ie(gens, t) == oracles.count_by_inclusion_exclusion(gens, d, t)
@@ -132,6 +143,23 @@ def test_cumulative_length_maximal_ideal():
     m = ideal([(1, 0), (0, 1)])
     assert cumulative_length(m, 2) == 5
     assert cumulative_length(m, 0) == 0
+
+
+def test_cumulative_matches_summed_enumeration():
+    # a rank-2 module with shift -1 and a d = 3 ideal
+    cases = [
+        module({0: [(2, 0), (1, 1)], 1: [(0, 1)]}, (-1, 0)),
+        ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ),
+    ]
+    for m in cases:
+        comps = components_of(m)
+        shifts = m.ambient.shifts
+        ladder = LengthLadder(m)
+        running = 0
+        for deg in range(-3, 9):
+            running += len(oracles.module_members_at_degree(comps, shifts, deg))
+            assert cumulative_length(m, deg) == running
+            assert ladder.cumulative(1, deg) == running
 
 
 def test_cumulative_telescopes():

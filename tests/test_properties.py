@@ -5,6 +5,7 @@ from math import comb
 
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from util import RING_XY, RING_XYZ, census_by_enumeration, ideal, module
 
 from reesdensity import (
@@ -162,6 +163,28 @@ def test_saturated_quotient_is_finite_length(m, n):
     probe = (table.max_degree if table.lengths else ladder.power(n).max_degree) + 1
     for deg in (probe, probe + 3):
         assert ladder.sat_length(n, deg) == ladder.length(n, deg)
+
+
+@given(term_modules(), st.integers(1, 3))
+@example(module({0: [(2, 0), (1, 1)], 1: [(0, 1)]}, (-1, 0)), 2)
+@example(ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ), 2)
+@settings(max_examples=15, deadline=None)
+def test_ladder_lengths_match_enumeration(m, n):
+    # graded, saturated and cumulative lengths of M^n, term by term
+    ladder = LengthLadder(m)
+    p, s = ladder.power(n), ladder.sat_power(n)
+    shifts = m.ambient.shifts
+
+    def members(mod, deg):
+        comps = {b: list(g) for b, g in mod.components}
+        return len(oracles.module_members_at_degree(comps, shifts, deg))
+
+    running = 0
+    for deg in range(s.min_degree - 1, p.max_degree + 3):
+        running += members(p, deg)
+        assert ladder.length(n, deg) == members(p, deg)
+        assert ladder.sat_length(n, deg) == members(s, deg)
+        assert ladder.cumulative(n, deg) == running
 
 
 def test_ambient_hash_and_equality():
