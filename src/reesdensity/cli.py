@@ -122,11 +122,9 @@ def _load_module(spec: str) -> TermModule:
     return load_module_file(spec)
 
 
-def _make_cache(args) -> Optional[PowerCache]:
-    if getattr(args, "no_cache", False):
-        return None
-    cache_dir = getattr(args, "cache_dir", None)
-    return PowerCache(cache_dir) if cache_dir else PowerCache()
+def _make_cache(args) -> PowerCache:
+    # an empty --cache-dir means no directory, as an absent one does
+    return PowerCache(args.cache_dir or None)
 
 
 def _out_path(base: Optional[str], module_spec: str, kind: str, many: bool, suffix: str) -> Path:
@@ -302,8 +300,6 @@ def _cmd_corpus(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", help="persist power caches in this directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the in-memory power cache")
     parser.add_argument("--json-out", help="write a JSON payload here")
 
 

@@ -56,7 +56,6 @@ class DependenceVerdict:
     c: int
     n_max: int
     criteria: tuple[CriterionEvidence, ...]
-    consistent: bool
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -170,7 +169,6 @@ def check_dependence(
     n_max: int = 12,
     ladder=None,
     cache: Optional[PowerCache] = None,
-    include_truncation: bool = True,
     robustness_c: bool = False,
 ) -> DependenceVerdict:
     """Decide whether M is integral over N (equivalently, N is a reduction).
@@ -273,26 +271,25 @@ def check_dependence(
         )
     )
 
-    if include_truncation:
-        trunc_sup = degree_truncation(sup, c)
-        trunc_sub = trunc_sup if same else degree_truncation(sub, c)
-        eps_t_sup = epsilon_multiplicity(
-            trunc_sup, ladder, cache=cache, cross_check=False
+    trunc_sup = degree_truncation(sup, c)
+    trunc_sub = trunc_sup if same else degree_truncation(sub, c)
+    eps_t_sup = epsilon_multiplicity(
+        trunc_sup, ladder, cache=cache, cross_check=False
+    )
+    eps_t_sub = (
+        eps_t_sup
+        if same
+        else epsilon_multiplicity(trunc_sub, ladder, cache=cache, cross_check=False)
+    )
+    criteria.append(
+        _evidence_row(
+            "epsilon-truncation",
+            f"epsilon of degree-{c} truncations [stand-in]",
+            eps_t_sub.values["exact"],
+            eps_t_sup.values["exact"],
+            stand_in=True,
         )
-        eps_t_sub = (
-            eps_t_sup
-            if same
-            else epsilon_multiplicity(trunc_sub, ladder, cache=cache, cross_check=False)
-        )
-        criteria.append(
-            _evidence_row(
-                "epsilon-truncation",
-                f"epsilon of degree-{c} truncations [stand-in]",
-                eps_t_sub.values["exact"],
-                eps_t_sup.values["exact"],
-                stand_in=True,
-            )
-        )
+    )
 
     mismatches = [
         cr.name for cr in criteria if not cr.stand_in and cr.usable and cr.match is False
@@ -315,7 +312,6 @@ def check_dependence(
         c=c,
         n_max=n_max,
         criteria=tuple(criteria),
-        consistent=True,
         diagnostics={
             "same_module": same,
             "ladder": ladder,

@@ -299,7 +299,9 @@ def verdict_payload(verdict: DependenceVerdict) -> dict:
         "certificate": verdict.certificate,
         "c": verdict.c,
         "n_max": verdict.n_max,
-        "consistent": verdict.consistent,
+        # always true: a certificate that contradicts a mismatch raises
+        # InternalInvariantError before any verdict exists
+        "consistent": True,
         "criteria": [
             {
                 "name": cr.name,

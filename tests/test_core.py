@@ -27,6 +27,7 @@ from reesdensity import (
     unit_module,
     zero_module,
 )
+from reesdensity.backend import BACKEND, minimalize_exponents
 
 
 def gens_of(m):
@@ -59,6 +60,19 @@ def test_minimalize_matches_oracle_on_random_sets():
         ]
         m = ideal(gens, ring=RingSpec(("x", "y", "z")))
         assert gens_of(m) == sorted(oracles.minimalize_oracle(gens))
+
+
+def test_minimalize_output_is_sorted_and_minimal():
+    # gens_of sorts before comparing; this checks the kernel's own order
+    assert BACKEND == "python"
+    rng = random.Random(15)
+    for _ in range(40):
+        gens = [
+            tuple(rng.randrange(0, 4) for _ in range(4)) for _ in range(rng.randrange(1, 9))
+        ]
+        got = minimalize_exponents(gens)
+        assert got == sorted(got, key=lambda t: (sum(t), t))
+        assert got == oracles.minimalize_oracle(gens)
 
 
 def test_generators_all_at_module_level():

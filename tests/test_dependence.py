@@ -74,7 +74,6 @@ def test_reduction_verdict_with_matching_criteria():
     assert v.verdict == "reduction"
     assert v.certificate == 1
     assert v.c == 3
-    assert v.consistent
     for cr in v.criteria:
         assert cr.usable
         assert cr.match is True
