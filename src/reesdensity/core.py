@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -154,6 +156,22 @@ class TermModule:
                 canon.append((basis, tuple(gens)))
         object.__setattr__(self, "components", tuple(canon))
 
+    @classmethod
+    def _from_canonical(
+        cls, ambient: GradedFreeModule, level: int, components: tuple[Component, ...]
+    ) -> "TermModule":
+        """Wrap components that are already canonical, skipping validation.
+
+        Only for the results of the exponent kernels: each generator tuple is
+        minimal and in canonical order, none is empty, and the components are
+        sorted by basis exponent at the right level.
+        """
+        mod = object.__new__(cls)
+        object.__setattr__(mod, "ambient", ambient)
+        object.__setattr__(mod, "level", level)
+        object.__setattr__(mod, "components", components)
+        return mod
+
     # -- basic structure -------------------------------------------------
 
     @cached_property
@@ -258,15 +276,21 @@ def _require_same_ambient(a: TermModule, b: TermModule) -> None:
 def product(a: TermModule, b: TermModule) -> TermModule:
     """Image of M_a (x) M_b in Sym^(la+lb)(F): pairwise products of terms."""
     _require_same_ambient(a, b)
-    buckets: dict[tuple[int, ...], set] = {}
+    buckets: dict[tuple[int, ...], list] = {}
     for abasis, agens in a.components:
         for bbasis, bgens in b.components:
             cbasis = tuple(x + y for x, y in zip(abasis, bbasis))
-            buckets.setdefault(cbasis, set()).update(
-                product_exponents(agens, bgens)
-            )
-    comps = tuple((basis, tuple(gens)) for basis, gens in buckets.items())
-    return TermModule(a.ambient, a.level + b.level, comps)
+            buckets.setdefault(cbasis, []).append(product_exponents(agens, bgens))
+    # several basis pairs can land on one basis exponent (e1*e2 = e2*e1);
+    # only their union needs a second minimalize pass
+    comps = tuple(
+        (
+            basis,
+            tuple(parts[0] if len(parts) == 1 else minimalize_exponents(chain(*parts))),
+        )
+        for basis, parts in sorted(buckets.items())
+    )
+    return TermModule._from_canonical(a.ambient, a.level + b.level, comps)
 
 
 def power(m: TermModule, n: int, cache: "PowerCache | None" = None) -> TermModule:
@@ -326,7 +350,7 @@ def intersect(a: TermModule, b: TermModule) -> TermModule:
         if not bgens:
             continue
         comps.append((basis, tuple(intersect_exponents(agens, bgens))))
-    return TermModule(a.ambient, a.level, tuple(comps))
+    return TermModule._from_canonical(a.ambient, a.level, tuple(comps))
 
 
 def saturate(m: TermModule) -> TermModule:
@@ -464,8 +488,10 @@ class PowerCache:
     In-memory entries are shared across all consumers of the cache; disk
     persistence (when a directory is given) stores each requested power as a
     content-addressed JSON file, so repeated runs are byte-reproducible and
-    warm runs skip the power ladder entirely.  Writes go through a lock;
-    recomputing a power twice is harmless because insertion is idempotent.
+    warm runs skip the power ladder entirely.  A file that does not parse, or
+    holds a module of the wrong level or ambient or a zero module for a
+    nonzero M, counts as a miss and is rewritten.  Memory writes go through a lock; recomputing a power twice is
+    harmless because insertion is idempotent.
     """
 
     def __init__(self, directory: "str | Path | None" = None) -> None:
@@ -480,27 +506,43 @@ class PowerCache:
             return None
         return self.directory / f"{key}.{n}.json"
 
-    def _load(self, key: str, n: int) -> "TermModule | None":
+    def _load(self, m: TermModule, key: str, n: int) -> "TermModule | None":
+        """The stored M^n, or None when the file is missing or is not M^n."""
         path = self._path(key, n)
         if path is None or not path.exists():
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             mod = module_from_payload(payload)
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, TypeError, OSError):
+            return None
+        # the file name carries the key, so a module of another level or
+        # ambient, or a zero module for a nonzero M, is a damaged file, never M^n
+        if (
+            mod.level != n * m.level
+            or mod.ambient != m.ambient
+            or mod.is_zero != m.is_zero
+        ):
             return None
         return mod
 
     def _store(self, key: str, n: int, mod: TermModule) -> None:
+        """Write M^n, replacing a file that failed to load."""
         path = self._path(key, n)
-        if path is None or path.exists():
+        if path is None:
             return
         blob = json.dumps(
             module_to_payload(mod), sort_keys=True, separators=(",", ":")
         )
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(blob, encoding="utf-8")
-        tmp.replace(path)
+        # one temp name per process and thread, so concurrent writers never
+        # share one; os.replace publishes the finished file atomically
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(blob, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def power(self, m: TermModule, n: int) -> TermModule:
         if n < 0:
@@ -514,7 +556,7 @@ class PowerCache:
             cached = self._memory.get((key, n))
         if cached is not None:
             return cached
-        loaded = self._load(key, n)
+        loaded = self._load(m, key, n)
         if loaded is not None:
             with self._lock:
                 self._memory.setdefault((key, n), loaded)

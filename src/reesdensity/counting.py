@@ -43,7 +43,7 @@ from .core import (
 
 
 def _canonical_gens(gens) -> tuple:
-    return tuple(map(tuple, minimalize_exponents(gens)))
+    return tuple(minimalize_exponents(gens))
 
 
 def _count(gens: tuple, t: int, memo: Optional[dict], cumulative: bool = False) -> int:

@@ -1,6 +1,8 @@
 """Exact algebra of term modules: minimality, products, powers, saturation."""
 
+import json
 import random
+import threading
 
 import pytest
 
@@ -27,7 +29,13 @@ from reesdensity import (
     unit_module,
     zero_module,
 )
-from reesdensity.backend import BACKEND, minimalize_exponents
+from reesdensity.backend import (
+    BACKEND,
+    intersect_exponents,
+    minimalize_exponents,
+    product_exponents,
+)
+from reesdensity.core import module_to_payload
 
 
 def gens_of(m):
@@ -73,6 +81,30 @@ def test_minimalize_output_is_sorted_and_minimal():
         got = minimalize_exponents(gens)
         assert got == sorted(got, key=lambda t: (sum(t), t))
         assert got == oracles.minimalize_oracle(gens)
+
+
+def _wide_cases():
+    # fields are sized from the largest exponent, so probe both sides of
+    # every power of two a field width could be off by one at
+    rng = random.Random(16)
+    for k in (1, 2, 3, 7, 8, 16, 31, 32, 64):
+        values = (0, 2**k - 1, 2**k)
+        yield [(a, b, c) for a in values for b in values for c in values]
+    yield [(10**6, 0), (0, 1), (10**6, 1), (999_999, 2), (1, 10**6)]
+    yield [(5,), (3,), (8,), (3,)]
+    yield [tuple(rng.randrange(0, 10) for _ in range(5)) for _ in range(30)]
+    yield [(0, 0, 0), (1, 2, 3), (0, 0, 1)]
+    yield [(1, 2), (2, 1), (1, 2), (2, 1), (2, 2)]
+    yield [(k, 6 - k) for k in range(7)]
+
+
+@pytest.mark.parametrize("gens", list(_wide_cases()))
+def test_kernels_match_oracles_on_edge_cases(gens):
+    # the oracles return canonical (total degree, lex) order
+    assert minimalize_exponents(gens) == oracles.minimalize_oracle(gens)
+    half = gens[: len(gens) // 2 + 1]
+    assert product_exponents(half, gens) == oracles.product_oracle(half, gens)
+    assert intersect_exponents(half, gens) == oracles.intersect_oracle(half, gens)
 
 
 def test_generators_all_at_module_level():
@@ -301,6 +333,57 @@ def test_power_cache_disk_round_trip(tmp_path):
     fresh = PowerCache(tmp_path)
     assert fresh.power(m, 3) == p3
     assert any(f.suffix == ".json" for f in tmp_path.iterdir())
+
+
+# M^3 of m = (x^2, xy) damaged on disk: each maps (m, the good file) to a bad one
+DAMAGED_POWER_FILES = {
+    "wrong level": lambda m, good: json.dumps(module_to_payload(power(m, 2))),
+    "wrong ambient": lambda m, good: json.dumps(
+        module_to_payload(power(ideal([(2, 0), (1, 1)], shift=1), 3))
+    ),
+    "zero module": lambda m, good: json.dumps(
+        module_to_payload(zero_module(m.ambient, 3))
+    ),
+    "wrong shape": lambda m, good: "[1, 2, 3]",
+    "truncated": lambda m, good: good[: len(good) // 2],
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED_POWER_FILES))
+def test_power_cache_rejects_and_rewrites_damaged_file(tmp_path, damage):
+    m = ideal([(2, 0), (1, 1)])
+    PowerCache(tmp_path).power(m, 3)
+    (path,) = tmp_path.glob("*.3.json")
+    good = path.read_text(encoding="utf-8")
+    path.write_text(DAMAGED_POWER_FILES[damage](m, good), encoding="utf-8")
+    assert PowerCache(tmp_path).power(m, 3) == power(m, 3)
+    assert path.read_text(encoding="utf-8") == good
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+def test_power_cache_two_concurrent_writers(tmp_path):
+    m = ideal([(3, 0), (1, 2), (0, 4)])
+    ladder = range(2, 8)
+    want = [power(m, n) for n in ladder]
+    start = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def fill(name):
+        cache = PowerCache(tmp_path)  # separate memory, shared directory
+        start.wait()
+        results[name] = [cache.power(m, n) for n in ladder]
+
+    threads = [threading.Thread(target=fill, args=(name,)) for name in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {"a": want, "b": want}
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == sorted(f"{m.content_key}.{n}.json" for n in ladder)
+    fresh = PowerCache(tmp_path)
+    assert [fresh.power(m, n) for n in ladder] == want
 
 
 def test_ambient_mismatch_rejected():

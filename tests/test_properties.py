@@ -10,7 +10,9 @@ from util import RING_XY, RING_XYZ, census_by_enumeration, ideal, module
 
 from reesdensity import (
     LengthLadder,
+    TermModule,
     default_grid,
+    intersect,
     is_submodule,
     length_component,
     power,
@@ -30,9 +32,11 @@ exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
 
 
 @st.composite
-def term_modules(draw, max_rank=2):
-    e = draw(st.integers(1, max_rank))
-    shifts = tuple(draw(st.integers(-1, 1)) for _ in range(e))
+def term_modules(draw, max_rank=2, shifts=None):
+    if shifts is None:
+        e = draw(st.integers(1, max_rank))
+        shifts = tuple(draw(st.integers(-1, 1)) for _ in range(e))
+    e = len(shifts)
     comps = {}
     for i in range(e):
         gens = draw(st.lists(exponents, min_size=1, max_size=4))
@@ -55,6 +59,38 @@ def test_minimalize_idempotent(m):
     for _, gens in m.components:
         once = minimalize_exponents(gens)
         assert minimalize_exponents(once) == once
+
+
+@st.composite
+def module_pairs(draw):
+    a = draw(term_modules())
+    return a, draw(term_modules(shifts=a.ambient.shifts))
+
+
+@given(module_pairs())
+# both e1*e2 and e2*e1 land on basis (1, 1); their union {(2, 0), (2, 2)} is
+# not minimal
+@example((
+    module({0: [(1, 0)], 1: [(2, 1)]}, (0, -1)),
+    module({0: [(0, 1)], 1: [(1, 0)]}, (0, -1)),
+))
+# rank 3: basis exponents of the product first appear out of order
+@example((
+    module({0: [(1, 0)], 1: [(0, 1)], 2: [(1, 1)]}, (0, 0, -1)),
+    module({0: [(0, 2)], 1: [(1, 0)], 2: [(2, 0)]}, (0, 0, -1)),
+))
+@example((
+    ideal([(2, 0, 0), (1, 1, 0), (0, 0, 3)], ring=RING_XYZ),
+    ideal([(1, 0, 1), (0, 2, 0)], ring=RING_XYZ),
+))
+@settings(max_examples=40, deadline=None)
+def test_product_and_intersect_are_already_canonical(pair):
+    # product and intersect skip TermModule validation; constructing the
+    # same components again must change nothing
+    a, b = pair
+    ab = product(a, b)
+    for result in (ab, intersect(a, b), intersect(ab, product(b, a)), product(ab, a)):
+        assert result == TermModule(result.ambient, result.level, result.components)
 
 
 @given(term_modules(), st.integers(0, 2), st.integers(0, 2))
