@@ -422,38 +422,6 @@ def quotient_monomials(
     return terms
 
 
-def _monomials_of_degree(d: int, t: int) -> Iterator[tuple[int, ...]]:
-    if t < 0:
-        return
-    if d == 1:
-        yield (t,)
-        return
-    for first in range(t + 1):
-        for rest in _monomials_of_degree(d - 1, t - first):
-            yield (first,) + rest
-
-
-def degree_truncation(m: TermModule, c: int) -> TermModule:
-    """Submodule generated by all terms of M of degree exactly c."""
-    d = m.ambient.ring.dim
-    comps = []
-    for basis, gens in m.components:
-        base = m.ambient.basis_degree(basis)
-        t = c - base
-        if t < 0:
-            continue
-        bucket = set()
-        for g in gens:
-            rem = t - sum(g)
-            if rem < 0:
-                continue
-            for extra in _monomials_of_degree(d, rem):
-                bucket.add(tuple(x + y for x, y in zip(g, extra)))
-        if bucket:
-            comps.append((basis, tuple(bucket)))
-    return TermModule(m.ambient, m.level, tuple(comps))
-
-
 # -- serialization (internal payload, any level) --------------------------
 
 
@@ -488,10 +456,12 @@ class PowerCache:
     In-memory entries are shared across all consumers of the cache; disk
     persistence (when a directory is given) stores each requested power as a
     content-addressed JSON file, so repeated runs are byte-reproducible and
-    warm runs skip the power ladder entirely.  A file that does not parse, or
-    holds a module of the wrong level or ambient or a zero module for a
-    nonzero M, counts as a miss and is rewritten.  Memory writes go through a lock; recomputing a power twice is
-    harmless because insertion is idempotent.
+    warm runs skip the power ladder entirely.  A file that does not parse,
+    or holds a module that cannot be M^n (wrong level or ambient, zero for a
+    nonzero M, a generator degree outside [n*d_min, n*d_max], or none at
+    n*d_min), counts as a miss and is rewritten.  Memory writes go through a
+    lock; recomputing a power twice is harmless because insertion is
+    idempotent.
     """
 
     def __init__(self, directory: "str | Path | None" = None) -> None:
@@ -517,13 +487,23 @@ class PowerCache:
         except (ValueError, KeyError, TypeError, OSError):
             return None
         # the file name carries the key, so a module of another level or
-        # ambient, or a zero module for a nonzero M, is a damaged file, never M^n
+        # ambient, or a zero module for a nonzero M, is a damaged file, never
+        # M^n; so is one whose generator degrees leave [n*d_min, n*d_max] or
+        # miss n*d_min, the degree of g^n for a generator g of least degree
         if (
             mod.level != n * m.level
             or mod.ambient != m.ambient
             or mod.is_zero != m.is_zero
         ):
             return None
+        if not m.is_zero:
+            # canonical order sorts each component by total degree, so its
+            # first and last generators carry its extreme degrees
+            basis_degree = mod.ambient.basis_degree
+            low = min(basis_degree(b) + sum(gens[0]) for b, gens in mod.components)
+            high = max(basis_degree(b) + sum(gens[-1]) for b, gens in mod.components)
+            if low != n * m.min_degree or high > n * m.max_degree:
+                return None
         return mod
 
     def _store(self, key: str, n: int, mod: TermModule) -> None:

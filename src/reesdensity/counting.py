@@ -12,8 +12,6 @@ yields every degree at once:
 * the saturation-quotient census ``quotient_census``: per basis component
   the census of msat/m is (N_I - N_J) / (1-t)^d.
 
-Inclusion-exclusion over generator lcm's (``count_ideal_degree_ie``) is kept
-as an independent cross-check for small inputs, and
 ``core.quotient_monomials``, a search over standard monomials, lists the
 census term by term and is kept as the reference enumeration.
 
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -62,24 +59,6 @@ def count_ideal_degree(gens, t: int) -> int:
     return _count(_canonical_gens(gens), t, None)
 
 
-def count_ideal_degree_ie(gens, t: int) -> int:
-    """Inclusion-exclusion cross-check; exponential, limited to 12 generators."""
-    gens = _canonical_gens(gens)
-    if len(gens) > 12:
-        raise InputError("inclusion-exclusion cross-check limited to 12 generators")
-    if t < 0 or not gens:
-        return 0
-    d = len(gens[0])
-    total = 0
-    for r in range(1, len(gens) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for subset in combinations(gens, r):
-            lcm_deg = sum(max(col) for col in zip(*subset))
-            if t >= lcm_deg:
-                total += sign * comb(t - lcm_deg + d - 1, d - 1)
-    return total
-
-
 def length_component(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
     """k-dimension of the graded piece M_degree (a monomial count).
 
@@ -108,7 +87,6 @@ def cumulative_length(m: TermModule, degree: int, memo: Optional[dict] = None) -
 class LengthTable:
     """Degree-indexed lengths for one module."""
 
-    module_key: str
     lengths: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -246,7 +224,7 @@ def quotient_census(
         for k, v in enumerate(diff):
             if v:
                 by_degree[base + k] = by_degree.get(base + k, 0) + v
-    table = LengthTable(module_key=m.content_key, lengths=dict(sorted(by_degree.items())))
+    table = LengthTable(dict(sorted(by_degree.items())))
     return table.total, table
 
 

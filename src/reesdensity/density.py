@@ -85,10 +85,6 @@ class DensityGrid:
     support: tuple[Optional[Fraction], Optional[Fraction]]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def module_key(self) -> str:
-        return self.module.content_key
-
     def value_at(self, x: Fraction) -> Fraction:
         return self.extrapolated[self.xs.index(Fraction(x))]
 

@@ -8,6 +8,13 @@ that reductions must preserve: the epsilon multiplicity, the diagonal
 multiplicities along m = c*n for c past both generator-degree bounds, and the
 extended mixed-multiplicity vector.  When neither a certificate nor a
 stabilized disagreement is available the verdict is "undetermined".
+
+A stand-in row, the epsilon of the degree-c truncations M_{>=c}, is reported
+next to the criteria and never drives the verdict.  It comes from the same
+ladder: for c at least every generator degree, (M_{>=c})^n = (M^n)_{>=nc},
+which saturates to sat(M^n), so t_n(M_{>=c}) = t_n(M) + sum_{j<nc}
+len((M^n)_j).  ``check_dependence`` requires c > d_M, which meets that
+precondition.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .core import (
     PowerCache,
     RankMismatchError,
     TermModule,
-    degree_truncation,
     membership,
     product,
 )
@@ -32,6 +38,7 @@ from .multiplicity import (
     epsilon_multiplicity,
     extract_polynomial_growth,
     mixed_multiplicities,
+    truncation_epsilon,
 )
 
 DEFAULT_CHECK_LADDER: tuple[int, ...] = tuple(range(1, 17))
@@ -178,7 +185,10 @@ def check_dependence(
     "undetermined", listing which criteria failed to stabilize on the given
     ladder.  A certificate coexisting with a disagreeing invariant raises an
     internal invariant violation.  The stand-in row (epsilon of the degree-c
-    truncations over the base ring) is reported but never drives the verdict.
+    truncations M_{>=c} over the base ring) is reported but never drives the
+    verdict.  No truncation is built: since c > d_M, (M_{>=c})^n =
+    (M^n)_{>=nc} has the saturation of M^n, so its census is t_n(M) plus the
+    cumulative length of M^n below degree nc (``truncation_epsilon``).
     robustness_c repeats the diagonal comparisons at c + 1; diagonal
     multiplicities are reduction invariants for every admissible slope, so
     the extra rows are full verdict inputs.
@@ -271,22 +281,18 @@ def check_dependence(
         )
     )
 
-    trunc_sup = degree_truncation(sup, c)
-    trunc_sub = trunc_sup if same else degree_truncation(sub, c)
-    eps_t_sup = epsilon_multiplicity(
-        trunc_sup, ladder, cache=cache, cross_check=False
-    )
+    eps_t_sup = truncation_epsilon(table_sup, c, eps_sup.values["totals"])
     eps_t_sub = (
         eps_t_sup
         if same
-        else epsilon_multiplicity(trunc_sub, ladder, cache=cache, cross_check=False)
+        else truncation_epsilon(table_sub, c, eps_sub.values["totals"])
     )
     criteria.append(
         _evidence_row(
             "epsilon-truncation",
             f"epsilon of degree-{c} truncations [stand-in]",
-            eps_t_sub.values["exact"],
-            eps_t_sup.values["exact"],
+            eps_t_sub,
+            eps_t_sup,
             stand_in=True,
         )
     )

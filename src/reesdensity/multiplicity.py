@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import InputError, PowerCache, TermModule
+from .core import InputError, InternalInvariantError, PowerCache, TermModule
 from .counting import LengthLadder
 from .density import (
     FitNotConvergedError,
@@ -102,6 +102,29 @@ def extract_polynomial_growth(
 # -- epsilon -----------------------------------------------------------------
 
 
+def _exact_epsilon(
+    totals: dict[int, int], big_d: int
+) -> tuple[Optional[Fraction], Optional[dict]]:
+    """Exact epsilon and the extraction record from saturation-quotient totals.
+
+    ``totals`` maps the ascending ladder to t_n.  The exact value is the
+    normalized leading value of the stabilized differences on the ladder's
+    arithmetic tail when they certify growth of order big_d = d+e-1, and 0
+    when they certify lower order; otherwise it is None.
+    """
+    tail_ns, step = _arithmetic_tail(tuple(totals))
+    ext = extract_polynomial_growth(
+        tail_ns, [totals[n] for n in tail_ns], step, big_d
+    )
+    exact: Optional[Fraction] = None
+    if ext is not None:
+        exact = ext["normalized"] if ext["degree"] == big_d else Fraction(0)
+        if exact < 0:
+            ext = {**ext, "rejected": "negative leading value"}
+            exact = None
+    return exact, ext
+
+
 def epsilon_multiplicity(
     m: TermModule,
     ladder=None,
@@ -136,17 +159,7 @@ def epsilon_multiplicity(
     ref = below[-1] if below else (ladder[0] if len(ladder) > 1 else None)
     halfway_gap = abs(estimate - estimate_at(ref)) if ref is not None else None
 
-    tail_ns, step = _arithmetic_tail(ladder)
-    ext = extract_polynomial_growth(
-        tail_ns, [totals[n] for n in tail_ns], step, big_d
-    )
-    exact: Optional[Fraction] = None
-    if ext is not None:
-        exact = ext["normalized"] if ext["degree"] == big_d else Fraction(0)
-        if exact < 0:
-            ext = {**ext, "rejected": "negative leading value"}
-            exact = None
-
+    exact, ext = _exact_epsilon(totals, big_d)
     diagnostics: dict = {
         "halfway_gap": halfway_gap,
         "reference_n": ref,
@@ -175,6 +188,42 @@ def epsilon_multiplicity(
         ladder=ladder,
         diagnostics=diagnostics,
     )
+
+
+def truncation_totals(
+    table: LengthLadder, c: int, totals: dict[int, int]
+) -> dict[int, int]:
+    """Saturation-quotient totals of the truncation M_{>=c}, never built.
+
+    ``totals`` are the totals t_n(M) of ``epsilon_multiplicity`` on its
+    ladder.  For c at least every generator degree of M, (M_{>=c})^n =
+    (M^n)_{>=nc}: a term u*g_1*...*g_n of degree >= nc factors as
+    u' * (u_1*g_1) * ... * (u_n*g_n) with u = u'*u_1*...*u_n and deg u_i =
+    c - deg g_i.  M^n/(M^n)_{>=nc} has finite length, so both saturate to
+    sat(M^n), and
+
+        t_n(M_{>=c}) = t_n(M) + sum_{j < nc} len((M^n)_j),
+
+    the second term being the ladder's cumulative length at degree nc - 1.
+    c must exceed d_M, the slope bound ``check_dependence`` enforces (the
+    identity itself needs only c >= d_M).
+    """
+    m = table.module
+    if m.max_degree is None or c <= m.max_degree:
+        raise InternalInvariantError(
+            f"truncation census needs c > d_M = {m.max_degree}, got {c}"
+        )
+    return {n: t + table.cumulative(n, n * c - 1) for n, t in totals.items()}
+
+
+def truncation_epsilon(
+    table: LengthLadder, c: int, totals: dict[int, int]
+) -> Optional[Fraction]:
+    """Exact epsilon of M_{>=c} from ``truncation_totals``, extracted as in
+    ``epsilon_multiplicity``."""
+    ambient = table.module.ambient
+    big_d = ambient.ring.dim + ambient.rank - 1
+    return _exact_epsilon(truncation_totals(table, c, totals), big_d)[0]
 
 
 # -- diagonal ----------------------------------------------------------------

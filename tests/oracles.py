@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: direct enumeration, pairwise scans,
 fixpoint iteration.  Nothing is shared with the package internals, so an
-agreement failure always implicates the fast path.
+agreement failure always implicates the fast path.  ``degree_truncation``
+wraps its enumerated generators in a ``TermModule`` so they can be handed to
+the engine's ladders.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from reesdensity import TermModule
 
 
 def monomials_of_degree(d, t):
@@ -154,3 +158,19 @@ def module_members_at_degree(components, shifts, m):
         for exp in ideal_members_at_degree(gens, d, t):
             out.add((exp, basis))
     return out
+
+
+def degree_truncation(m, c):
+    """Submodule M_{>=c} of a TermModule, generated by all its terms of degree c."""
+    d = m.ambient.ring.dim
+    comps = []
+    for basis, gens in m.components:
+        t = c - m.ambient.basis_degree(basis)
+        bucket = {
+            tuple(x + y for x, y in zip(g, extra))
+            for g in gens
+            for extra in monomials_of_degree(d, t - sum(g))
+        }
+        if bucket:
+            comps.append((basis, tuple(bucket)))
+    return TermModule(m.ambient, m.level, tuple(comps))

@@ -17,7 +17,6 @@ from reesdensity import (
     RingSpec,
     Term,
     colon_variable_saturation,
-    degree_truncation,
     intersect,
     is_submodule,
     membership,
@@ -300,13 +299,13 @@ def test_generator_degrees_with_shift():
 
 def test_degree_truncation_of_x2_xy():
     m = ideal([(2, 0), (1, 1)])
-    t = degree_truncation(m, 3)
+    t = oracles.degree_truncation(m, 3)
     assert gens_of(t) == [(1, 2), (2, 1), (3, 0)]
 
 
 def test_degree_truncation_respects_shift():
     m = ideal([(2, 0), (1, 1)], shift=-2)
-    t = degree_truncation(m, 1)
+    t = oracles.degree_truncation(m, 1)
     assert all(
         sum(term.exponents) + m.ambient.shifts[0] == 1 for term in t.generators()
     )
@@ -343,6 +342,15 @@ DAMAGED_POWER_FILES = {
     ),
     "zero module": lambda m, good: json.dumps(
         module_to_payload(zero_module(m.ambient, 3))
+    ),
+    "other generators": lambda m, good: json.dumps(
+        module_to_payload(power(ideal([(3, 0), (0, 3)]), 3))
+    ),
+    "degree above n*d_max": lambda m, good: json.dumps(
+        module_to_payload(power(ideal([(2, 0), (0, 3)]), 3))
+    ),
+    "degree below n*d_min": lambda m, good: json.dumps(
+        module_to_payload(power(ideal([(1, 0), (0, 1)]), 3))
     ),
     "wrong shape": lambda m, good: "[1, 2, 3]",
     "truncated": lambda m, good: good[: len(good) // 2],

@@ -15,7 +15,6 @@ from util import (
 )
 
 from reesdensity import (
-    InputError,
     InternalInvariantError,
     LengthLadder,
     cumulative_length,
@@ -26,7 +25,6 @@ from reesdensity import (
 )
 from reesdensity.counting import (
     count_ideal_degree,
-    count_ideal_degree_ie,
     k_polynomial,
     quotient_census,
 )
@@ -87,14 +85,7 @@ def test_count_matches_inclusion_exclusion():
     rng = random.Random(13)
     for d, gens in _random_gens_with_edge_cases(rng, 40, 3, 8):
         for t in range(0, 11):
-            assert count_ideal_degree(gens, t) == count_ideal_degree_ie(gens, t)
-            assert count_ideal_degree_ie(gens, t) == oracles.count_by_inclusion_exclusion(gens, d, t)
-
-
-def test_inclusion_exclusion_generator_cap():
-    gens = [(i, 0, 13 - i) for i in range(13)]
-    with pytest.raises(InputError):
-        count_ideal_degree_ie(gens, 4)
+            assert count_ideal_degree(gens, t) == oracles.count_by_inclusion_exclusion(gens, d, t)
 
 
 # -- module lengths -----------------------------------------------------------------

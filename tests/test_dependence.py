@@ -1,19 +1,27 @@
 """Integral-dependence verdicts: certificates, exact disagreement, guards."""
 
+import json
+
 import pytest
 
+import oracles
 from util import ideal, module
 
 from reesdensity import (
     InputError,
     InternalInvariantError,
+    LengthLadder,
     NotSubmoduleError,
     PowerCache,
     RankMismatchError,
     check_dependence,
     direct_reduction_search,
+    epsilon_multiplicity,
+    load_corpus_module,
     validate_pair,
 )
+from reesdensity.cli import main
+from reesdensity.multiplicity import truncation_totals
 import reesdensity.dependence as dependence
 
 M_SQ = ideal([(2, 0), (1, 1), (0, 2)])
@@ -108,6 +116,51 @@ def test_stand_in_row_present_and_excluded():
     assert "stand-in" in stand_in.label
     assert stand_in.match is False
     assert "epsilon-truncation" not in v.diagnostics["mismatches"]
+
+
+@pytest.mark.parametrize("name, c, want", [
+    ("maximal_ideal", 2, 4),
+    ("maximal_ideal", 3, 9),
+    ("three_vars", 2, 8),
+    ("three_vars", 3, 27),
+    ("square_maximal", 3, 9),
+])
+def test_stand_in_row_reads_multiplicity_of_maximal_ideal_power(name, c, want):
+    # the degree-c truncation of a power of m = (x_1..x_d) is m^c, which is
+    # m-primary, so its epsilon multiplicity is e(m^c) = c^d
+    m = load_corpus_module(name)
+    v = check_dependence(m, m, c=c)
+    stand_in = next(cr for cr in v.criteria if cr.stand_in)
+    assert (stand_in.left, stand_in.right) == (want, want)
+
+
+def test_stand_in_row_of_non_self_pair_with_both_c(tmp_path):
+    # at c = 3 the truncations are x*m^2 (saturation (x^n), so t_n =
+    # len(A/m^{2n}) and epsilon 4) and m^3 (epsilon 9)
+    out = tmp_path / "verdict.json"
+    code = main([
+        "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal",
+        "--both-c", "--json-out", str(out),
+    ])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "not-reduction"
+    (row,) = [cr for cr in payload["criteria"] if cr["stand_in"]]
+    assert (row["left"], row["right"], row["match"]) == ("4", "9", False)
+    assert "diagonal-a+1" in [cr["name"] for cr in payload["criteria"]]
+    # the slow route: build the truncations and census their own ladders
+    for module, want in ((N_X2_XY, 4), (M_SQ, 9)):
+        built = oracles.degree_truncation(module, 3)
+        eps = epsilon_multiplicity(
+            built, dependence.DEFAULT_CHECK_LADDER, cross_check=False
+        )
+        assert eps.values["exact"] == want
+
+
+def test_truncation_census_rejects_slope_at_generator_degree():
+    table = LengthLadder(M_SQ)
+    with pytest.raises(InternalInvariantError):
+        truncation_totals(table, 2, {1: table.sat_quotient_total(1)})
 
 
 def test_robustness_slope_adds_diagonal_rows_at_next_c():

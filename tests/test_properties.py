@@ -24,6 +24,7 @@ from reesdensity import (
 )
 from reesdensity.backend import minimalize_exponents
 from reesdensity.core import GradedFreeModule
+from reesdensity.multiplicity import truncation_totals
 
 # Exponent vectors in two variables, total degree <= 4.
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
@@ -221,6 +222,23 @@ def test_ladder_lengths_match_enumeration(m, n):
         assert ladder.length(n, deg) == members(p, deg)
         assert ladder.sat_length(n, deg) == members(s, deg)
         assert ladder.cumulative(n, deg) == running
+
+
+@given(term_modules())
+@example(module({0: [(2, 0), (1, 1)], 1: [(0, 1), (3, 0)]}, (0, -1)))
+@example(ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ))
+@example(module({0: [(3, 0), (2, 2)]}, (-2,)))
+@settings(max_examples=15, deadline=None)
+def test_truncation_totals_match_built_truncation(m):
+    # (M_{>=c})^n = (M^n)_{>=nc} for c >= d_M: the census of the truncation
+    # is the census of M^n plus the lengths of M^n below degree nc
+    ladder = LengthLadder(m)
+    totals = {n: ladder.sat_quotient_total(n) for n in range(1, 7)}
+    for c in (m.max_degree + 1, m.max_degree + 2):
+        built = LengthLadder(oracles.degree_truncation(m, c))
+        assert truncation_totals(ladder, c, totals) == {
+            n: built.sat_quotient_total(n) for n in totals
+        }
 
 
 def test_ambient_hash_and_equality():
