@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -59,34 +58,37 @@ _SAMPLERS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
+def _parse_ladder_options(args, nmax_ladder=None):
+    """Validated ``--ladder``, ``--nmax`` and ``--tol`` of any subcommand.
 
-    ladder: Optional[tuple[int, ...]] = None
-    grid: Optional[tuple[Fraction, ...]] = None
-    c: Optional[int] = None
-    n_max: int = 12
-    tol: Fraction = Fraction(1, 10)
-
-    def __post_init__(self) -> None:
-        if self.ladder is not None:
-            if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
-                raise InputError("ladder must be strictly increasing")
-            if self.ladder[0] < 1:
-                raise InputError("ladder entries must be positive")
-        if self.tol <= 0:
-            raise InputError("tolerance must be positive")
-
-
-def _parse_ladder(text: str) -> tuple[int, ...]:
-    try:
-        entries = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise InputError(f"bad ladder {text!r}: {exc}") from exc
-    if not entries:
-        raise InputError("ladder must not be empty")
-    return entries
+    Returns the n ladder and the tolerance, each None when not given (the
+    engine default).  ``nmax_ladder`` builds the ladder from ``--nmax`` for
+    subcommands whose ``--nmax`` tops the ladder; ``--ladder`` wins over it.
+    Without it (``check``), ``--nmax`` bounds the certificate search and may
+    be 0.
+    """
+    least = 0 if nmax_ladder is None else 1
+    if args.nmax is not None and args.nmax < least:
+        raise InputError(f"--nmax must be at least {least}, got {args.nmax}")
+    ladder = None
+    if args.ladder:
+        try:
+            ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
+        except ValueError as exc:
+            raise InputError(f"bad --ladder {args.ladder!r}: {exc}") from exc
+        if not ladder:
+            raise InputError("--ladder must not be empty")
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise InputError("--ladder must be strictly increasing")
+        if ladder[0] < 1:
+            raise InputError("--ladder entries must be positive")
+    elif args.nmax is not None and nmax_ladder is not None:
+        ladder = nmax_ladder(args.nmax)
+    tol = getattr(args, "tol", None)
+    tol = parse_fraction(tol) if tol else None
+    if tol is not None and tol <= 0:
+        raise InputError("--tol must be positive")
+    return ladder, tol
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -108,8 +110,6 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
     """Rungs evenly spaced up to n_max, mirroring the 8..40 default shape."""
-    if n_max < 1:
-        raise InputError("--nmax must be positive")
     ladder = sorted({max(1, round(j * n_max / rungs)) for j in range(1, rungs + 1)})
     if ladder[-1] != n_max:
         ladder.append(n_max)
@@ -146,25 +146,13 @@ def _cmd_density(args) -> int:
     for kind in kinds:
         if kind not in _KINDS:
             raise InputError(f"unknown density kind {kind!r}; choose from {_KINDS}")
-    ladder = (
-        _parse_ladder(args.ladder)
-        if args.ladder
-        else (_scaled_ladder(args.nmax) if args.nmax else None)
-    )
+    ladder, tol = _parse_ladder_options(args, _scaled_ladder)
     grid = _parse_grid(args.grid) if args.grid else None
-    config = RunConfig(
-        ladder=ladder,
-        grid=grid,
-        tol=parse_fraction(args.tol) if args.tol else Fraction(1, 10),
-    )
-    cache = _make_cache(args)
-    table = LengthLadder(module, cache)
+    table = LengthLadder(module, _make_cache(args))
     many = len(kinds) > 1
     for kind in kinds:
         sampler = _SAMPLERS[kind]
-        grid_obj = sampler(
-            module, config.grid, config.ladder, table=table, richardson=args.richardson
-        )
+        grid_obj = sampler(module, grid, ladder, table=table, richardson=args.richardson)
         csv_path = _out_path(args.csv_out, args.module, kind, many, ".csv")
         write_density_csv(grid_obj, csv_path)
         print(f"{kind}: ladder {list(grid_obj.ladder)}, "
@@ -172,7 +160,7 @@ def _cmd_density(args) -> int:
         payload = grid_payload(grid_obj)
         if kind == "adic" and args.fit:
             fit = fit_piecewise(grid_obj, detect_chambers(module),
-                                table=table, tol=config.tol)
+                                table=table, tol=tol or Fraction(1, 10))
             payload["chambers"] = chambers_payload(fit)
             for ch, poly in zip(fit.chambers, fit.polynomials):
                 print(f"  {ch}: {polynomial_str(poly)}")
@@ -193,21 +181,15 @@ def _cmd_multiplicity(args) -> int:
     ) if on]
     if not wants:
         wants = ["epsilon"]
-    ladder = (
-        _parse_ladder(args.ladder)
-        if args.ladder
-        else (tuple(range(1, args.nmax + 1)) if args.nmax else None)
-    )
-    cache = _make_cache(args)
-    table = LengthLadder(module, cache)
+    ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
+    table = LengthLadder(module, _make_cache(args))
     c = args.c if args.c is not None else module.max_degree + 1
     reports = []
     status_worst = EXIT_OK
     for name in wants:
         if name == "epsilon":
             report = epsilon_multiplicity(
-                module, ladder, table=table, cache=cache,
-                tol=parse_fraction(args.tol) if args.tol else Fraction(3, 20),
+                module, ladder, table=table, tol=tol or Fraction(3, 20)
             )
             exact = report.values["exact"]
             print(f"epsilon: status {report.status}, "
@@ -225,7 +207,7 @@ def _cmd_multiplicity(args) -> int:
                           f"multiplicity {fraction_str(v['multiplicity'])}")
         else:
             report = mixed_multiplicities(
-                module, extended=args.extended, c=c, table=table, cache=cache
+                module, extended=args.extended, c=c, table=table
             )
             if report.values["e"] is None:
                 print(f"mixed: {report.status} ({report.diagnostics.get('reason')})")
@@ -251,10 +233,9 @@ def _cmd_multiplicity(args) -> int:
 def _cmd_check(args) -> int:
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
-    ladder = _parse_ladder(args.ladder) if args.ladder else None
-    cache = _make_cache(args)
+    ladder, _ = _parse_ladder_options(args)
     verdict = check_dependence(
-        sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache=cache,
+        sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache=_make_cache(args),
         robustness_c=args.both_c,
     )
     print(f"verdict: {verdict.verdict}")

@@ -48,10 +48,6 @@ class InternalInvariantError(RuntimeError):
     """Two routes to the same fact disagreed; indicates a bug, not bad input."""
 
 
-class CensusOverflowError(InternalInvariantError):
-    """Quotient monomial census exceeded its node cap; the quotient must be finite."""
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """Polynomial ring k[x_1..x_d] with the standard grading."""
@@ -293,12 +289,13 @@ def product(a: TermModule, b: TermModule) -> TermModule:
     return TermModule._from_canonical(a.ambient, a.level + b.level, comps)
 
 
-def power(m: TermModule, n: int, cache: "PowerCache | None" = None) -> TermModule:
-    """n-th Rees power M^n (image of Sym^n M in Sym^n F)."""
+def power(m: TermModule, n: int) -> TermModule:
+    """n-th Rees power M^n (image of Sym^n M in Sym^n F).
+
+    Uncached; ``PowerCache.power`` memoizes the ladder of powers.
+    """
     if n < 0:
         raise InputError("power exponent must be nonnegative")
-    if cache is not None:
-        return cache.power(m, n)
     if n == 0:
         return unit_module(m.ambient)
     cur = m
@@ -362,64 +359,6 @@ def saturate(m: TermModule) -> TermModule:
     for i in range(1, d):
         out = intersect(out, colon_variable_saturation(m, i))
     return out
-
-
-def quotient_monomials(
-    m: TermModule,
-    msat: TermModule,
-    max_nodes: int = 2_000_000,
-) -> list[Term]:
-    """The finite set of terms lying in ``msat`` but not in ``m``.
-
-    Breadth-first from the generators of ``msat`` outside ``m``, multiplying
-    by variables and pruning branches that enter ``m``.  The pruning is
-    complete because divisor chains inside ``msat`` that start outside ``m``
-    stay outside ``m`` until they enter it for good.  The census is finite
-    whenever msat/m has finite length (guaranteed when ``msat`` is the
-    saturation of ``m``); the node cap turns a violated finiteness assumption
-    into an error rather than a hang.
-
-    The engine's census (``counting.quotient_census``) gets the same lengths
-    from K-polynomials without listing terms; this enumeration is the
-    reference it is tested against.
-    """
-    _require_same_ambient(m, msat)
-    if m.level != msat.level:
-        raise InputError("census requires equal levels")
-    if not is_submodule(m, msat):
-        raise NotSubmoduleError("census requires the first module inside the second")
-    d = m.ambient.ring.dim
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for t in msat.generators():
-        node = (t.exponents, t.basis_exponents)
-        if not membership(t, m) and node not in seen:
-            seen.add(node)
-            if len(seen) > max_nodes:
-                raise CensusOverflowError(
-                    f"quotient census exceeded {max_nodes} nodes; "
-                    "the quotient should have finite length"
-                )
-            frontier.append(node)
-    while frontier:
-        exp, basis = frontier.pop()
-        for i in range(d):
-            nxt = exp[:i] + (exp[i] + 1,) + exp[i + 1 :]
-            node = (nxt, basis)
-            if node in seen:
-                continue
-            if membership(Term(nxt, basis), m):
-                continue
-            seen.add(node)
-            if len(seen) > max_nodes:
-                raise CensusOverflowError(
-                    f"quotient census exceeded {max_nodes} nodes; "
-                    "the quotient should have finite length"
-                )
-            frontier.append(node)
-    terms = [Term(exp, basis) for exp, basis in seen]
-    terms.sort(key=lambda t: (t.degree(m.ambient), t.basis_exponents, t.exponents))
-    return terms
 
 
 # -- serialization (internal payload, any level) --------------------------

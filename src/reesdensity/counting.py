@@ -12,8 +12,8 @@ yields every degree at once:
 * the saturation-quotient census ``quotient_census``: per basis component
   the census of msat/m is (N_I - N_J) / (1-t)^d.
 
-``core.quotient_monomials``, a search over standard monomials, lists the
-census term by term and is kept as the reference enumeration.
+A module's length data is reached through its ``LengthLadder``;
+``ladder_for`` hands the engine's public functions the ladder they work on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -22,7 +22,6 @@ polynomially in n and would not fit fixed-width types.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
@@ -81,21 +80,6 @@ def cumulative_length(m: TermModule, degree: int, memo: Optional[dict] = None) -
         _count(gens, degree - m.ambient.basis_degree(basis), memo, cumulative=True)
         for basis, gens in m.components
     )
-
-
-@dataclass
-class LengthTable:
-    """Degree-indexed lengths for one module."""
-
-    lengths: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.lengths.values())
-
-    @property
-    def max_degree(self) -> Optional[int]:
-        return max(self.lengths) if self.lengths else None
 
 
 def _disjoint_supports(gens: tuple) -> bool:
@@ -185,18 +169,17 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
 
 def quotient_census(
     m: TermModule, msat: TermModule, memo: Optional[dict] = None
-) -> tuple[int, LengthTable]:
-    """Exact census of msat/m for nested modules: total length and by-degree table.
+) -> dict[int, int]:
+    """Exact census of msat/m for nested modules: ``{degree: length}``, ascending.
 
     Componentwise, with ideals I inside J on the same basis exponent,
     HS(J/I) = (N_I - N_J) / (1-t)^d, which is a polynomial exactly when J/I
     has finite length.  The division is done by d rounds of prefix sums; the
-    coefficients, shifted by the basis degree, are the by-degree table, and
-    their sum is the total.  A nonzero remainder means the quotient is not of
-    finite length, which the callers rule out (``msat`` is a saturation of
-    ``m``), so it raises ``InternalInvariantError``.  ``memo`` is passed on
-    to ``k_polynomial``.  ``core.quotient_monomials`` enumerates the same
-    terms one by one and is kept as the reference.
+    coefficients, shifted by the basis degree, are the by-degree lengths;
+    degrees of length 0 are left out, so a saturated ``m`` gives ``{}``.  A
+    nonzero remainder means the quotient is not of finite length, which the
+    callers rule out (``msat`` is a saturation of ``m``), so it raises
+    ``InternalInvariantError``.  ``memo`` is passed on to ``k_polynomial``.
     """
     _require_same_ambient(m, msat)
     if m.level != msat.level:
@@ -224,13 +207,7 @@ def quotient_census(
         for k, v in enumerate(diff):
             if v:
                 by_degree[base + k] = by_degree.get(base + k, 0) + v
-    table = LengthTable(dict(sorted(by_degree.items())))
-    return table.total, table
-
-
-def quotient_total_length(m: TermModule) -> tuple[int, LengthTable]:
-    """Exact census of saturate(M)/M: total length and by-degree table."""
-    return quotient_census(m, saturate(m))
+    return dict(sorted(by_degree.items()))
 
 
 class LengthLadder:
@@ -248,7 +225,7 @@ class LengthLadder:
         self.module = module
         self.cache = cache if cache is not None else PowerCache()
         self._sat: dict[int, TermModule] = {}
-        self._census: dict[int, tuple[int, LengthTable]] = {}
+        self._census: dict[int, dict[int, int]] = {}
         self._kpoly: dict = {}
         self._lock = threading.Lock()
 
@@ -273,7 +250,8 @@ class LengthLadder:
     def cumulative(self, n: int, degree: int) -> int:
         return cumulative_length(self.power(n), degree, self._kpoly)
 
-    def sat_quotient(self, n: int) -> tuple[int, LengthTable]:
+    def sat_quotient(self, n: int) -> dict[int, int]:
+        """Census of sat(M^n)/M^n, ``{degree: length}``."""
         val = self._census.get(n)
         if val is None:
             val = quotient_census(self.power(n), self.sat_power(n), self._kpoly)
@@ -282,4 +260,19 @@ class LengthLadder:
         return val
 
     def sat_quotient_total(self, n: int) -> int:
-        return self.sat_quotient(n)[0]
+        return sum(self.sat_quotient(n).values())
+
+
+def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:
+    """The ladder a public function of ``m`` works on: ``table``, or a fresh one.
+
+    Passing ``table=`` shares powers, saturations and K-polynomials between
+    calls, and with ``LengthLadder(m, PowerCache(dir))`` a disk cache.  A
+    ladder of another module would answer for that module, so it raises
+    ``InputError``.
+    """
+    if table is None:
+        return LengthLadder(m)
+    if table.module is not m and table.module != m:
+        raise InputError("table= is a LengthLadder of another module")
+    return table

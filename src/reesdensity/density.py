@@ -11,6 +11,11 @@ together with chamber detection from generator degrees and exact piecewise
 polynomial fits.  Fitted values come from stabilized finite differences along
 rays n = n0 + jH (an exact extrapolation of the sampled sequence, confirmed
 on a held-out n), so fitted polynomials have exact rational coefficients.
+
+Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
+in, to share powers, saturations and K-polynomials across calls, or a disk
+cache through ``LengthLadder(m, PowerCache(dir))``; a ladder of another
+module raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import InputError, PowerCache, TermModule
-from .counting import LengthLadder
+from .core import InputError, TermModule
+from .counting import LengthLadder, ladder_for
 from .polyfit import (
     Poly,
     poly_degree,
@@ -98,7 +103,13 @@ def _reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
     return ladder[0] if len(ladder) > 1 else None
 
 
-def _normalize_ladder(ladder) -> tuple[int, ...]:
+def _normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The n ladder sorted and deduplicated, or ``default`` when None.
+
+    Every ladder the engine samples on passes through here.
+    """
+    if ladder is None:
+        return default
     ladder = tuple(sorted(set(int(n) for n in ladder)))
     if not ladder or ladder[0] < 1:
         raise InputError("ladder must be positive integers")
@@ -111,13 +122,12 @@ def _sample_kind(
     grid,
     ladder,
     table: Optional[LengthLadder],
-    cache: Optional[PowerCache],
     richardson: bool,
 ) -> DensityGrid:
     require_samplable(m)
     xs = tuple(Fraction(x) for x in grid) if grid is not None else default_grid(m)
-    ladder = _normalize_ladder(ladder) if ladder is not None else DEFAULT_LADDER
-    table = table if table is not None else LengthLadder(m, cache)
+    ladder = _normalize_ladder(ladder, DEFAULT_LADDER)
+    table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
 
@@ -181,11 +191,10 @@ def sample_adic(
     ladder=None,
     *,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     richardson: bool = False,
 ) -> DensityGrid:
     """Sample the adic density function of M."""
-    return _sample_kind(m, "adic", grid, ladder, table, cache, richardson)
+    return _sample_kind(m, "adic", grid, ladder, table, richardson)
 
 
 def sample_saturated(
@@ -194,11 +203,10 @@ def sample_saturated(
     ladder=None,
     *,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     richardson: bool = False,
 ) -> DensityGrid:
     """Sample the saturated density function of M."""
-    return _sample_kind(m, "saturated", grid, ladder, table, cache, richardson)
+    return _sample_kind(m, "saturated", grid, ladder, table, richardson)
 
 
 def sample_epsilon(
@@ -207,11 +215,10 @@ def sample_epsilon(
     ladder=None,
     *,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     richardson: bool = False,
 ) -> DensityGrid:
     """Sample the epsilon density (saturated minus adic)."""
-    return _sample_kind(m, "epsilon", grid, ladder, table, cache, richardson)
+    return _sample_kind(m, "epsilon", grid, ladder, table, richardson)
 
 
 # -- chambers ----------------------------------------------------------------
@@ -396,8 +403,7 @@ def fit_piecewise(
     m = grid.module
     if chambers is None:
         chambers = detect_chambers(m)
-    if table is None:
-        table = LengthLadder(m)
+    table = ladder_for(m, table)
     d = m.ambient.ring.dim
     polys: list[Poly] = []
     for idx, ch in enumerate(chambers.chambers):
@@ -478,7 +484,6 @@ def cumulative_identity(
     ladder=None,
     grid=None,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     rel_tol: Fraction = Fraction(1, 20),
 ) -> dict:
     """Compare the cumulative-length limit against the integral of the density.
@@ -491,8 +496,8 @@ def cumulative_identity(
     """
     require_samplable(m)
     x = Fraction(x)
-    table = table if table is not None else LengthLadder(m, cache)
-    ladder = _normalize_ladder(ladder) if ladder is not None else DEFAULT_LADDER
+    table = ladder_for(m, table)
+    ladder = _normalize_ladder(ladder, DEFAULT_LADDER)
     d = m.ambient.ring.dim
     e = m.ambient.rank
 

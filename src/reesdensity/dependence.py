@@ -33,6 +33,7 @@ from .core import (
     product,
 )
 from .counting import LengthLadder
+from .density import _normalize_ladder
 from .multiplicity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
@@ -109,6 +110,8 @@ def direct_reduction_search(
     re-checks that many further steps and treats a failure as an internal
     invariant violation.
     """
+    if n_max < 0:
+        raise InputError(f"certificate search bound n_max must be >= 0, got {n_max}")
     cache = cache if cache is not None else PowerCache()
 
     def holds(n0: int) -> bool:
@@ -199,9 +202,7 @@ def check_dependence(
     c = int(c)
     if c <= bound:
         raise InputError(f"dependence check needs c > {bound}, got c = {c}")
-    ladder = (
-        tuple(sorted(set(map(int, ladder)))) if ladder is not None else DEFAULT_CHECK_LADDER
-    )
+    ladder = _normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
     cache = cache if cache is not None else PowerCache()
     same = sub == sup
     table_sup = LengthLadder(sup, cache)
@@ -211,15 +212,11 @@ def check_dependence(
 
     criteria: list[CriterionEvidence] = []
 
-    eps_sup = epsilon_multiplicity(
-        sup, ladder, table=table_sup, cache=cache, cross_check=False
-    )
+    eps_sup = epsilon_multiplicity(sup, ladder, table=table_sup, cross_check=False)
     eps_sub = (
         eps_sup
         if same
-        else epsilon_multiplicity(
-            sub, ladder, table=table_sub, cache=cache, cross_check=False
-        )
+        else epsilon_multiplicity(sub, ladder, table=table_sub, cross_check=False)
     )
     criteria.append(
         _evidence_row(
@@ -263,13 +260,11 @@ def check_dependence(
                 )
             )
 
-    mixed_sup = mixed_multiplicities(
-        sup, extended=True, c=c, table=table_sup, cache=cache
-    )
+    mixed_sup = mixed_multiplicities(sup, extended=True, c=c, table=table_sup)
     mixed_sub = (
         mixed_sup
         if same
-        else mixed_multiplicities(sub, extended=True, c=c, table=table_sub, cache=cache)
+        else mixed_multiplicities(sub, extended=True, c=c, table=table_sub)
     )
     criteria.append(
         _evidence_row(

@@ -9,7 +9,8 @@ deep inside the polynomial region).
 
 Every extraction works on stabilized finite-difference tables of exact
 integers; anything that fails to stabilize is reported as undetermined, never
-guessed.
+guessed.  Lengths come from a ``LengthLadder`` of the module, passed in as
+``table=`` as in ``density``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import InputError, InternalInvariantError, PowerCache, TermModule
-from .counting import LengthLadder
+from .core import InputError, InternalInvariantError, TermModule
+from .counting import LengthLadder, ladder_for
 from .density import (
     FitNotConvergedError,
+    _normalize_ladder,
+    _reference_entry,
     require_samplable,
     sample_epsilon,
     trapezoid,
@@ -130,7 +133,6 @@ def epsilon_multiplicity(
     ladder=None,
     *,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     cross_check: bool = True,
     tol: Fraction = Fraction(3, 20),
 ) -> MultiplicityReport:
@@ -143,8 +145,8 @@ def epsilon_multiplicity(
     of the epsilon density cross-checks the estimate.
     """
     require_samplable(m)
-    ladder = tuple(sorted(set(map(int, ladder)))) if ladder is not None else DEFAULT_MULT_LADDER
-    table = table if table is not None else LengthLadder(m, cache)
+    ladder = _normalize_ladder(ladder, DEFAULT_MULT_LADDER)
+    table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
     big_d = d + e - 1
@@ -155,8 +157,7 @@ def epsilon_multiplicity(
         return Fraction(factorial(big_d) * totals[n], n**big_d)
 
     estimate = estimate_at(n_max)
-    below = [n for n in ladder if n <= n_max // 2]
-    ref = below[-1] if below else (ladder[0] if len(ladder) > 1 else None)
+    ref = _reference_entry(ladder)
     halfway_gap = abs(estimate - estimate_at(ref)) if ref is not None else None
 
     exact, ext = _exact_epsilon(totals, big_d)
@@ -235,7 +236,6 @@ def diagonal_multiplicity(
     *,
     ladder=None,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
 ) -> MultiplicityReport:
     """Multiplicities of the degree-(c,1) diagonal algebras.
 
@@ -251,8 +251,8 @@ def diagonal_multiplicity(
         raise InputError(
             f"diagonal multiplicity needs c > d_M = {m.max_degree}, got {c}"
         )
-    ladder = tuple(sorted(set(map(int, ladder)))) if ladder is not None else DEFAULT_MULT_LADDER
-    table = table if table is not None else LengthLadder(m, cache)
+    ladder = _normalize_ladder(ladder, DEFAULT_MULT_LADDER)
+    table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
     tail_ns, step = _arithmetic_tail(ladder)
@@ -316,7 +316,6 @@ def fit_bigraded_polynomial(
     *,
     cumulative: bool = False,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     h_max: int = 4,
     margin_cap: int = 64,
     n_base: Optional[int] = None,
@@ -336,7 +335,7 @@ def fit_bigraded_polynomial(
     c = int(c)
     if c <= m.max_degree:
         raise InputError(f"bigraded fit needs c > d_M = {m.max_degree}, got {c}")
-    table = table if table is not None else LengthLadder(m, cache)
+    table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
     total_degree = d + e - 2 + (1 if cumulative else 0)
@@ -443,7 +442,6 @@ def mixed_multiplicities(
     extended: bool = False,
     c: Optional[int] = None,
     table: Optional[LengthLadder] = None,
-    cache: Optional[PowerCache] = None,
     h_max: int = 4,
     margin: int = 2,
 ) -> MultiplicityReport:
@@ -460,7 +458,7 @@ def mixed_multiplicities(
     e = m.ambient.rank
     try:
         fit = fit_bigraded_polynomial(
-            m, c, margin, cumulative=extended, table=table, cache=cache, h_max=h_max
+            m, c, margin, cumulative=extended, table=table, h_max=h_max
         )
     except FitNotConvergedError as exc:
         return MultiplicityReport(

@@ -4,14 +4,19 @@ Everything here is deliberately naive: direct enumeration, pairwise scans,
 fixpoint iteration.  Nothing is shared with the package internals, so an
 agreement failure always implicates the fast path.  ``degree_truncation``
 wraps its enumerated generators in a ``TermModule`` so they can be handed to
-the engine's ladders.
+the engine's ladders, and ``quotient_monomials`` reads ``TermModule``
+components and returns ``Term``s.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from reesdensity import TermModule
+from reesdensity import InternalInvariantError, Term, TermModule
+
+
+class CensusOverflowError(InternalInvariantError):
+    """The census search passed its node cap: the quotient is not of finite length."""
 
 
 def monomials_of_degree(d, t):
@@ -174,3 +179,41 @@ def degree_truncation(m, c):
         if bucket:
             comps.append((basis, tuple(bucket)))
     return TermModule(m.ambient, m.level, tuple(comps))
+
+
+def quotient_monomials(m, msat, max_nodes=2_000_000):
+    """The finite set of terms lying in ``msat`` but not in ``m``, one by one.
+
+    Searches from the generators of ``msat`` outside ``m``, multiplying by
+    variables and pruning branches that enter ``m``.  The pruning is complete
+    because divisor chains inside ``msat`` that start outside ``m`` stay
+    outside ``m`` until they enter it for good.  The node cap turns a quotient
+    that is not of finite length into ``CensusOverflowError`` rather than a
+    hang.  ``counting.quotient_census`` gets the same lengths from
+    K-polynomials; this enumeration is the reference it is tested against.
+    """
+    d = m.ambient.ring.dim
+    seen = set()
+    frontier = []
+
+    def visit(exp, basis):
+        node = (exp, basis)
+        if node in seen or any(divides(g, exp) for g in m.component(basis)):
+            return
+        seen.add(node)
+        if len(seen) > max_nodes:
+            raise CensusOverflowError(
+                f"quotient census exceeded {max_nodes} nodes; "
+                "the quotient should have finite length"
+            )
+        frontier.append(node)
+
+    for t in msat.generators():
+        visit(t.exponents, t.basis_exponents)
+    while frontier:
+        exp, basis = frontier.pop()
+        for i in range(d):
+            visit(exp[:i] + (exp[i] + 1,) + exp[i + 1 :], basis)
+    terms = [Term(exp, basis) for exp, basis in seen]
+    terms.sort(key=lambda t: (t.degree(m.ambient), t.basis_exponents, t.exponents))
+    return terms

@@ -20,7 +20,6 @@ from reesdensity import (
     cumulative_length,
     length_component,
     power,
-    quotient_total_length,
     saturate,
 )
 from reesdensity.counting import (
@@ -165,31 +164,25 @@ def test_cumulative_telescopes():
 def test_census_x_times_maximal_powers():
     m = ideal([(2, 0), (1, 1)])
     for n in range(1, 13):
-        total, table = quotient_total_length(power(m, n))
-        assert total == n * (n + 1) // 2
-        assert sum(table.lengths.values()) == total
+        p = power(m, n)
+        census = quotient_census(p, saturate(p))
+        assert sum(census.values()) == n * (n + 1) // 2
+        assert list(census) == sorted(census)
 
 
 def test_census_saturated_module_is_zero():
     m = ideal([(1, 0)])
-    total, table = quotient_total_length(m)
-    assert total == 0
-    assert table.lengths == {}
-    assert table.max_degree is None
+    assert quotient_census(m, saturate(m)) == {}
 
 
 def test_census_square_maximal():
     m = power(ideal([(1, 0), (0, 1)]), 2)
-    total, table = quotient_total_length(m)
-    assert total == 3
-    assert table.lengths == {0: 1, 1: 2}
+    assert quotient_census(m, saturate(m)) == {0: 1, 1: 2}
 
 
 def test_census_degrees_track_shift():
     m = ideal([(2, 0), (1, 1)], shift=-2)
-    total, table = quotient_total_length(m)
-    assert total == 1
-    assert table.lengths == {-1: 1}
+    assert quotient_census(m, saturate(m)) == {-1: 1}
 
 
 def test_k_polynomial_of_x2_xy():
@@ -221,8 +214,10 @@ def test_length_ladder_consistency():
         for deg in range(2 * n, 2 * n + 4):
             assert ladder.length(n, deg) == length_component(p, deg)
             assert ladder.sat_length(n, deg) == length_component(saturate(p), deg)
-        total, table = ladder.sat_quotient(n)
-        assert (total, table.lengths) == census_by_enumeration(p, saturate(p))
+        census = ladder.sat_quotient(n)
+        assert (ladder.sat_quotient_total(n), census) == census_by_enumeration(
+            p, saturate(p)
+        )
         assert ladder.cumulative(n, 2 * n + 3) == cumulative_length(p, 2 * n + 3)
 
 

@@ -104,6 +104,16 @@ def test_sampler_rejects_level_2():
         sample_adic(power(M_XY, 2), None, None)
 
 
+def test_sampler_rejects_ladder_of_another_module():
+    square = ideal([(2, 0), (1, 1), (0, 2)])
+    with pytest.raises(InputError):
+        sample_adic(M_X2_XY, None, (8, 16), table=LengthLadder(square))
+    # a ladder of an equal module built apart is the module's own
+    own = LengthLadder(ideal([(2, 0), (1, 1)]))
+    shared = sample_adic(M_X2_XY, None, (8, 16), table=own)
+    assert shared.samples == sample_adic(M_X2_XY, None, (8, 16)).samples
+
+
 def test_default_grid_bounds():
     xs = default_grid(M_SHIFTED)
     assert xs[0] == -3      # -c0 - 1

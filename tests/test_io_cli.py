@@ -281,6 +281,32 @@ def test_cli_check_submodule_violation_exit_two(tmp_path, capsys):
     assert main(["check", "--sub", str(sub), "--sup", str(sup)]) == 2
 
 
+_SUBCOMMANDS = {
+    "density": ["density", "--module", "corpus:ideal_x2_xy"],
+    "multiplicity": ["multiplicity", "--module", "corpus:ideal_x2_xy"],
+    "check": ["check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:ideal_x2_xy"],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("density", "--nmax=0"),
+    ("multiplicity", "--nmax=0"),
+    ("multiplicity", "--nmax=-3"),
+    ("check", "--nmax=-1"),
+    *[(command, ladder) for command in _SUBCOMMANDS
+      for ladder in ("--ladder=0,1,2,3", "--ladder=3,2,1,1")],
+    ("density", "--tol=-1"),
+    ("multiplicity", "--tol=-1"),
+])
+def test_cli_validates_ladder_nmax_and_tol_alike(
+    command, option, tmp_path, monkeypatch, capsys
+):
+    # every subcommand rejects the same bad values, naming the flag
+    monkeypatch.chdir(tmp_path)
+    assert main(_SUBCOMMANDS[command] + [option]) == 2
+    assert option.split("=")[0] in capsys.readouterr().err
+
+
 def test_cli_corpus_lists_and_shows(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out

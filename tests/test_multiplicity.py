@@ -142,6 +142,15 @@ def test_diagonal_undetermined_on_tiny_ladder():
     assert rep.values["a_version"] is None
 
 
+def test_ladder_of_another_module_is_rejected():
+    # the ladder of (x, y)^2 would answer epsilon 4 for (x^2, xy), whose epsilon is 1
+    with pytest.raises(InputError):
+        epsilon_multiplicity(M_X2_XY, table=LengthLadder(M_SQ))
+    # a ladder of an equal module built apart is the module's own
+    rep = epsilon_multiplicity(M_X2_XY, table=LengthLadder(ideal([(2, 0), (1, 1)])))
+    assert rep.values["exact"] == 1
+
+
 def test_diagonal_dimension_claims_recorded():
     rep = diagonal_multiplicity(M_XY, 2)
     claims = rep.diagnostics["dimension_claims"]

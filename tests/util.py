@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 
+import oracles
+
 from reesdensity import (
     GradedFreeModule,
     RingSpec,
     TermModule,
     ideal_module,
-    quotient_monomials,
     term_module,
 )
 
@@ -61,7 +62,7 @@ def components_of(m: TermModule) -> dict:
 def census_by_enumeration(m: TermModule, msat: TermModule) -> tuple[int, dict]:
     """Total and {degree: count} of msat/m, tallied term by term from the BFS."""
     table: dict[int, int] = {}
-    terms = quotient_monomials(m, msat)
+    terms = oracles.quotient_monomials(m, msat)
     for t in terms:
         deg = t.degree(m.ambient)
         table[deg] = table.get(deg, 0) + 1
