@@ -16,7 +16,7 @@ from .core import InputError, InternalInvariantError, PowerCache, TermModule
 from .counting import LengthLadder
 from .density import (
     FitNotConvergedError,
-    detect_chambers,
+    _arithmetic_grid,
     fit_piecewise,
     sample_adic,
     sample_epsilon,
@@ -100,12 +100,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise InputError("grid step must be positive")
     if hi < lo:
         raise InputError("grid upper bound must be >= lower bound")
-    xs = []
-    x = lo
-    while x <= hi:
-        xs.append(x)
-        x += step
-    return tuple(xs)
+    return _arithmetic_grid(lo, hi, step)
 
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
@@ -159,8 +154,7 @@ def _cmd_density(args) -> int:
               f"{len(grid_obj.xs)} grid points, csv -> {csv_path}")
         payload = grid_payload(grid_obj)
         if kind == "adic" and args.fit:
-            fit = fit_piecewise(grid_obj, detect_chambers(module),
-                                table=table, tol=tol or Fraction(1, 10))
+            fit = fit_piecewise(grid_obj, table=table, tol=tol or Fraction(1, 10))
             payload["chambers"] = chambers_payload(fit)
             for ch, poly in zip(fit.chambers, fit.polynomials):
                 print(f"  {ch}: {polynomial_str(poly)}")
@@ -300,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--nmax", type=int,
                            help="top of the n ladder (5 evenly spaced rungs)")
     p_density.add_argument("--ladder", help="explicit comma-separated n ladder")
-    p_density.add_argument("--grid", help="x grid as LO:HI:STEP (rationals)")
+    p_density.add_argument("--grid",
+                           help="x grid as LO:HI:STEP (rationals); write a "
+                                "negative LO as --grid=-1:4:1/4")
     p_density.add_argument("--tol", help="fit validation tolerance (rational)")
     p_density.add_argument("--richardson", action="store_true",
                            help="two-point Richardson extrapolation in 1/n")

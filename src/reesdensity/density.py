@@ -23,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import InputError, TermModule
 from .counting import LengthLadder, ladder_for
 from .polyfit import (
+    STABLE_WINDOW,
     Poly,
+    difference_rows,
     poly_degree,
     poly_eval,
     poly_interpolate,
@@ -37,6 +39,12 @@ from .polyfit import (
 
 DEFAULT_LADDER: tuple[int, ...] = (8, 16, 24, 32, 40)
 DEFAULT_STEP = Fraction(1, 8)
+# ray samples start at the first multiple of the ray step H past this n
+RAY_N_FLOOR = 8
+# chamber nodes beyond the d interpolation nodes, checked exactly
+HELD_OUT_NODES = 2
+# relative part of the cumulative-identity tolerance
+IDENTITY_REL_TOL = Fraction(1, 20)
 
 
 class FitNotConvergedError(RuntimeError):
@@ -60,20 +68,22 @@ def require_samplable(m: TermModule) -> None:
         )
 
 
-def default_grid(m: TermModule, step: Fraction = DEFAULT_STEP) -> tuple[Fraction, ...]:
-    """Arithmetic x grid on [-c0 - 1, d_M + 2]."""
-    require_samplable(m)
-    lo = Fraction(-m.ambient.c0 - 1)
-    hi = Fraction(m.max_degree + 2)
-    step = Fraction(step)
-    if step <= 0:
-        raise InputError("grid step must be positive")
+def _arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
+    """lo, lo + step, ... up to hi; ``step`` must be positive."""
     out = []
     x = lo
     while x <= hi:
         out.append(x)
         x += step
     return tuple(out)
+
+
+def default_grid(m: TermModule) -> tuple[Fraction, ...]:
+    """Arithmetic x grid on [-c0 - 1, d_M + 2] with step ``DEFAULT_STEP``."""
+    require_samplable(m)
+    return _arithmetic_grid(
+        Fraction(-m.ambient.c0 - 1), Fraction(m.max_degree + 2), DEFAULT_STEP
+    )
 
 
 @dataclass
@@ -90,9 +100,6 @@ class DensityGrid:
     support: tuple[Optional[Fraction], Optional[Fraction]]
     meta: dict = field(default_factory=dict)
 
-    def value_at(self, x: Fraction) -> Fraction:
-        return self.extrapolated[self.xs.index(Fraction(x))]
-
 
 def _reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
     """Ladder entry used for the n_max/2 diagnostic: largest entry <= n_max/2."""
@@ -101,6 +108,27 @@ def _reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
     if below:
         return below[-1]
     return ladder[0] if len(ladder) > 1 else None
+
+
+def _extrapolate(
+    value: Callable[[int], Fraction], ladder: tuple[int, ...], richardson: bool
+) -> tuple[Fraction, Optional[Fraction]]:
+    """Limit estimate of ``value(n)`` on the ladder and its reference gap.
+
+    The estimate is the value at the top rung, or with ``richardson`` the
+    two-point Richardson extrapolation in 1/n from the top and reference
+    rungs; the gap is |value(top) - value(reference)|, None without a
+    reference rung (and then the estimate is the top value).
+    """
+    n_max = ladder[-1]
+    top = value(n_max)
+    ref = _reference_entry(ladder)
+    if ref is None:
+        return top, None
+    low = value(ref)
+    if richardson:
+        return Fraction(n_max * top - ref * low, n_max - ref), abs(top - low)
+    return top, abs(top - low)
 
 
 def _normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,24 +170,10 @@ def _sample_kind(
         return Fraction(factorial(d + e - 1) * count, n ** (d + e - 2))
 
     samples = {n: tuple(raw(n, x) for x in xs) for n in ladder}
-    n_max = ladder[-1]
-    ref = _reference_entry(ladder)
-    extrapolated = []
-    diagnostics = []
-    for i in range(len(xs)):
-        top = samples[n_max][i]
-        if ref is None:
-            extrapolated.append(top)
-            diagnostics.append(None)
-            continue
-        low = samples[ref][i]
-        diagnostics.append(abs(top - low))
-        if richardson:
-            extrapolated.append(
-                Fraction(n_max * top - ref * low, n_max - ref)
-            )
-        else:
-            extrapolated.append(top)
+    limits = [
+        _extrapolate(lambda n: samples[n][i], ladder, richardson)
+        for i in range(len(xs))
+    ]
 
     if kind == "adic":
         support = (Fraction(m.min_degree), None)
@@ -173,8 +187,8 @@ def _sample_kind(
         xs=xs,
         ladder=ladder,
         samples=samples,
-        extrapolated=tuple(extrapolated),
-        diagnostics=tuple(diagnostics),
+        extrapolated=tuple(v for v, _ in limits),
+        diagnostics=tuple(gap for _, gap in limits),
         support=support,
         meta={"richardson": richardson},
     )
@@ -294,34 +308,23 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 # -- exact limits along rays --------------------------------------------------
 
 
-def _predict_next(values: list[Fraction], degree: int) -> Fraction:
-    """Next value of a sequence that is polynomial of the given degree."""
-    from math import comb
-
-    window = values[-(degree + 1) :]
-    acc = Fraction(0)
-    for i, v in enumerate(reversed(window), start=1):
-        sign = 1 if (i + 1) % 2 == 0 else -1
-        acc += sign * comb(degree + 1, i) * v
-    return acc
-
-
 def ray_extrapolate(
     table: LengthLadder,
     x: Fraction,
     *,
     h_max: int = 12,
-    window: int = 3,
-    n_floor: int = 8,
 ) -> Fraction:
     """Exact limit of the adic density at x via finite differences along a ray.
 
-    Samples len((M^n)_{xn}) at n = n0 + jH with H a multiple of the
-    denominator of x (so xn is an integer).  Once the counting function is
+    Samples len((M^n)_{xn}) at n = n0 + jH, with H = h * (denominator of x)
+    for h = 1..h_max (so xn is an integer) and n0 the first multiple of H
+    that is at least 2H and ``RAY_N_FLOOR``.  Once the counting function is
     polynomial along the ray, the (r+1)-st differences vanish (r = d+e-2) and
     the limit is (r+1) * (r-th difference) / H^r; smaller detected degree
-    means the limit is 0.  Each candidate step H is accepted only when the
-    difference table stabilizes and predicts a held-out sample exactly.
+    means the limit is 0.  A step H is accepted only when the difference
+    table of all but the last sample stabilizes at some degree D and the
+    held-out last sample continues it: the (D+1)-st difference of the last
+    D+2 samples is 0.
     """
     m = table.module
     require_samplable(m)
@@ -330,17 +333,17 @@ def ray_extrapolate(
     e = m.ambient.rank
     r = d + e - 2
     q = x.denominator
-    needed = r + window + 2
+    needed = r + STABLE_WINDOW + 2
     for h in range(1, h_max + 1):
         step = q * h
-        n0 = step * max(2, -(-n_floor // step))
+        n0 = step * max(2, -(-RAY_N_FLOOR // step))
         ns = [n0 + j * step for j in range(needed + 1)]
         vals = [Fraction(table.length(n, floor_times(x, n))) for n in ns]
-        det = stabilized_difference(vals[:-1], r, window)
+        det = stabilized_difference(vals[:-1], r)
         if det is None:
             continue
         degree, lead, _ = det
-        if _predict_next(vals[:-1], degree) != vals[-1]:
+        if difference_rows(vals[-(degree + 2) :], degree + 1)[-1][0] != 0:
             continue
         if degree < r:
             return Fraction(0)
@@ -387,8 +390,6 @@ def fit_piecewise(
     table: Optional[LengthLadder] = None,
     tol: Fraction = Fraction(1, 10),
     h_max: int = 12,
-    window: int = 3,
-    held_out: int = 2,
 ) -> ChamberDecomposition:
     """Fit exact chamber polynomials of degree <= d-1 to the adic density.
 
@@ -410,10 +411,8 @@ def fit_piecewise(
         if idx == 0:
             polys.append(())
             continue
-        nodes = _chamber_nodes(ch, d + held_out)
-        values = [
-            ray_extrapolate(table, x, h_max=h_max, window=window) for x in nodes
-        ]
+        nodes = _chamber_nodes(ch, d + HELD_OUT_NODES)
+        values = [ray_extrapolate(table, x, h_max=h_max) for x in nodes]
         poly = poly_interpolate(list(zip(nodes[:d], values[:d])))
         for x, v in zip(nodes[d:], values[d:]):
             if poly_eval(poly, x) != v:
@@ -482,9 +481,7 @@ def cumulative_identity(
     x: Fraction,
     *,
     ladder=None,
-    grid=None,
     table: Optional[LengthLadder] = None,
-    rel_tol: Fraction = Fraction(1, 20),
 ) -> dict:
     """Compare the cumulative-length limit against the integral of the density.
 
@@ -507,26 +504,12 @@ def cumulative_identity(
             n ** (d + e - 1),
         )
 
-    n_max = ladder[-1]
-    ref = _reference_entry(ladder)
-    top = lhs_at(n_max)
-    if ref is not None:
-        low = lhs_at(ref)
-        lhs = Fraction(n_max * top - ref * low, n_max - ref)
-    else:
-        lhs = top
-    if grid is None:
-        step = DEFAULT_STEP
-        xs = [Fraction(-m.ambient.c0 - 1)]
-        while xs[-1] < x:
-            xs.append(xs[-1] + step)
-        grid = sample_adic(m, tuple(xs), ladder, table=table, richardson=True)
-    cut = [i for i, gx in enumerate(grid.xs) if gx <= x]
-    xs_cut = [grid.xs[i] for i in cut]
-    vs_cut = [grid.extrapolated[i] for i in cut]
-    if not xs_cut or xs_cut[-1] != x:
+    xs = _arithmetic_grid(Fraction(-m.ambient.c0 - 1), x, DEFAULT_STEP)
+    if not xs or xs[-1] != x:
         raise InputError(f"x = {x} must lie on the density grid")
-    integral = trapezoid(xs_cut, vs_cut)
+    vs = sample_adic(m, xs, ladder, table=table, richardson=True).extrapolated
+    lhs, _ = _extrapolate(lhs_at, ladder, richardson=True)
+    integral = trapezoid(xs, vs)
     rhs = (d + e) * integral
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), Fraction(1))
@@ -534,11 +517,11 @@ def cumulative_identity(
     # spurious step*f/2 cell at the closed lower end of the support, and the
     # two-point Richardson value retains an O(1/n^2) residual estimated from
     # the 1/n coefficient it removed
-    step = xs_cut[1] - xs_cut[0] if len(xs_cut) > 1 else Fraction(0)
-    peak = max((abs(v) for v in vs_cut), default=Fraction(0))
+    step = xs[1] - xs[0] if len(xs) > 1 else Fraction(0)
+    peak = max((abs(v) for v in vs), default=Fraction(0))
     quad_term = Fraction((d + e) * step * peak, 2)
-    richardson_term = abs(lhs - top) / 2
-    tolerance = rel_tol * scale + quad_term + richardson_term
+    richardson_term = abs(lhs - lhs_at(ladder[-1])) / 2
+    tolerance = IDENTITY_REL_TOL * scale + quad_term + richardson_term
     return {
         "x": x,
         "lhs": lhs,

@@ -24,6 +24,7 @@ from .core import InputError, InternalInvariantError, TermModule
 from .counting import LengthLadder, ladder_for
 from .density import (
     FitNotConvergedError,
+    _extrapolate,
     _normalize_ladder,
     _reference_entry,
     require_samplable,
@@ -31,15 +32,21 @@ from .density import (
     trapezoid,
 )
 from .polyfit import (
+    STABLE_WINDOW,
     Poly2,
     fit_poly2_triangular,
-    poly2_compose_affine,
     poly2_eval,
-    poly2_trim,
     stabilized_difference,
 )
 
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
+# thinnings of a ladder's arithmetic tail tried for quasi-polynomial growth
+GROWTH_SUBSTEPS = (1, 2, 3)
+# bigraded fits: first margin past c*n (doubled up to the cap) and the
+# largest residue-class step in n
+FIT_MARGIN = 2
+FIT_MARGIN_CAP = 64
+FIT_H_MAX = 4
 
 
 @dataclass
@@ -69,9 +76,6 @@ def extract_polynomial_growth(
     values: list[int],
     step: int,
     max_order: int,
-    *,
-    window: int = 3,
-    substeps: tuple[int, ...] = (1, 2, 3),
 ) -> Optional[dict]:
     """Detect eventual polynomial growth of an exact integer sequence.
 
@@ -81,13 +85,13 @@ def extract_polynomial_growth(
     degree, the normalized leading value degree! * (leading coefficient), and
     the onset, or None.
     """
-    for s in substeps:
+    for s in GROWTH_SUBSTEPS:
         idx = list(range(len(values) - 1, -1, -s))[::-1]
         sub = [values[i] for i in idx]
         sub_ns = [ns[i] for i in idx]
-        if len(sub) < window + 1:
+        if len(sub) < STABLE_WINDOW + 1:
             continue
-        det = stabilized_difference(sub, max_order, window)
+        det = stabilized_difference(sub, max_order)
         if det is None:
             continue
         degree, lead, onset = det
@@ -156,14 +160,11 @@ def epsilon_multiplicity(
     def estimate_at(n: int) -> Fraction:
         return Fraction(factorial(big_d) * totals[n], n**big_d)
 
-    estimate = estimate_at(n_max)
-    ref = _reference_entry(ladder)
-    halfway_gap = abs(estimate - estimate_at(ref)) if ref is not None else None
-
+    estimate, halfway_gap = _extrapolate(estimate_at, ladder, richardson=False)
     exact, ext = _exact_epsilon(totals, big_d)
     diagnostics: dict = {
         "halfway_gap": halfway_gap,
-        "reference_n": ref,
+        "reference_n": _reference_entry(ladder),
         "extraction": ext,
     }
     if cross_check:
@@ -312,22 +313,19 @@ class BigradedFit:
 def fit_bigraded_polynomial(
     m: TermModule,
     c: Optional[int] = None,
-    margin: int = 2,
     *,
     cumulative: bool = False,
     table: Optional[LengthLadder] = None,
-    h_max: int = 4,
-    margin_cap: int = 64,
-    n_base: Optional[int] = None,
 ) -> BigradedFit:
-    """Fit the polynomial P(X, Y) with len((M^n)_m) = P(m, n) deep in the cone.
+    """Fit the polynomial P(X, Y) with len((M^n)_X) = P(X, n) deep in the cone.
 
-    Samples exact lengths on a triangular grid at m = c*n + margin + k and
-    interpolates a bivariate polynomial of total degree <= d+e-2 (one more for
-    cumulative lengths); the fit must then reproduce held-out samples exactly.
-    The margin doubles (the polynomial region's onset is unknown a priori) and
-    the residue-class step h grows until validation passes; for h > 1 the
-    leading form must agree across residue classes.
+    Interpolates P of total degree <= d+e-2 (one more for cumulative lengths)
+    directly in (X, Y) through exact lengths at X = c*n + margin + k, Y = n,
+    one sample per (k, n) of a triangular grid; the fit must then reproduce
+    held-out samples exactly.  The margin doubles (the polynomial region's
+    onset is unknown a priori) and the residue-class step h of the n grid
+    grows until validation passes; for h > 1 the leading form must agree
+    with the fit on the next residue class.
     """
     require_samplable(m)
     if c is None:
@@ -340,51 +338,48 @@ def fit_bigraded_polynomial(
     e = m.ambient.rank
     total_degree = d + e - 2 + (1 if cumulative else 0)
     value = table.cumulative if cumulative else table.length
-    base_default = max(total_degree + 2, 4)
-    n0 = n_base if n_base is not None else base_default
+    n0 = max(total_degree + 2, 4)
 
     def fit_once(h: int, marg: int, nb: int) -> Optional[Poly2]:
-        samples = []
-        for j in range(total_degree + 1):
-            n = nb + j * h
-            for k in range(total_degree + 1 - j):
-                samples.append((k, n, value(n, c * n + marg + k)))
+        def sample(k: int, n: int) -> tuple[int, int, int]:
+            x = c * n + marg + k
+            return x, n, value(n, x)
+
+        samples = [
+            sample(k, nb + j * h)
+            for j in range(total_degree + 1)
+            for k in range(total_degree + 1 - j)
+        ]
         try:
-            r_poly = fit_poly2_triangular(samples, total_degree)
+            poly = fit_poly2_triangular(samples, total_degree)
         except ValueError:
             return None
-        held_out = [
-            (0, nb + (total_degree + 1) * h),
-            (1, nb + (total_degree + 1) * h),
-            (total_degree + 1, nb),
-            (total_degree + 2, nb + h),
-        ]
-        for k, n in held_out:
-            if poly2_eval(r_poly, k, n) != value(n, c * n + marg + k):
-                return None
-        return r_poly
+        top = nb + (total_degree + 1) * h
+        held_out = (
+            sample(k, n)
+            for k, n in (
+                (0, top), (1, top), (total_degree + 1, nb), (total_degree + 2, nb + h)
+            )
+        )
+        if any(poly2_eval(poly, x, n) != v for x, n, v in held_out):
+            return None
+        return poly
 
     def leading(poly: Poly2) -> Poly2:
-        return {
-            key: coeff
-            for key, coeff in poly.items()
-            if key[0] + key[1] == total_degree and coeff != 0
-        }
+        return {key: coeff for key, coeff in poly.items() if sum(key) == total_degree}
 
-    for h in range(1, h_max + 1):
-        marg = margin
-        while marg <= margin_cap:
-            r_poly = fit_once(h, marg, n0)
-            if r_poly is not None:
+    for h in range(1, FIT_H_MAX + 1):
+        marg = FIT_MARGIN
+        while marg <= FIT_MARGIN_CAP:
+            poly = fit_once(h, marg, n0)
+            if poly is not None:
                 if h > 1:
                     other = fit_once(h, marg, n0 + 1)
-                    if other is None or leading(
-                        _compose_back(r_poly, c, marg)
-                    ) != leading(_compose_back(other, c, marg)):
+                    if other is None or leading(poly) != leading(other):
                         marg *= 2
                         continue
                 return BigradedFit(
-                    poly=_compose_back(r_poly, c, marg),
+                    poly=poly,
                     c=c,
                     margin=marg,
                     h=h,
@@ -394,18 +389,9 @@ def fit_bigraded_polynomial(
                 )
             marg *= 2
     raise FitNotConvergedError(
-        f"quasi-period undetected (no residue class h <= {h_max} validates; "
-        f"margin cap {margin_cap})"
+        f"quasi-period undetected (no residue class h <= {FIT_H_MAX} validates; "
+        f"margin cap {FIT_MARGIN_CAP})"
     )
-
-
-def _compose_back(r_poly: Poly2, c: int, margin: int) -> Poly2:
-    """Rewrite R(K, N) with K = X - cY - margin as P(X, Y)."""
-    u = poly2_trim(
-        {(1, 0): Fraction(1), (0, 1): Fraction(-c), (0, 0): Fraction(-margin)}
-    )
-    v = {(0, 1): Fraction(1)}
-    return poly2_compose_affine(r_poly, u, v)
 
 
 def density_polynomial_from_fit(fit: BigradedFit, d: int, e: int) -> tuple:
@@ -442,8 +428,6 @@ def mixed_multiplicities(
     extended: bool = False,
     c: Optional[int] = None,
     table: Optional[LengthLadder] = None,
-    h_max: int = 4,
-    margin: int = 2,
 ) -> MultiplicityReport:
     """Mixed multiplicities from the leading form of the bigraded polynomial.
 
@@ -457,9 +441,7 @@ def mixed_multiplicities(
     d = m.ambient.ring.dim
     e = m.ambient.rank
     try:
-        fit = fit_bigraded_polynomial(
-            m, c, margin, cumulative=extended, table=table, h_max=h_max
-        )
+        fit = fit_bigraded_polynomial(m, c, cumulative=extended, table=table)
     except FitNotConvergedError as exc:
         return MultiplicityReport(
             kind="mixed",

@@ -13,6 +13,9 @@ from typing import Optional, Sequence
 Poly = tuple[Fraction, ...]
 Poly2 = dict[tuple[int, int], Fraction]
 
+# trailing zero differences that certify a stabilized difference table
+STABLE_WINDOW = 3
+
 
 # -- univariate ------------------------------------------------------------
 
@@ -73,7 +76,7 @@ def difference_rows(values: Sequence, max_order: int) -> list[list]:
 
 
 def stabilized_difference(
-    values: Sequence, max_order: int, window: int = 3
+    values: Sequence, max_order: int, window: int = STABLE_WINDOW
 ) -> Optional[tuple[int, Fraction, int]]:
     """Detect eventual polynomial behavior of an arithmetic-progression sample.
 
@@ -129,53 +132,13 @@ def poly2_eval(p: Poly2, x, y) -> Fraction:
     )
 
 
-def poly2_trim(p: Poly2) -> Poly2:
-    return {k: c for k, c in sorted(p.items()) if c != 0}
-
-
-def poly2_add(p: Poly2, q: Poly2) -> Poly2:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return poly2_trim(out)
-
-
-def poly2_mul(p: Poly2, q: Poly2) -> Poly2:
-    out: Poly2 = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return poly2_trim(out)
-
-
-def poly2_scale(p: Poly2, s) -> Poly2:
-    s = Fraction(s)
-    return poly2_trim({k: c * s for k, c in p.items()})
-
-
-def poly2_pow(p: Poly2, k: int) -> Poly2:
-    out: Poly2 = {(0, 0): Fraction(1)}
-    for _ in range(k):
-        out = poly2_mul(out, p)
-    return out
-
-
-def poly2_compose_affine(p: Poly2, u: Poly2, v: Poly2) -> Poly2:
-    """Substitute X -> u(X,Y), Y -> v(X,Y)."""
-    out: Poly2 = {}
-    for (i, j), c in p.items():
-        term = poly2_scale(poly2_mul(poly2_pow(u, i), poly2_pow(v, j)), c)
-        out = poly2_add(out, term)
-    return poly2_trim(out)
-
-
 def fit_poly2_triangular(samples: list[tuple[int, int, int]], total_degree: int) -> Poly2:
     """Interpolate a bivariate polynomial of bounded total degree exactly.
 
     ``samples`` are (u, v, value) triples; the caller supplies exactly one
     sample per monomial u^i v^j with i + j <= total_degree, laid out on a
-    triangular grid with distinct u-abscissae and v-ordinates (unisolvent).
+    triangular grid with distinct u-abscissae and v-ordinates, or on an
+    affine image of one (both are unisolvent for that degree).
     """
     keys = [
         (i, j)
@@ -192,4 +155,4 @@ def fit_poly2_triangular(samples: list[tuple[int, int, int]], total_degree: int)
     ]
     rhs = [Fraction(val) for (_, _, val) in samples]
     coeffs = solve_exact(matrix, rhs)
-    return poly2_trim({k: c for k, c in zip(keys, coeffs)})
+    return {k: c for k, c in zip(keys, coeffs) if c != 0}

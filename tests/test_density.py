@@ -170,6 +170,22 @@ def test_ray_limit_zero_below_support():
     assert ray_extrapolate(table, F(3, 2)) == 0
 
 
+class _BumpedLadder:
+    """Ladder of (x, y) with length deg + 1 at every (n, deg), one more at n = 14."""
+
+    module = M_XY
+
+    def length(self, n, deg):
+        return deg + 1 + (n == 14)
+
+
+def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial():
+    # at x = 2, h = 1 the ray samples n = 8..14: all but the last are the
+    # line 2n + 1 (limit 4), and the held-out n = 14 leaves it
+    with pytest.raises(FitNotConvergedError, match="increase n ladder"):
+        ray_extrapolate(_BumpedLadder(), F(2), h_max=1)
+
+
 # -- piecewise fits --------------------------------------------------------------------
 
 

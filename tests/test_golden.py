@@ -1,0 +1,84 @@
+"""Golden ``--json-out`` payloads: the CLI must reproduce them byte for byte.
+
+Each case runs one CLI command in-process and compares every JSON file it
+writes, and its exit code, with the files under ``tests/golden/``.  A change
+that alters a payload on purpose regenerates the files, as a recorded change
+of specification::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from reesdensity.cli import main
+from reesdensity.io import corpus_names
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+
+def _cases() -> dict[str, list[str]]:
+    """{case name: argv without output paths}."""
+    cases = {}
+    for name in corpus_names():
+        module = f"corpus:{name}"
+        cases[f"multiplicity-edm.{name}"] = [
+            "multiplicity", "--module", module, "--epsilon", "--diagonal", "--mixed"]
+        cases[f"multiplicity-extended.{name}"] = [
+            "multiplicity", "--module", module, "--mixed", "--extended"]
+        cases[f"check-both-c.{name}"] = [
+            "check", "--sub", module, "--sup", module, "--both-c"]
+    cases["check-both-c.reduction_sub_x2_y2-in-square_maximal"] = [
+        "check", "--sub", "corpus:reduction_sub_x2_y2",
+        "--sup", "corpus:square_maximal", "--both-c"]
+    for name in ("ideal_x2_y3", "three_vars"):
+        cases[f"density-fit.{name}"] = [
+            "density", "--module", f"corpus:{name}", "--kind", "adic,saturated,epsilon",
+            "--richardson", "--fit"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(case: str, out_dir: Path) -> tuple[int, dict[str, bytes]]:
+    """Exit code and {file name: bytes} of the JSON payloads ``case`` writes."""
+    argv = CASES[case] + ["--json-out", str(out_dir / f"{case}.json")]
+    if argv[0] == "density":
+        argv += ["--csv-out", str(out_dir / f"{case}.csv")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, {p.name: p.read_bytes() for p in sorted(out_dir.glob(f"{case}.*json"))}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_payload_matches_golden(case, tmp_path):
+    code, files = _run(case, tmp_path)
+    assert code == json.loads(EXIT_CODES.read_text())[case]
+    assert files, "the command wrote no payload"
+    assert sorted(files) == sorted(p.name for p in GOLDEN.glob(f"{case}.*json"))
+    for name, data in files.items():
+        assert data == (GOLDEN / name).read_bytes(), name
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            codes[case], files = _run(case, Path(tmp))
+            for name, data in files.items():
+                (GOLDEN / name).write_bytes(data)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

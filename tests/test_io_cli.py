@@ -2,7 +2,9 @@
 
 import csv
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +307,25 @@ def test_cli_validates_ladder_nmax_and_tol_alike(
     monkeypatch.chdir(tmp_path)
     assert main(_SUBCOMMANDS[command] + [option]) == 2
     assert option.split("=")[0] in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each command in the README's first ``sh`` block of "Command line"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_cli_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every output path of the examples is relative, so it lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands[0][:2] == ["density", "--module"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "densities.epsilon.csv").exists()
 
 
 def test_cli_corpus_lists_and_shows(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -12,9 +13,11 @@ from reesdensity import (
     LengthLadder,
     TermModule,
     default_grid,
+    fit_bigraded_polynomial,
     intersect,
     is_submodule,
     length_component,
+    load_corpus_module,
     power,
     product,
     sample_adic,
@@ -221,6 +224,29 @@ def test_ladder_lengths_match_enumeration(m, n):
         assert ladder.length(n, deg) == members(p, deg)
         assert ladder.sat_length(n, deg) == members(s, deg)
         assert ladder.cumulative(n, deg) == running
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("name", ["mixed_rank2", "ideal_x2_xy_shifted", "three_vars"])
+def test_bigraded_fit_matches_enumeration_off_its_grid(name, cumulative):
+    # P(X, n) against terms of M^n counted one by one, at n past every
+    # sampled n, with offsets k = X - c*n - margin inside and beyond the
+    # sampled ones
+    m = load_corpus_module(name)
+    ladder = LengthLadder(m)
+    fit = fit_bigraded_polynomial(m, cumulative=cumulative, table=ladder)
+    top = fit.n_base + (fit.total_degree_bound + 1) * fit.h
+    for n in (top + 1, top + 2):
+        p = ladder.power(n)
+        comps = {b: list(g) for b, g in p.components}
+        counts = {
+            deg: len(oracles.module_members_at_degree(comps, m.ambient.shifts, deg))
+            for deg in range(p.min_degree, fit.c * n + fit.margin + 8)
+        }
+        for k in (0, 3, 7):
+            x = fit.c * n + fit.margin + k
+            below = sum(v for deg, v in counts.items() if deg <= x)
+            assert fit.evaluate(x, n) == (below if cumulative else counts[x])
 
 
 @given(term_modules())
