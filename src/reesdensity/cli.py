@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .core import InputError, InternalInvariantError, PowerCache, TermModule
+from .core import InputError, InternalInvariantError, TermModule
 from .counting import LengthLadder
 from .density import (
     FitNotConvergedError,
@@ -117,11 +117,6 @@ def _load_module(spec: str) -> TermModule:
     return load_module_file(spec)
 
 
-def _make_cache(args) -> PowerCache:
-    # an empty --cache-dir means no directory, as an absent one does
-    return PowerCache(args.cache_dir or None)
-
-
 def _out_path(base: Optional[str], module_spec: str, kind: str, many: bool, suffix: str) -> Path:
     if base is None:
         stem = Path(module_spec.removeprefix("corpus:")).stem
@@ -138,12 +133,14 @@ def _out_path(base: Optional[str], module_spec: str, kind: str, many: bool, suff
 def _cmd_density(args) -> int:
     module = _load_module(args.module)
     kinds = tuple(k.strip() for k in args.kind.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in _KINDS:
-            raise InputError(f"unknown density kind {kind!r}; choose from {_KINDS}")
+    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_KINDS):
+        raise InputError(
+            f"bad --kind {args.kind!r}: unknown density kind, repeated kind or "
+            f"empty list; choose distinct kinds from {','.join(_KINDS)}"
+        )
     ladder, tol = _parse_ladder_options(args, _scaled_ladder)
     grid = _parse_grid(args.grid) if args.grid else None
-    table = LengthLadder(module, _make_cache(args))
+    table = LengthLadder(module, args.cache_dir)
     many = len(kinds) > 1
     for kind in kinds:
         sampler = _SAMPLERS[kind]
@@ -176,7 +173,7 @@ def _cmd_multiplicity(args) -> int:
     if not wants:
         wants = ["epsilon"]
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
-    table = LengthLadder(module, _make_cache(args))
+    table = LengthLadder(module, args.cache_dir)
     c = args.c if args.c is not None else module.max_degree + 1
     reports = []
     status_worst = EXIT_OK
@@ -229,7 +226,7 @@ def _cmd_check(args) -> int:
     sup = _load_module(args.sup)
     ladder, _ = _parse_ladder_options(args)
     verdict = check_dependence(
-        sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache=_make_cache(args),
+        sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache_dir=args.cache_dir,
         robustness_c=args.both_c,
     )
     print(f"verdict: {verdict.verdict}")

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from pathlib import Path
 from typing import Iterator, Optional
 
 from .backend import (
@@ -292,7 +289,7 @@ def product(a: TermModule, b: TermModule) -> TermModule:
 def power(m: TermModule, n: int) -> TermModule:
     """n-th Rees power M^n (image of Sym^n M in Sym^n F).
 
-    Uncached; ``PowerCache.power`` memoizes the ladder of powers.
+    Uncached; ``LengthLadder.power`` memoizes a module's powers.
     """
     if n < 0:
         raise InputError("power exponent must be nonnegative")
@@ -384,117 +381,3 @@ def module_from_payload(payload: dict) -> TermModule:
         for c in payload["components"]
     )
     return TermModule(ambient, int(payload["level"]), comps)
-
-
-# -- power cache -----------------------------------------------------------
-
-
-class PowerCache:
-    """Get-or-compute cache of Rees powers, optionally persisted to disk.
-
-    In-memory entries are shared across all consumers of the cache; disk
-    persistence (when a directory is given) stores each requested power as a
-    content-addressed JSON file, so repeated runs are byte-reproducible and
-    warm runs skip the power ladder entirely.  A file that does not parse,
-    or holds a module that cannot be M^n (wrong level or ambient, zero for a
-    nonzero M, a generator degree outside [n*d_min, n*d_max], or none at
-    n*d_min), counts as a miss and is rewritten.  Memory writes go through a
-    lock; recomputing a power twice is harmless because insertion is
-    idempotent.
-    """
-
-    def __init__(self, directory: "str | Path | None" = None) -> None:
-        self._memory: dict[tuple[str, int], TermModule] = {}
-        self._lock = threading.Lock()
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str, n: int) -> "Path | None":
-        if self.directory is None:
-            return None
-        return self.directory / f"{key}.{n}.json"
-
-    def _load(self, m: TermModule, key: str, n: int) -> "TermModule | None":
-        """The stored M^n, or None when the file is missing or is not M^n."""
-        path = self._path(key, n)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            mod = module_from_payload(payload)
-        except (ValueError, KeyError, TypeError, OSError):
-            return None
-        # the file name carries the key, so a module of another level or
-        # ambient, or a zero module for a nonzero M, is a damaged file, never
-        # M^n; so is one whose generator degrees leave [n*d_min, n*d_max] or
-        # miss n*d_min, the degree of g^n for a generator g of least degree
-        if (
-            mod.level != n * m.level
-            or mod.ambient != m.ambient
-            or mod.is_zero != m.is_zero
-        ):
-            return None
-        if not m.is_zero:
-            # canonical order sorts each component by total degree, so its
-            # first and last generators carry its extreme degrees
-            basis_degree = mod.ambient.basis_degree
-            low = min(basis_degree(b) + sum(gens[0]) for b, gens in mod.components)
-            high = max(basis_degree(b) + sum(gens[-1]) for b, gens in mod.components)
-            if low != n * m.min_degree or high > n * m.max_degree:
-                return None
-        return mod
-
-    def _store(self, key: str, n: int, mod: TermModule) -> None:
-        """Write M^n, replacing a file that failed to load."""
-        path = self._path(key, n)
-        if path is None:
-            return
-        blob = json.dumps(
-            module_to_payload(mod), sort_keys=True, separators=(",", ":")
-        )
-        # one temp name per process and thread, so concurrent writers never
-        # share one; os.replace publishes the finished file atomically
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(blob, encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def power(self, m: TermModule, n: int) -> TermModule:
-        if n < 0:
-            raise InputError("power exponent must be nonnegative")
-        if n == 0:
-            return unit_module(m.ambient)
-        if n == 1:
-            return m
-        key = m.content_key
-        with self._lock:
-            cached = self._memory.get((key, n))
-        if cached is not None:
-            return cached
-        loaded = self._load(m, key, n)
-        if loaded is not None:
-            with self._lock:
-                self._memory.setdefault((key, n), loaded)
-            return loaded
-        # walk down to the largest cached power, then multiply up
-        base = n - 1
-        cur = None
-        with self._lock:
-            while base > 1:
-                cur = self._memory.get((key, base))
-                if cur is not None:
-                    break
-                base -= 1
-        if cur is None:
-            base = 1
-            cur = m
-        for k in range(base + 1, n + 1):
-            cur = product(cur, m)
-            with self._lock:
-                cur = self._memory.setdefault((key, k), cur)
-        self._store(key, n, cur)
-        return cur

@@ -12,8 +12,10 @@ yields every degree at once:
 * the saturation-quotient census ``quotient_census``: per basis component
   the census of msat/m is (N_I - N_J) / (1-t)^d.
 
-A module's length data is reached through its ``LengthLadder``;
-``ladder_for`` hands the engine's public functions the ladder they work on.
+A module's Rees powers and length data are reached through its
+``LengthLadder``, the one cache layer, which also keeps the powers on disk
+when given a directory; ``ladder_for`` hands the engine's public functions
+the ladder they work on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -21,8 +23,11 @@ polynomially in n and would not fit fixed-width types.
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 from math import comb
+from pathlib import Path
 from typing import Optional
 
 from .backend import minimalize_exponents
@@ -30,11 +35,14 @@ from .core import (
     InputError,
     InternalInvariantError,
     NotSubmoduleError,
-    PowerCache,
     TermModule,
     _require_same_ambient,
     is_submodule,
+    module_from_payload,
+    module_to_payload,
+    product,
     saturate,
+    unit_module,
 )
 
 
@@ -211,35 +219,119 @@ def quotient_census(
 
 
 class LengthLadder:
-    """Shared exact length data for the powers of one module.
+    """Everything cached about the Rees powers M^n of one module.
 
-    Wraps a power cache and memoizes saturations, saturation-quotient
-    censuses, and the K-polynomials of every component ideal it meets, so
-    graded and cumulative lengths of all powers and degrees, and the
-    censuses, come from one numerator per ideal.  The density, multiplicity,
-    and dependence layers all draw on the same computations.  Insertions
-    are idempotent; recomputation is harmless.
+    Holds the powers, their saturations and saturation-quotient censuses, and
+    the K-polynomials of every component ideal it meets, so all graded and
+    cumulative lengths and censuses come from one numerator per ideal.
+
+    Given a ``directory`` (an empty path means none), each requested power
+    is also stored there as ``{content_key}.{n}.json``, so warm runs skip
+    the multiplications.  A file that does not parse, or holds a module
+    that cannot be M^n (wrong level or ambient, zero for a nonzero M, a
+    generator degree outside [n*d_min, n*d_max], or none at n*d_min), is a
+    miss and is rewritten.  Insertions are idempotent and take one lock.
     """
 
-    def __init__(self, module: TermModule, cache: Optional[PowerCache] = None):
+    def __init__(self, module: TermModule, directory: "str | Path | None" = None):
         self.module = module
-        self.cache = cache if cache is not None else PowerCache()
+        self.directory = Path(directory) if directory else None
+        if self.directory is not None:
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(
+                    f"cannot use cache directory {self.directory}: {exc}"
+                ) from exc
+        self._powers: dict[int, TermModule] = {0: unit_module(module.ambient), 1: module}
         self._sat: dict[int, TermModule] = {}
         self._census: dict[int, dict[int, int]] = {}
         self._kpoly: dict = {}
         self._lock = threading.Lock()
 
+    def _path(self, n: int) -> Path:
+        return self.directory / f"{self.module.content_key}.{n}.json"
+
+    def _load(self, n: int) -> Optional[TermModule]:
+        """The stored M^n, or None when the file is missing or is not M^n."""
+        if self.directory is None:
+            return None
+        # a missing file raises FileNotFoundError, an OSError
+        try:
+            text = self._path(n).read_text(encoding="utf-8")
+            mod = module_from_payload(json.loads(text))
+        except (ValueError, KeyError, TypeError, OSError):
+            return None
+        m = self.module
+        # the file name carries the key, so a module of another level or
+        # ambient, or a zero module for a nonzero M, is a damaged file, never
+        # M^n; so is one whose generator degrees leave [n*d_min, n*d_max] or
+        # miss n*d_min, the degree of g^n for a generator g of least degree
+        if (
+            mod.level != n * m.level
+            or mod.ambient != m.ambient
+            or mod.is_zero != m.is_zero
+        ):
+            return None
+        if not m.is_zero:
+            # canonical order sorts each component by total degree, so its
+            # first and last generators carry its extreme degrees
+            basis_degree = mod.ambient.basis_degree
+            low = min(basis_degree(b) + sum(gens[0]) for b, gens in mod.components)
+            high = max(basis_degree(b) + sum(gens[-1]) for b, gens in mod.components)
+            if low != n * m.min_degree or high > n * m.max_degree:
+                return None
+        return mod
+
+    def _store(self, n: int, mod: TermModule) -> None:
+        """Write M^n, replacing a file that failed to load."""
+        if self.directory is None:
+            return
+        path = self._path(n)
+        blob = json.dumps(
+            module_to_payload(mod), sort_keys=True, separators=(",", ":")
+        )
+        # one temp name per process and thread, so concurrent writers never
+        # share one; os.replace publishes the finished file atomically
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(blob, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _memo(self, store: dict, n: int, compute):
+        val = store.get(n)
+        if val is None:
+            val = compute(n)
+            with self._lock:
+                val = store.setdefault(n, val)
+        return val
+
     def power(self, n: int) -> TermModule:
-        return self.cache.power(self.module, n)
+        """M^n from memory, else from disk, else multiplied up from the
+        largest power held below n; only M^n itself is written to disk."""
+        if n < 0:
+            raise InputError("power exponent must be nonnegative")
+        return self._memo(self._powers, n, self._load_or_multiply)
+
+    def _load_or_multiply(self, n: int) -> TermModule:
+        cur = self._load(n)
+        if cur is not None:
+            return cur
+        with self._lock:
+            base = max(k for k in self._powers if k < n)
+        cur = self._powers[base]
+        for k in range(base + 1, n + 1):
+            cur = product(cur, self.module)
+            with self._lock:
+                cur = self._powers.setdefault(k, cur)
+        self._store(n, cur)
+        return cur
 
     def sat_power(self, n: int) -> TermModule:
-        with self._lock:
-            cached = self._sat.get(n)
-        if cached is None:
-            cached = saturate(self.power(n))
-            with self._lock:
-                cached = self._sat.setdefault(n, cached)
-        return cached
+        return self._memo(self._sat, n, lambda n: saturate(self.power(n)))
 
     def length(self, n: int, degree: int) -> int:
         return length_component(self.power(n), degree, self._kpoly)
@@ -252,12 +344,11 @@ class LengthLadder:
 
     def sat_quotient(self, n: int) -> dict[int, int]:
         """Census of sat(M^n)/M^n, ``{degree: length}``."""
-        val = self._census.get(n)
-        if val is None:
-            val = quotient_census(self.power(n), self.sat_power(n), self._kpoly)
-            with self._lock:
-                val = self._census.setdefault(n, val)
-        return val
+        return self._memo(
+            self._census,
+            n,
+            lambda n: quotient_census(self.power(n), self.sat_power(n), self._kpoly),
+        )
 
     def sat_quotient_total(self, n: int) -> int:
         return sum(self.sat_quotient(n).values())
@@ -267,7 +358,7 @@ def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:
     """The ladder a public function of ``m`` works on: ``table``, or a fresh one.
 
     Passing ``table=`` shares powers, saturations and K-polynomials between
-    calls, and with ``LengthLadder(m, PowerCache(dir))`` a disk cache.  A
+    calls, and with ``LengthLadder(m, dir)`` a disk cache.  A
     ladder of another module would answer for that module, so it raises
     ``InputError``.
     """

@@ -14,8 +14,8 @@ on a held-out n), so fitted polynomials have exact rational coefficients.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
-cache through ``LengthLadder(m, PowerCache(dir))``; a ladder of another
-module raises ``InputError``.
+cache through ``LengthLadder(m, dir)``; a ladder of another module raises
+``InputError``.
 """
 
 from __future__ import annotations
@@ -385,13 +385,13 @@ def _chamber_nodes(ch: Chamber, count: int) -> list[Fraction]:
 
 def fit_piecewise(
     grid: DensityGrid,
-    chambers: Optional[ChamberDecomposition] = None,
     *,
     table: Optional[LengthLadder] = None,
     tol: Fraction = Fraction(1, 10),
     h_max: int = 12,
 ) -> ChamberDecomposition:
-    """Fit exact chamber polynomials of degree <= d-1 to the adic density.
+    """Fit exact polynomials of degree <= d-1 to the adic density on the
+    chambers of ``detect_chambers``.
 
     Each nontrivial chamber polynomial is interpolated through d points whose
     values are exact ray extrapolations (stabilized finite differences,
@@ -402,8 +402,7 @@ def fit_piecewise(
     if grid.kind != "adic":
         raise InputError("piecewise chamber fits are defined for adic grids")
     m = grid.module
-    if chambers is None:
-        chambers = detect_chambers(m)
+    chambers = detect_chambers(m)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     polys: list[Poly] = []

@@ -15,24 +15,28 @@ ladder: for c at least every generator degree, (M_{>=c})^n = (M^n)_{>=nc},
 which saturates to sat(M^n), so t_n(M_{>=c}) = t_n(M) + sum_{j<nc}
 len((M^n)_j).  ``check_dependence`` requires c > d_M, which meets that
 precondition.
+
+Each module gets one ``LengthLadder``, which holds its Rees powers (on disk
+too, given ``cache_dir``); the certificate search reads the ladder of M that
+the criteria use, so both share one set of powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from .core import (
     InputError,
     InternalInvariantError,
     NotSubmoduleError,
-    PowerCache,
     RankMismatchError,
     TermModule,
     membership,
     product,
 )
-from .counting import LengthLadder
+from .counting import LengthLadder, ladder_for
 from .density import _normalize_ladder
 from .multiplicity import (
     diagonal_multiplicity,
@@ -101,21 +105,22 @@ def direct_reduction_search(
     sup: TermModule,
     n_max: int = 12,
     *,
-    cache: Optional[PowerCache] = None,
+    table: Optional[LengthLadder] = None,
     verify_stability: int = 0,
 ) -> Optional[int]:
     """Least n0 <= n_max with M^{n0+1} = N * M^{n0}, or None.
 
-    Once the equality holds it persists for all larger n0; verify_stability
-    re-checks that many further steps and treats a failure as an internal
-    invariant violation.
+    The powers of M come from ``table``, a ``LengthLadder`` of M (a fresh
+    one by default).  Once the equality holds it persists for all larger n0;
+    verify_stability re-checks that many further steps and treats a failure
+    as an internal invariant violation.
     """
     if n_max < 0:
         raise InputError(f"certificate search bound n_max must be >= 0, got {n_max}")
-    cache = cache if cache is not None else PowerCache()
+    table = ladder_for(sup, table)
 
     def holds(n0: int) -> bool:
-        return cache.power(sup, n0 + 1) == product(sub, cache.power(sup, n0))
+        return table.power(n0 + 1) == product(sub, table.power(n0))
 
     for n0 in range(n_max + 1):
         if holds(n0):
@@ -178,7 +183,7 @@ def check_dependence(
     c: Optional[int] = None,
     n_max: int = 12,
     ladder=None,
-    cache: Optional[PowerCache] = None,
+    cache_dir: "str | Path | None" = None,
     robustness_c: bool = False,
 ) -> DependenceVerdict:
     """Decide whether M is integral over N (equivalently, N is a reduction).
@@ -194,7 +199,8 @@ def check_dependence(
     cumulative length of M^n below degree nc (``truncation_epsilon``).
     robustness_c repeats the diagonal comparisons at c + 1; diagonal
     multiplicities are reduction invariants for every admissible slope, so
-    the extra rows are full verdict inputs.
+    the extra rows are full verdict inputs.  ``cache_dir``, a path, keeps the
+    Rees powers of both modules on disk, as ``--cache-dir`` does.
     """
     bound = validate_pair(sub, sup)
     if c is None:
@@ -203,12 +209,11 @@ def check_dependence(
     if c <= bound:
         raise InputError(f"dependence check needs c > {bound}, got c = {c}")
     ladder = _normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
-    cache = cache if cache is not None else PowerCache()
     same = sub == sup
-    table_sup = LengthLadder(sup, cache)
-    table_sub = table_sup if same else LengthLadder(sub, cache)
+    table_sup = LengthLadder(sup, cache_dir)
+    table_sub = table_sup if same else LengthLadder(sub, cache_dir)
 
-    certificate = direct_reduction_search(sub, sup, n_max, cache=cache)
+    certificate = direct_reduction_search(sub, sup, n_max, table=table_sup)
 
     criteria: list[CriterionEvidence] = []
 

@@ -102,8 +102,15 @@ def dump_json(payload: dict) -> str:
     return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _open_output(path, newline: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path, "\n") as fh:
         fh.write(dump_json(payload))
 
 
@@ -345,7 +352,7 @@ def write_density_csv(grid: DensityGrid, path) -> None:
     Cells are floats for plotting convenience; the JSON payload keeps the
     exact rationals.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["x"] + [f"n={n}" for n in grid.ladder] + ["extrapolated", "diagnostic"]

@@ -107,7 +107,7 @@ def test_criterion_5_two_chamber_fit():
         chambers = detect_chambers(m)
         assert [str(c) for c in chambers.chambers] == ["(-inf, 2)", "(2, 3]", "[3, inf)"]
         grid = sample_adic(m, [F(5, 2), F(3), F(4)], (8, 16))
-        fit = fit_piecewise(grid, chambers)
+        fit = fit_piecewise(grid)
         assert fit.polynomials[1] == (F(-12), F(6))
         assert fit.polynomials[2] == (F(0), F(2))
         assert fit.continuity == (True,)

@@ -13,7 +13,7 @@ from reesdensity import (
     GradedFreeModule,
     InputError,
     InternalInvariantError,
-    PowerCache,
+    LengthLadder,
     RingSpec,
     Term,
     colon_variable_saturation,
@@ -318,19 +318,24 @@ def test_zero_module_is_legal():
 
 
 def test_power_cache_consistency():
-    cache = PowerCache()
     m = ideal([(2, 0), (1, 1)])
-    assert cache.power(m, 4) == power(m, 4)
-    assert cache.power(m, 2) == power(m, 2)
+    table = LengthLadder(m)
+    assert table.power(4) == power(m, 4)
+    assert table.power(2) == power(m, 2)
 
 
 def test_power_cache_disk_round_trip(tmp_path):
-    cache = PowerCache(tmp_path)
     m = ideal([(2, 0), (1, 1)])
-    p3 = cache.power(m, 3)
-    fresh = PowerCache(tmp_path)
-    assert fresh.power(m, 3) == p3
+    p3 = LengthLadder(m, tmp_path).power(3)
+    fresh = LengthLadder(m, tmp_path)
+    assert fresh.power(3) == p3
     assert any(f.suffix == ".json" for f in tmp_path.iterdir())
+
+
+def test_power_cache_writes_only_the_requested_power(tmp_path):
+    m = ideal([(2, 0), (1, 1)])
+    assert LengthLadder(m, tmp_path).power(5) == power(m, 5)
+    assert [f.name for f in tmp_path.iterdir()] == [f"{m.content_key}.5.json"]
 
 
 # M^3 of m = (x^2, xy) damaged on disk: each maps (m, the good file) to a bad one
@@ -359,11 +364,11 @@ DAMAGED_POWER_FILES = {
 @pytest.mark.parametrize("damage", list(DAMAGED_POWER_FILES))
 def test_power_cache_rejects_and_rewrites_damaged_file(tmp_path, damage):
     m = ideal([(2, 0), (1, 1)])
-    PowerCache(tmp_path).power(m, 3)
+    LengthLadder(m, tmp_path).power(3)
     (path,) = tmp_path.glob("*.3.json")
     good = path.read_text(encoding="utf-8")
     path.write_text(DAMAGED_POWER_FILES[damage](m, good), encoding="utf-8")
-    assert PowerCache(tmp_path).power(m, 3) == power(m, 3)
+    assert LengthLadder(m, tmp_path).power(3) == power(m, 3)
     assert path.read_text(encoding="utf-8") == good
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
@@ -376,9 +381,9 @@ def test_power_cache_two_concurrent_writers(tmp_path):
     results = {}
 
     def fill(name):
-        cache = PowerCache(tmp_path)  # separate memory, shared directory
+        table = LengthLadder(m, tmp_path)  # separate memory, shared directory
         start.wait()
-        results[name] = [cache.power(m, n) for n in ladder]
+        results[name] = [table.power(n) for n in ladder]
 
     threads = [threading.Thread(target=fill, args=(name,)) for name in "ab"]
     for t in threads:
@@ -389,8 +394,8 @@ def test_power_cache_two_concurrent_writers(tmp_path):
     assert results == {"a": want, "b": want}
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == sorted(f"{m.content_key}.{n}.json" for n in ladder)
-    fresh = PowerCache(tmp_path)
-    assert [fresh.power(m, n) for n in ladder] == want
+    fresh = LengthLadder(m, tmp_path)
+    assert [fresh.power(n) for n in ladder] == want
 
 
 def test_ambient_mismatch_rejected():

@@ -12,7 +12,6 @@ from reesdensity import (
     InternalInvariantError,
     LengthLadder,
     NotSubmoduleError,
-    PowerCache,
     RankMismatchError,
     check_dependence,
     direct_reduction_search,
@@ -216,9 +215,16 @@ def test_certificate_contradiction_raises_internal_error(monkeypatch):
         check_dependence(N_CI, M_SQ)
 
 
-def test_shared_cache_reused_across_checks():
-    cache = PowerCache()
-    check_dependence(N_CI, M_SQ, cache=cache, ladder=tuple(range(1, 9)))
-    before = dict(cache._memory)
-    check_dependence(N_CI, M_SQ, cache=cache, ladder=tuple(range(1, 9)))
-    assert set(before) <= set(cache._memory)
+def test_cache_dir_reused_across_checks(tmp_path):
+    first = check_dependence(N_CI, M_SQ, cache_dir=tmp_path, ladder=tuple(range(1, 9)))
+    # os.replace gives a rewritten file a new inode
+    files = {f.name: f.stat().st_ino for f in tmp_path.iterdir()}
+    assert files
+    second = check_dependence(N_CI, M_SQ, cache_dir=tmp_path, ladder=tuple(range(1, 9)))
+    assert second == first
+    assert {f.name: f.stat().st_ino for f in tmp_path.iterdir()} == files
+
+
+def test_reduction_search_rejects_ladder_of_other_module():
+    with pytest.raises(InputError, match="another module"):
+        direct_reduction_search(N_CI, M_SQ, table=LengthLadder(N_X2_XY))

@@ -309,6 +309,38 @@ def test_cli_validates_ladder_nmax_and_tol_alike(
     assert option.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kinds", [",", "adic,adic"])
+def test_cli_density_rejects_empty_or_repeated_kind(kinds, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(_SUBCOMMANDS["density"] + ["--kind", kinds]) == 2
+    assert "adic,saturated,epsilon" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_cli_cache_dir_naming_a_file_exits_two(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "not_a_dir"
+    path.write_text("", encoding="utf-8")
+    assert main(_SUBCOMMANDS[command] + ["--ladder=1,2", "--cache-dir", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("density", "--csv-out"),
+    ("density", "--json-out"),
+    ("multiplicity", "--json-out"),
+    ("check", "--json-out"),
+])
+def test_cli_output_in_missing_directory_exits_two(
+    command, option, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    target = str(tmp_path / "nodir" / "out.txt")
+    assert main(_SUBCOMMANDS[command] + ["--ladder=1,2,3", option, target]) == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
+
+
 def _readme_commands() -> list[list[str]]:
     """argv of each command in the README's first ``sh`` block of "Command line"."""
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
