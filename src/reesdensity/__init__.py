@@ -1,127 +1,53 @@
 """Exact density functions, multiplicities, and integral-dependence checks
 for term-generated graded submodules of graded free modules over polynomial
-rings."""
+rings.
 
-from .backend import BACKEND
-from .core import (
-    GradedFreeModule,
-    InputError,
-    InternalInvariantError,
-    NotSubmoduleError,
-    RankMismatchError,
-    RingSpec,
-    Term,
-    TermModule,
-    colon_variable_saturation,
-    ideal_module,
-    intersect,
-    is_submodule,
-    membership,
-    power,
-    product,
-    saturate,
-    term_module,
-    unit_module,
-    zero_module,
-)
-from .counting import (
-    LengthLadder,
-    count_ideal_degree,
-    cumulative_length,
-    length_component,
-)
-from .density import (
-    ChamberDecomposition,
-    DensityGrid,
-    FitNotConvergedError,
-    cumulative_identity,
-    default_grid,
-    detect_chambers,
-    fit_piecewise,
-    ray_extrapolate,
-    sample_adic,
-    sample_epsilon,
-    sample_saturated,
-    trapezoid,
-)
-from .dependence import (
-    CriterionEvidence,
-    DependenceVerdict,
-    check_dependence,
-    direct_reduction_search,
-    validate_pair,
-)
-from .io import (
-    load_corpus_module,
-    load_module_file,
-    parse_module,
-    serialize_module,
-)
-from .multiplicity import (
-    BigradedFit,
-    MultiplicityReport,
-    density_polynomial_from_fit,
-    diagonal_from_fit,
-    diagonal_multiplicity,
-    epsilon_multiplicity,
-    fit_bigraded_polynomial,
-    mixed_multiplicities,
-)
+Public names load on first use (PEP 562), so a job imports only the
+submodules it runs: ``import reesdensity`` alone loads none of them.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "BigradedFit",
-    "ChamberDecomposition",
-    "CriterionEvidence",
-    "DensityGrid",
-    "DependenceVerdict",
-    "FitNotConvergedError",
-    "GradedFreeModule",
-    "InputError",
-    "InternalInvariantError",
-    "LengthLadder",
-    "MultiplicityReport",
-    "NotSubmoduleError",
-    "RankMismatchError",
-    "RingSpec",
-    "Term",
-    "TermModule",
-    "check_dependence",
-    "colon_variable_saturation",
-    "count_ideal_degree",
-    "cumulative_identity",
-    "cumulative_length",
-    "default_grid",
-    "detect_chambers",
-    "density_polynomial_from_fit",
-    "diagonal_from_fit",
-    "diagonal_multiplicity",
-    "direct_reduction_search",
-    "epsilon_multiplicity",
-    "fit_bigraded_polynomial",
-    "fit_piecewise",
-    "ideal_module",
-    "intersect",
-    "is_submodule",
-    "length_component",
-    "load_corpus_module",
-    "load_module_file",
-    "membership",
-    "mixed_multiplicities",
-    "parse_module",
-    "power",
-    "product",
-    "ray_extrapolate",
-    "sample_adic",
-    "sample_epsilon",
-    "sample_saturated",
-    "saturate",
-    "serialize_module",
-    "term_module",
-    "trapezoid",
-    "unit_module",
-    "validate_pair",
-    "zero_module",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "backend": ("BACKEND",),
+    "core": (
+        "GradedFreeModule", "InputError", "InternalInvariantError", "NotSubmoduleError",
+        "RankMismatchError", "RingSpec", "Term", "TermModule", "colon_variable_saturation",
+        "ideal_module", "intersect", "is_submodule", "membership", "power", "product",
+        "saturate", "term_module", "unit_module", "zero_module",
+    ),
+    "counting": ("LengthLadder", "count_ideal_degree", "cumulative_length", "length_component"),
+    "density": (
+        "ChamberDecomposition", "DensityGrid", "FitNotConvergedError", "cumulative_identity",
+        "default_grid", "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",
+        "sample_epsilon", "sample_saturated", "trapezoid",
+    ),
+    "dependence": (
+        "CriterionEvidence", "DependenceVerdict", "check_dependence",
+        "direct_reduction_search", "validate_pair",
+    ),
+    "io": ("load_corpus_module", "load_module_file", "parse_module", "serialize_module"),
+    "multiplicity": (
+        "BigradedFit", "MultiplicityReport", "density_polynomial_from_fit",
+        "diagonal_from_fit", "diagonal_multiplicity", "epsilon_multiplicity",
+        "fit_bigraded_polynomial", "mixed_multiplicities",
+    ),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES})

@@ -22,7 +22,6 @@ from .density import (
     sample_epsilon,
     sample_saturated,
 )
-from .dependence import check_dependence
 from .io import (
     chambers_payload,
     corpus_description,
@@ -39,23 +38,11 @@ from .io import (
     write_density_csv,
     write_json,
 )
-from .multiplicity import (
-    diagonal_multiplicity,
-    epsilon_multiplicity,
-    mixed_multiplicities,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
-
-_KINDS = ("adic", "saturated", "epsilon")
-_SAMPLERS = {
-    "adic": sample_adic,
-    "saturated": sample_saturated,
-    "epsilon": sample_epsilon,
-}
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
@@ -127,25 +114,36 @@ def _out_path(base: Optional[str], module_spec: str, kind: str, many: bool, suff
     return path
 
 
+def _check_outputs(*paths) -> None:
+    """Fail before computing when an output path's directory is missing."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 # -- density -------------------------------------------------------------------
 
 
 def _cmd_density(args) -> int:
     module = _load_module(args.module)
+    samplers = {"adic": sample_adic, "saturated": sample_saturated, "epsilon": sample_epsilon}
     kinds = tuple(k.strip() for k in args.kind.split(",") if k.strip())
-    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(_KINDS):
+    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(samplers):
         raise InputError(
             f"bad --kind {args.kind!r}: unknown density kind, repeated kind or "
-            f"empty list; choose distinct kinds from {','.join(_KINDS)}"
+            f"empty list; choose distinct kinds from {','.join(samplers)}"
         )
     ladder, tol = _parse_ladder_options(args, _scaled_ladder)
     grid = _parse_grid(args.grid) if args.grid else None
-    table = LengthLadder(module, args.cache_dir)
     many = len(kinds) > 1
+    csv_paths = {k: _out_path(args.csv_out, args.module, k, many, ".csv") for k in kinds}
+    json_paths = {k: args.json_out and _out_path(args.json_out, args.module, k, many, ".json")
+                  for k in kinds}
+    _check_outputs(*csv_paths.values(), *json_paths.values())
+    table = LengthLadder(module, args.cache_dir)
     for kind in kinds:
-        sampler = _SAMPLERS[kind]
-        grid_obj = sampler(module, grid, ladder, table=table, richardson=args.richardson)
-        csv_path = _out_path(args.csv_out, args.module, kind, many, ".csv")
+        grid_obj = samplers[kind](module, grid, ladder, table=table, richardson=args.richardson)
+        csv_path = csv_paths[kind]
         write_density_csv(grid_obj, csv_path)
         print(f"{kind}: ladder {list(grid_obj.ladder)}, "
               f"{len(grid_obj.xs)} grid points, csv -> {csv_path}")
@@ -155,8 +153,8 @@ def _cmd_density(args) -> int:
             payload["chambers"] = chambers_payload(fit)
             for ch, poly in zip(fit.chambers, fit.polynomials):
                 print(f"  {ch}: {polynomial_str(poly)}")
-        if args.json_out:
-            json_path = _out_path(args.json_out, args.module, kind, many, ".json")
+        json_path = json_paths[kind]
+        if json_path:
             write_json(json_path, payload)
             print(f"{kind}: json -> {json_path}")
     return EXIT_OK
@@ -166,6 +164,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
+    from .multiplicity import diagonal_multiplicity, epsilon_multiplicity, mixed_multiplicities
+
     module = _load_module(args.module)
     wants = [name for name, on in (
         ("epsilon", args.epsilon), ("diagonal", args.diagonal), ("mixed", args.mixed)
@@ -173,6 +173,7 @@ def _cmd_multiplicity(args) -> int:
     if not wants:
         wants = ["epsilon"]
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
+    _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)
     c = args.c if args.c is not None else module.max_degree + 1
     reports = []
@@ -222,9 +223,12 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .dependence import check_dependence
+
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
     ladder, _ = _parse_ladder_options(args)
+    _check_outputs(args.json_out)
     verdict = check_dependence(
         sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache_dir=args.cache_dir,
         robustness_c=args.both_c,

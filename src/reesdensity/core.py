@@ -14,7 +14,6 @@ into e parts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,6 +217,8 @@ class TermModule:
     @cached_property
     def content_key(self) -> str:
         """Content hash identifying the module up to equality."""
+        import hashlib  # loads OpenSSL; only disk-cached ladders name files by it
+
         payload = module_to_payload(self)
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

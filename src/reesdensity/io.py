@@ -18,11 +18,10 @@ so cached and fresh runs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     GradedFreeModule,
@@ -32,9 +31,11 @@ from .core import (
     TermModule,
     term_module,
 )
-from .density import ChamberDecomposition, DensityGrid
-from .dependence import DependenceVerdict
-from .multiplicity import MultiplicityReport
+
+if TYPE_CHECKING:
+    from .density import ChamberDecomposition, DensityGrid
+    from .dependence import DependenceVerdict
+    from .multiplicity import MultiplicityReport
 
 SCHEMA_VERSION = 1
 
@@ -352,6 +353,8 @@ def write_density_csv(grid: DensityGrid, path) -> None:
     Cells are floats for plotting convenience; the JSON payload keeps the
     exact rationals.
     """
+    import csv
+
     with _open_output(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

@@ -2,12 +2,14 @@
 
 import json
 import random
+import sys
 import threading
 
 import pytest
 
 import oracles
-from util import RING_XY, components_of, ideal, module, random_module
+import reesdensity
+from util import RING_XY, components_of, fresh_python, ideal, module, random_module
 
 from reesdensity import (
     GradedFreeModule,
@@ -40,6 +42,29 @@ def gens_of(m):
     comps = dict(m.components)
     assert len(comps) == 1
     return sorted(next(iter(comps.values())))
+
+
+def test_package_names_resolve_to_their_definitions():
+    for name in reesdensity.__all__:
+        value = getattr(reesdensity, name)
+        home = reesdensity.backend if name == "BACKEND" else sys.modules[value.__module__]
+        assert value is getattr(home, name), name
+    assert reesdensity.BACKEND == "python"
+    assert {"__all__", *reesdensity.__all__} <= set(dir(reesdensity))
+    with pytest.raises(AttributeError):
+        reesdensity.no_such_name
+
+
+def test_package_loads_a_submodule_on_first_use_of_its_names():
+    state = fresh_python("""
+import json, sys
+import reesdensity
+before = sorted(name for name in sys.modules if name.startswith("reesdensity."))
+reesdensity.check_dependence
+print(json.dumps({"before": before, "cached": "check_dependence" in vars(reesdensity),
+                  "loaded": "reesdensity.dependence" in sys.modules}))
+""")
+    assert state == {"before": [], "cached": True, "loaded": True}
 
 
 # -- canonical form and minimality ---------------------------------------------

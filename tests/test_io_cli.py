@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from util import ideal, module
+from util import fresh_python, ideal, module
 
 from reesdensity import (
     InputError,
@@ -339,6 +339,45 @@ def test_cli_output_in_missing_directory_exits_two(
     target = str(tmp_path / "nodir" / "out.txt")
     assert main(_SUBCOMMANDS[command] + ["--ladder=1,2,3", option, target]) == 2
     assert f"cannot write {target}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+     "--json-out", "nodir/x.json"],
+    ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+     "--cache-dir", "cache", "--json-out", "nodir/x.json"],
+    ["density", "--module", "corpus:ideal_x2_xy", "--kind", "adic,saturated",
+     "--csv-out", "ok.csv", "--json-out", "nodir/x.json"],
+    ["density", "--module", "corpus:ideal_x2_xy", "--kind", "adic,saturated",
+     "--csv-out", "nodir/x.csv", "--json-out", "ok.json"],
+    ["multiplicity", "--module", "corpus:ideal_x2_xy", "--epsilon", "--cache-dir", "cache",
+     "--json-out", "nodir/x.json"],
+], ids=["check", "check-cache-dir", "density-json", "density-csv", "multiplicity-cache-dir"])
+def test_cli_bad_output_directory_fails_before_computing(argv, tmp_path, monkeypatch, capsys):
+    # nothing is computed, printed or written, the cache directory included
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write nodir/x." in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_start_up_loads_only_what_the_job_runs(tmp_path):
+    # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, and
+    # a density job loads neither the check nor the multiplicity engine
+    csv_path = str(tmp_path / "out.csv")
+    loaded = fresh_python(f"""
+import json, sys
+watched = ("hashlib", "csv", "reesdensity.dependence", "reesdensity.multiplicity")
+import reesdensity.cli
+after_import = [name for name in watched if name in sys.modules]
+code = reesdensity.cli.main(["density", "--module", "corpus:ideal_x2_xy", "--ladder=1,2,3",
+                             "--csv-out", {csv_path!r}])
+print(json.dumps({{"code": code, "import": after_import,
+                  "density": [name for name in watched if name in sys.modules]}}))
+""")
+    assert loaded == {"code": 0, "import": [], "density": ["csv"]}
 
 
 def _readme_commands() -> list[list[str]]:

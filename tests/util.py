@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import oracles
 
@@ -67,3 +72,13 @@ def census_by_enumeration(m: TermModule, msat: TermModule) -> tuple[int, dict]:
         deg = t.degree(m.ambient)
         table[deg] = table.get(deg, 0) + 1
     return len(terms), table
+
+
+def fresh_python(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter with ``PYTHONPATH=src``; return the
+    JSON object on the last line it prints."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
