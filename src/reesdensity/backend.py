@@ -22,6 +22,13 @@ then the coordinates from the first, so sorting them gives the canonical
 (total degree, lex) order directly.  Sums of packed vectors are the packed
 sums as long as the fields are wide enough for the summed exponents, which
 lets the product skip building a tuple per pair.
+
+Vectors of length 2 skip the packing: a staircase needs no divisibility
+test.  Sorted by first coordinate (then second), a point is minimal exactly
+when its second coordinate is below that of every point before it, so one
+sweep that compares with the last point kept finds the minimal set, and a
+final sort restores the canonical order.  The input's dimension picks the
+kernel.
 """
 
 from __future__ import annotations
@@ -61,14 +68,35 @@ def _minimal_packed(packed, dim: int, width: int) -> list:
     return below
 
 
+def _staircase(points) -> list:
+    """The minimal points among 2-vectors, in canonical order."""
+    kept = []
+    low = None  # second coordinate of the last point kept, the least so far
+    # equal first coordinates sort by the second, so a repeat or a point
+    # above an earlier one with the same first coordinate is dropped too
+    for p in sorted(points):
+        if low is None or p[1] < low:
+            kept.append(p)
+            low = p[1]
+    kept.sort(key=degree_lex)
+    return kept
+
+
+def degree_lex(exp: tuple) -> tuple:
+    """Sort key of the canonical (total degree, lex) order."""
+    return sum(exp), exp
+
+
 def minimalize_exponents(gens) -> list:
     """Keep only the divisibility-minimal exponent vectors."""
     uniq = set(map(tuple, gens))
     if len(uniq) <= 1:
         return list(uniq)
+    dim = len(next(iter(uniq)))
+    if dim == 2:
+        return _staircase(uniq)
     width = max(map(max, uniq)).bit_length() + 1
     by_packed = {_pack(g, width): g for g in uniq}
-    dim = len(next(iter(uniq)))
     return [by_packed[p] for p in _minimal_packed(by_packed, dim, width)]
 
 
@@ -77,6 +105,8 @@ def product_exponents(a_gens, b_gens) -> list:
     if not a_gens or not b_gens:
         return []
     dim = len(a_gens[0])
+    if dim == 2:
+        return _staircase([(a0 + b0, a1 + b1) for a0, a1 in a_gens for b0, b1 in b_gens])
     width = (max(map(max, a_gens)) + max(map(max, b_gens))).bit_length() + 1
     a_packed = [_pack(a, width) for a in a_gens]
     b_packed = [_pack(b, width) for b in b_gens]

@@ -133,6 +133,8 @@ def _cmd_density(args) -> int:
             f"bad --kind {args.kind!r}: unknown density kind, repeated kind or "
             f"empty list; choose distinct kinds from {','.join(samplers)}"
         )
+    if args.fit and "adic" not in kinds:
+        raise InputError(f"--fit fits the adic density only; add adic to --kind {args.kind!r}")
     ladder, tol = _parse_ladder_options(args, _scaled_ladder)
     grid = _parse_grid(args.grid) if args.grid else None
     many = len(kinds) > 1

@@ -2,20 +2,23 @@
 
 Every count comes from one recursion, ``k_polynomial``: the numerator N_I(t)
 of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal,
-computed by Bigatti's pivot recursion.  One numerator per component ideal
-yields every degree at once:
+computed by Bigatti's pivot recursion, whose leaves are ideals in at most
+two variables (a staircase, closed form) or with pairwise disjoint
+supports.  One numerator per component ideal yields every degree at once,
+each by prefix sums (``_Quotient``, dividing by a power of (1-t)):
 
-* graded lengths: the ideal has HS(I) = (1 - N_I(t)) / (1-t)^d, so
-  l(I_t) = C(t+d-1, d-1) - sum_k N_I[k] C(t-k+d-1, d-1);
-* cumulative lengths: summing over degrees <= t divides by one more (1-t),
-  which is the same sum with d+1 in place of d;
+* lengths: the ideal has HS(I) = (1 - N_I(t)) / (1-t)^d, and one more
+  division by (1-t) sums over degrees, so (1 - N_I) / (1-t)^(d+1) is the
+  row of cumulative lengths, and a graded length is the difference of two
+  neighbours (``_LengthRow``);
 * the saturation-quotient census ``quotient_census``: per basis component
   the census of msat/m is (N_I - N_J) / (1-t)^d.
 
 A module's Rees powers and length data are reached through its
-``LengthLadder``, the one cache layer, which also keeps the powers on disk
-when given a directory; ``ladder_for`` hands the engine's public functions
-the ladder they work on.
+``LengthLadder``, the one cache layer: it keeps each component's row and
+grows it on demand, so a length query is a list lookup, and it keeps the
+powers on disk when given a directory; ``ladder_for`` hands the engine's
+public functions the ladder they work on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -26,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from math import comb
+from bisect import insort
 from pathlib import Path
 from typing import Optional
 
-from .backend import minimalize_exponents
+from .backend import degree_lex, minimalize_exponents
 from .core import (
     InputError,
     InternalInvariantError,
@@ -50,20 +53,81 @@ def _canonical_gens(gens) -> tuple:
     return tuple(minimalize_exponents(gens))
 
 
-def _count(gens: tuple, t: int, memo: Optional[dict], cumulative: bool = False) -> int:
-    """Monomials of degree t (of all degrees <= t when ``cumulative``) in the
-    ideal of the canonical generator tuple ``gens``."""
-    if not gens or t < sum(gens[0]):
+class _Quotient:
+    """Coefficients of poly(t) / (1-t)^rounds, by ``rounds`` running prefix
+    sums, computed only as far as asked: each round keeps its running sum, so
+    a list grows without starting over."""
+
+    __slots__ = ("_poly", "_sums", "coeffs")
+
+    def __init__(self, poly: list, rounds: int):
+        self._poly = poly
+        self._sums = [0] * rounds
+        self.coeffs: list[int] = []
+
+    def upto(self, k: int) -> list:
+        """The coefficient list, grown to hold index ``k``."""
+        coeffs, sums, poly = self.coeffs, self._sums, self._poly
+        rounds = range(len(sums))
+        for j in range(len(coeffs), k + 1):
+            v = poly[j] if j < len(poly) else 0
+            for r in rounds:
+                v += sums[r]
+                sums[r] = v
+            coeffs.append(v)
+        return coeffs
+
+
+class _LengthRow:
+    """The lengths of one monomial ideal I, from its canonical generators.
+
+    HS(I) = (1 - N_I(t)) / (1-t)^d, and one more factor 1/(1-t) sums over
+    degrees, so the coefficients of (1 - N_I) / (1-t)^(d+1) are the
+    cumulative lengths; a graded length is the difference of two.  No
+    monomial of I lies below the least generator degree ``low``, so the row
+    starts there, and a query below it never computes the numerator.
+    ``lock``, when given, guards the growth of a row shared between threads.
+    """
+
+    __slots__ = ("gens", "low", "_memo", "_lock", "_row")
+
+    def __init__(self, gens: tuple, memo: Optional[dict], lock=None):
+        self.gens = gens
         # canonical order puts a minimal-degree generator first
-        return 0
-    r = len(gens[0]) - 1 + cumulative
-    numerator = k_polynomial(gens, memo)[: t + 1]
-    return comb(t + r, r) - sum(c * comb(t - k + r, r) for k, c in enumerate(numerator))
+        self.low = sum(gens[0])
+        self._memo = memo
+        self._lock = lock
+        self._row: Optional[_Quotient] = None
+
+    def cumulative(self, t: int) -> int:
+        """Monomials of degree <= t in I."""
+        k = t - self.low
+        if k < 0:
+            return 0
+        row = self._row
+        if row is None or k >= len(row.coeffs):
+            if self._lock is None:
+                return self._grow(k)
+            with self._lock:
+                return self._grow(k)
+        return row.coeffs[k]
+
+    def graded(self, t: int) -> int:
+        """Monomials of degree t in I."""
+        return self.cumulative(t) - self.cumulative(t - 1)
+
+    def _grow(self, k: int) -> int:
+        if self._row is None:
+            poly = [-c for c in k_polynomial(self.gens, self._memo)]
+            poly[0] += 1
+            self._row = _Quotient(poly[self.low :], len(self.gens[0]) + 1)
+        return self._row.upto(k)[k]
 
 
 def count_ideal_degree(gens, t: int) -> int:
     """Number of monomials of degree t in the ideal generated by ``gens``."""
-    return _count(_canonical_gens(gens), t, None)
+    gens = _canonical_gens(gens)
+    return _LengthRow(gens, None).graded(t) if gens else 0
 
 
 def length_component(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
@@ -72,7 +136,7 @@ def length_component(m: TermModule, degree: int, memo: Optional[dict] = None) ->
     ``memo`` is passed on to ``k_polynomial``.
     """
     return sum(
-        _count(gens, degree - m.ambient.basis_degree(basis), memo)
+        _LengthRow(gens, memo).graded(degree - m.ambient.basis_degree(basis))
         for basis, gens in m.components
     )
 
@@ -85,20 +149,56 @@ def cumulative_length(m: TermModule, degree: int, memo: Optional[dict] = None) -
     materializing that extension.  ``memo`` is passed on to ``k_polynomial``.
     """
     return sum(
-        _count(gens, degree - m.ambient.basis_degree(basis), memo, cumulative=True)
+        _LengthRow(gens, memo).cumulative(degree - m.ambient.basis_degree(basis))
         for basis, gens in m.components
     )
 
 
-def _disjoint_supports(gens: tuple) -> bool:
-    used = [False] * len(gens[0])
-    for g in gens:
+def _leaf(key: tuple) -> Optional[list]:
+    """N for a node the recursion need not split, else None.
+
+    One scan finds the variables the generators use.  When there are at most
+    two, say x and y, the minimal generators x^a_i y^b_i sorted so that
+    a_1 < ... < a_m (hence b_1 > ... > b_m) form a staircase, whose inner
+    corners are the lcms of neighbours, and
+    N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i); the variables no
+    generator uses leave N unchanged.  Generators with pairwise disjoint
+    supports give N = prod(1 - t^(deg g)).
+    """
+    if len(key[0]) == 2:
+        return _staircase_numerator(sorted(key))
+    used: list[int] = []
+    disjoint = True
+    for g in key:
         for s, v in enumerate(g):
             if v:
-                if used[s]:
-                    return False
-                used[s] = True
-    return True
+                if s in used:
+                    disjoint = False
+                else:
+                    used.append(s)
+        if len(used) > 2 and not disjoint:
+            return None
+    if len(used) == 2:
+        x, y = used
+        return _staircase_numerator(sorted((g[x], g[y]) for g in key))
+    # fewer variables leave a single generator, which the product covers
+    poly = [1]
+    for g in key:
+        poly = _poly_add_shifted(poly, [-c for c in poly], sum(g))
+    return poly
+
+
+def _staircase_numerator(points: list) -> list:
+    """N of a two-variable ideal, from its minimal generators sorted by first exponent."""
+    top = max(
+        (a + b for (_, b), (a, _) in zip(points, points[1:])), default=sum(points[0])
+    )
+    poly = [1] + [0] * top
+    for a, b in points:
+        poly[a + b] -= 1
+    for (_, b), (a, _) in zip(points, points[1:]):
+        poly[a + b] += 1
+    return poly
 
 
 def _pivot(gens: tuple) -> tuple[int, int]:
@@ -127,11 +227,14 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     """Coefficients of N_I(t), where HS(A/I) = N_I(t) / (1-t)^d.
 
     Bigatti's pivot recursion N(I) = N(I + (p)) + t^{deg p} N(I : p) on a
-    pure-power pivot p, down to generators with pairwise disjoint supports,
-    where N = prod(1 - t^{deg g}).  Both branches are strictly larger ideals
-    generated by divisors of lcm(I), so the recursion terminates.  ``memo``
-    maps canonical generator tuples to finished numerators and may be shared
-    across calls.
+    pure-power pivot p, down to leaves (``_leaf``): generators that use at
+    most two variables, whose staircase gives N in closed form, or that have
+    pairwise disjoint supports, where N = prod(1 - t^{deg g}).  So an ideal
+    in two variables is a leaf at once.  Both branches are strictly larger
+    ideals generated by divisors of lcm(I), so the recursion terminates.
+    The list has no trailing zeros, except that the unit ideal gives [0].
+    ``memo`` maps canonical generator tuples to finished numerators and may
+    be shared across calls.
     """
     memo = {} if memo is None else memo
     # components of a TermModule are already canonical, so a hit skips the
@@ -145,27 +248,28 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
         if key in memo:
             stack.pop()
             continue
-        if not key or _disjoint_supports(key):
-            poly = [1]
-            for g in key:
-                poly = _poly_add_shifted(poly, [-c for c in poly], sum(g))
+        poly = _leaf(key) if key else [1]
+        if poly is not None:
             memo[key] = poly
             stack.pop()
             continue
         s, e = _pivot(key)
         pure = (0,) * s + (e,) + (0,) * (len(key[0]) - s - 1)
-        # pure is not in I, so dropping its multiples leaves a minimal set; the
-        # sort key is the canonical order of minimalize_exponents, so memo
-        # keys agree whichever way an ideal was reached
-        plus = tuple(
-            sorted([g for g in key if g[s] < e] + [pure], key=lambda g: (sum(g), g))
-        )
+        # pure is not in I, so dropping its multiples leaves a minimal set,
+        # still in canonical order; inserting pure at its place in that order
+        # keeps memo keys equal whichever way an ideal was reached
+        plus = [g for g in key if g[s] < e]
+        insort(plus, pure, key=degree_lex)
+        plus = tuple(plus)
         colon = _canonical_gens(
             g[:s] + (max(0, g[s] - e),) + g[s + 1 :] for g in key
         )
         n_plus, n_colon = memo.get(plus), memo.get(colon)
         if n_plus is not None and n_colon is not None:
-            memo[key] = _poly_add_shifted(n_plus, n_colon, e)
+            poly = _poly_add_shifted(n_plus, n_colon, e)
+            while poly[-1] == 0:
+                poly.pop()
+            memo[key] = poly
             stack.pop()
         else:
             if n_plus is None:
@@ -204,15 +308,16 @@ def quotient_census(
         diff = _poly_add_shifted(
             k_polynomial(gens, memo), [-c for c in k_polynomial(sat_gens, memo)], 0
         )
-        for _ in range(d):
-            for k in range(1, len(diff)):
-                diff[k] += diff[k - 1]
-            if diff and diff.pop():
-                raise InternalInvariantError(
-                    f"census of basis component {basis!r} is not of finite length"
-                )
+        # past deg(diff) - d the coefficients of diff / (1-t)^d follow a
+        # polynomial of degree < d, so d zeros there mean it is zero for good
+        lengths = _Quotient(diff, d).upto(len(diff) - 1)
+        if any(lengths[-d:]):
+            raise InternalInvariantError(
+                f"census of basis component {basis!r} is not of finite length"
+            )
+        del lengths[-d:]
         base = m.ambient.basis_degree(basis)
-        for k, v in enumerate(diff):
+        for k, v in enumerate(lengths):
             if v:
                 by_degree[base + k] = by_degree.get(base + k, 0) + v
     return dict(sorted(by_degree.items()))
@@ -221,9 +326,12 @@ def quotient_census(
 class LengthLadder:
     """Everything cached about the Rees powers M^n of one module.
 
-    Holds the powers, their saturations and saturation-quotient censuses, and
-    the K-polynomials of every component ideal it meets, so all graded and
-    cumulative lengths and censuses come from one numerator per ideal.
+    Holds the powers, their saturations and saturation-quotient censuses,
+    the K-polynomials of every component ideal it meets, and per component
+    of a power or saturation a row of cumulative lengths, grown to the
+    highest degree asked so far.  So all graded and cumulative lengths and
+    censuses come from one numerator per ideal, and a length is read from
+    its rows.
 
     Given a ``directory`` (an empty path means none), each requested power
     is also stored there as ``{content_key}.{n}.json``, so warm runs skip
@@ -247,6 +355,7 @@ class LengthLadder:
         self._sat: dict[int, TermModule] = {}
         self._census: dict[int, dict[int, int]] = {}
         self._kpoly: dict = {}
+        self._rows: dict[tuple[int, bool], list] = {}
         self._lock = threading.Lock()
 
     def _path(self, n: int) -> Path:
@@ -333,14 +442,28 @@ class LengthLadder:
     def sat_power(self, n: int) -> TermModule:
         return self._memo(self._sat, n, lambda n: saturate(self.power(n)))
 
+    def _component_rows(self, n: int, sat: bool) -> list:
+        """(basis degree, length row) per component of M^n, or of its saturation."""
+        return self._memo(self._rows, (n, sat), self._make_rows)
+
+    def _make_rows(self, key: tuple[int, bool]) -> list:
+        n, sat = key
+        mod = self.sat_power(n) if sat else self.power(n)
+        return [
+            (mod.ambient.basis_degree(basis), _LengthRow(gens, self._kpoly, self._lock))
+            for basis, gens in mod.components
+        ]
+
     def length(self, n: int, degree: int) -> int:
-        return length_component(self.power(n), degree, self._kpoly)
+        return sum(row.graded(degree - base) for base, row in self._component_rows(n, False))
 
     def sat_length(self, n: int, degree: int) -> int:
-        return length_component(self.sat_power(n), degree, self._kpoly)
+        return sum(row.graded(degree - base) for base, row in self._component_rows(n, True))
 
     def cumulative(self, n: int, degree: int) -> int:
-        return cumulative_length(self.power(n), degree, self._kpoly)
+        return sum(
+            row.cumulative(degree - base) for base, row in self._component_rows(n, False)
+        )
 
     def sat_quotient(self, n: int) -> dict[int, int]:
         """Census of sat(M^n)/M^n, ``{degree: length}``."""

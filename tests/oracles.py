@@ -65,6 +65,28 @@ def count_by_inclusion_exclusion(gens, d, t):
     return total
 
 
+def taylor_numerator(gens):
+    """N_I(t) of HS(A/I) = N_I(t) / (1-t)^d from Taylor's resolution:
+    the sum over subsets S of the generators of (-1)^|S| t^(deg lcm S).
+
+    Any generator list works, repeats and non-minimal ones included (use for
+    <= 12 gens).  Coefficients from degree 0 up, with no trailing zeros, so
+    the unit ideal gives [0].
+    """
+    gens = [tuple(g) for g in gens]
+    if len(gens) > 12:
+        raise ValueError("Taylor numerator oracle limited to 12 generators")
+    coeffs = {}
+    for r in range(len(gens) + 1):
+        for subset in combinations(gens, r):
+            degree = sum(max(col) for col in zip(*subset)) if subset else 0
+            coeffs[degree] = coeffs.get(degree, 0) + (-1) ** r
+    out = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def minimalize_oracle(gens):
     """Divisibility-minimal elements, found by a full pairwise scan."""
     uniq = set(map(tuple, gens))

@@ -130,6 +130,40 @@ def test_kernels_match_oracles_on_edge_cases(gens):
     assert intersect_exponents(half, gens) == oracles.intersect_oracle(half, gens)
 
 
+_STAIRCASE_EDGE_CASES = {
+    "origin": [(0, 0)],
+    "single-point": [(3, 2)],
+    "pure-powers": [(0, 4), (4, 0)],
+    "repeats-and-multiples": [(0, 4), (4, 0), (2, 2), (0, 4), (5, 0), (2, 2)],
+    "ties-in-each-coordinate": [(2, k) for k in range(5)] + [(k, 1) for k in range(5)],
+    "origin-among-others": [(1, 1), (0, 0), (0, 3)],
+}
+
+
+@pytest.mark.parametrize("gens", list(_STAIRCASE_EDGE_CASES.values()),
+                         ids=list(_STAIRCASE_EDGE_CASES))
+def test_two_variable_kernels_match_oracles(gens):
+    # d = 2 takes the one-sweep staircase kernel; the oracles give the order
+    rng = random.Random(len(gens))
+    other = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)] + [(1, 1)]
+    assert minimalize_exponents(gens) == oracles.minimalize_oracle(gens)
+    for a, b in ((gens, gens), (gens, other), (other, gens)):
+        assert product_exponents(a, b) == oracles.product_oracle(a, b)
+        assert intersect_exponents(a, b) == oracles.intersect_oracle(a, b)
+
+
+def test_two_variable_kernels_match_oracles_on_random_sets():
+    rng = random.Random(18)
+    for _ in range(60):
+        a, b = (
+            [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 12))]
+            for _ in range(2)
+        )
+        assert minimalize_exponents(a) == oracles.minimalize_oracle(a)
+        assert product_exponents(a, b) == oracles.product_oracle(a, b)
+        assert intersect_exponents(a, b) == oracles.intersect_oracle(a, b)
+
+
 def test_generators_all_at_module_level():
     m = ideal([(2, 0), (1, 1)])
     for t in m.generators():

@@ -1,6 +1,7 @@
 """Graded-piece length counting against enumeration and closed forms."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -192,6 +193,56 @@ def test_k_polynomial_of_x2_xy():
     assert k_polynomial([]) == [1]
 
 
+def _two_variable_gens(rng, d):
+    x, y = rng.sample(range(d), 2)
+    gens = []
+    for _ in range(rng.randint(1, 8)):
+        g = [0] * d
+        g[x], g[y] = rng.randint(0, 6), rng.randint(0, 6)
+        gens.append(tuple(g))
+    return gens
+
+
+def _staircase_leaf(gens):
+    """Generators in exactly two variables, two of them sharing one: the
+    leaf that only the two-variable closed form takes."""
+    supports = [{s for s, v in enumerate(g) if v} for g in gens]
+    return len(set().union(*supports)) == 2 and any(
+        a & b for a, b in combinations(supports, 2)
+    )
+
+
+def test_k_polynomial_matches_taylor_numerator():
+    rng = random.Random(41)
+    two_variable = [_two_variable_gens(rng, d) for d in (2, 3, 4) for _ in range(40)]
+    edge = [
+        [(0, 0)],
+        [(0, 0, 0)],
+        [(5, 0)],
+        [(0, 0, 4)],
+        [(2, 1), (2, 1), (1, 3)],
+        [(1, 2, 0), (1, 2, 0), (0, 1, 1), (3, 0, 0)],
+    ]
+    for gens in two_variable + edge:
+        got = k_polynomial(gens)
+        assert got == oracles.taylor_numerator(gens)
+        # one convention: no trailing zeros, and the unit ideal gives [0]
+        assert got[-1] != 0 or got == [0]
+    assert k_polynomial([(0, 0)]) == k_polynomial([(0, 0, 0)]) == [0]
+    # mixed supports in d = 3: every node of the recursion, the two-variable
+    # leaves among them, matches the oracle
+    reaching = 0
+    for _ in range(60):
+        gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(3, 8))]
+        memo = {}
+        k_polynomial(gens, memo)
+        for key, poly in memo.items():
+            assert poly == oracles.taylor_numerator(key)
+            assert poly[-1] != 0 or poly == [0]
+        reaching += any(map(_staircase_leaf, memo))
+    assert reaching >= 10
+
+
 def test_census_of_infinite_quotient_is_internal_error():
     # (x) / (x^2) and a component missing from the smaller module: both
     # quotients are nested but of infinite length
@@ -219,6 +270,39 @@ def test_length_ladder_consistency():
             p, saturate(p)
         )
         assert ladder.cumulative(n, 2 * n + 3) == cumulative_length(p, 2 * n + 3)
+
+
+def test_length_ladder_rows_grow_on_demand():
+    # a degree below the support computes no numerator; a low degree, then
+    # degrees far above every numerator's degree, make each row grow
+    cases = [
+        module({0: [(2, 0), (1, 1)], 1: [(0, 2), (1, 0)]}, (-1, 0)),
+        ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ),
+    ]
+    for m in cases:
+        ladder = LengthLadder(m)
+
+        def members(components, j):
+            return len(oracles.module_members_at_degree(components, m.ambient.shifts, j))
+
+        assert ladder.length(1, m.min_degree - 1) == 0
+        assert ladder.cumulative(1, m.min_degree - 1) == 0
+        assert not ladder._kpoly
+        for n in (1, 2):
+            p = power(m, n)
+            comps = components_of(p)
+            sat = oracles.saturation_oracle_components(comps)
+            top = p.min_degree + max(len(k_polynomial(g)) for _, g in p.components)
+            degrees = [p.min_degree, p.min_degree + 1, top + 12, p.min_degree + 3, top + 20]
+            for deg in degrees:
+                assert ladder.length(n, deg) == members(comps, deg)
+                assert ladder.sat_length(n, deg) == members(sat, deg)
+                assert ladder.cumulative(n, deg) == sum(
+                    members(comps, j) for j in range(p.min_degree, deg + 1)
+                )
+            # each row holds exactly the degrees up to the highest asked
+            for base, row in ladder._component_rows(n, False):
+                assert len(row._row.coeffs) == top + 20 - base - row.low + 1
 
 
 def test_length_ladder_shares_power_cache():

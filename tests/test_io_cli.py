@@ -363,6 +363,19 @@ def test_cli_bad_output_directory_fails_before_computing(argv, tmp_path, monkeyp
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kinds", ["saturated", "saturated,epsilon"])
+def test_cli_fit_without_adic_fails_before_computing(kinds, tmp_path, monkeypatch, capsys):
+    # only the adic density is fitted, so --fit without it would fit nothing
+    monkeypatch.chdir(tmp_path)
+    argv = ["density", "--module", "corpus:maximal_ideal", "--kind", kinds, "--fit",
+            "--csv-out", "x.csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--fit" in captured.err and "adic" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_start_up_loads_only_what_the_job_runs(tmp_path):
     # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, and
     # a density job loads neither the check nor the multiplicity engine
