@@ -39,6 +39,9 @@ def _cases() -> dict[str, list[str]]:
     cases["check-both-c.reduction_sub_x2_y2-in-square_maximal"] = [
         "check", "--sub", "corpus:reduction_sub_x2_y2",
         "--sup", "corpus:square_maximal", "--both-c"]
+    # a not-reduction pair: two different modules, so two censuses
+    cases["check-both-c.ideal_x2_xy-in-square_maximal"] = [
+        "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal", "--both-c"]
     for name in ("ideal_x2_y3", "three_vars"):
         cases[f"density-fit.{name}"] = [
             "density", "--module", f"corpus:{name}", "--kind", "adic,saturated,epsilon",
@@ -69,15 +72,31 @@ def test_payload_matches_golden(case, tmp_path):
         assert data == (GOLDEN / name).read_bytes(), name
 
 
+def test_every_golden_file_belongs_to_a_case():
+    # a file or exit code of a renamed or dropped case would otherwise sit
+    # unchecked; ``_regenerate`` deletes such files
+    assert sorted(json.loads(EXIT_CODES.read_text())) == sorted(CASES)
+    stale = [
+        p.name for p in GOLDEN.iterdir()
+        if p != EXIT_CODES and not any(p.match(f"{case}.*json") for case in CASES)
+    ]
+    assert not stale, f"golden files of no case: {stale}"
+
+
 def _regenerate() -> None:
+    """Rewrite every case's files and exit code, and delete files of no case."""
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
+    codes, written = {}, {EXIT_CODES.name}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             codes[case], files = _run(case, Path(tmp))
             for name, data in files.items():
                 (GOLDEN / name).write_bytes(data)
+            written.update(files)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    for path in GOLDEN.iterdir():
+        if path.name not in written:
+            path.unlink()
 
 
 if __name__ == "__main__":
