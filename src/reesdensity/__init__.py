@@ -19,7 +19,7 @@ _EXPORTS = {
         "ideal_module", "intersect", "is_submodule", "membership", "power", "product",
         "saturate", "term_module", "unit_module", "zero_module",
     ),
-    "counting": ("LengthLadder", "count_ideal_degree", "cumulative_length", "length_component"),
+    "counting": ("LengthLadder", "count_ideal_degree", "length_component"),
     "density": (
         "ChamberDecomposition", "DensityGrid", "FitNotConvergedError", "cumulative_identity",
         "default_grid", "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",

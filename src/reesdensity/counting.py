@@ -5,20 +5,17 @@ of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal,
 computed by Bigatti's pivot recursion, whose leaves are ideals in at most
 two variables (a staircase, closed form) or with pairwise disjoint
 supports.  One numerator per component ideal yields every degree at once,
-each by prefix sums (``_Quotient``, dividing by a power of (1-t)):
-
-* lengths: the ideal has HS(I) = (1 - N_I(t)) / (1-t)^d, and one more
-  division by (1-t) sums over degrees, so (1 - N_I) / (1-t)^(d+1) is the
-  row of cumulative lengths, and a graded length is the difference of two
-  neighbours (``_LengthRow``);
-* the saturation-quotient census ``quotient_census``: per basis component
-  the census of msat/m is (N_I - N_J) / (1-t)^d.
+by running prefix sums (``_LengthRow``): the ideal has
+HS(I) = (1 - N_I(t)) / (1-t)^d, and one more division by (1-t) sums over
+degrees, so (1 - N_I) / (1-t)^(d+1) is the row of cumulative lengths, and a
+graded length is the difference of two neighbours.
 
 A module's Rees powers and length data are reached through its
-``LengthLadder``, the one cache layer: it keeps each component's row and
-grows it on demand, so a length query is a list lookup, and it keeps the
-powers on disk when given a directory; ``ladder_for`` hands the engine's
-public functions the ladder they work on.
+``LengthLadder``, the one cache layer: it keeps each component's row, for
+M^n and for sat(M^n), and grows it on demand, so a length query is a list
+lookup; the length of sat(M^n)/M^n is read from the same rows.  It keeps
+the powers on disk when given a directory; ``ladder_for`` hands the
+engine's public functions the ladder they work on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -37,10 +34,7 @@ from .backend import degree_lex, minimalize_exponents
 from .core import (
     InputError,
     InternalInvariantError,
-    NotSubmoduleError,
     TermModule,
-    _require_same_ambient,
-    is_submodule,
     module_from_payload,
     module_to_payload,
     product,
@@ -53,20 +47,53 @@ def _canonical_gens(gens) -> tuple:
     return tuple(minimalize_exponents(gens))
 
 
-class _Quotient:
-    """Coefficients of poly(t) / (1-t)^rounds, by ``rounds`` running prefix
-    sums, computed only as far as asked: each round keeps its running sum, so
-    a list grows without starting over."""
+class _LengthRow:
+    """The lengths of one monomial ideal I, from its canonical generators.
 
-    __slots__ = ("_poly", "_sums", "coeffs")
+    HS(I) = (1 - N_I(t)) / (1-t)^d, and one more factor 1/(1-t) sums over
+    degrees, so the coefficients of (1 - N_I) / (1-t)^(d+1) are the
+    cumulative lengths, computed by d+1 rounds of running prefix sums only as
+    far as asked: each round keeps its running sum, so the row grows without
+    starting over.  A graded length is the difference of two.  No monomial
+    of I lies below the least generator degree ``low``, so the row starts
+    there, and a query below it never computes the numerator.  ``lock``,
+    when given, guards the growth of a row shared between threads.
+    """
 
-    def __init__(self, poly: list, rounds: int):
-        self._poly = poly
-        self._sums = [0] * rounds
+    __slots__ = ("gens", "low", "coeffs", "_memo", "_lock", "_poly", "_sums")
+
+    def __init__(self, gens: tuple, memo: Optional[dict], lock=None):
+        self.gens = gens
+        # canonical order puts a minimal-degree generator first
+        self.low = sum(gens[0])
         self.coeffs: list[int] = []
+        self._memo = memo
+        self._lock = lock
+        self._poly: Optional[list] = None
+        self._sums = [0] * (len(gens[0]) + 1)
 
-    def upto(self, k: int) -> list:
-        """The coefficient list, grown to hold index ``k``."""
+    def cumulative(self, t: int) -> int:
+        """Monomials of degree <= t in I."""
+        k = t - self.low
+        if k < 0:
+            return 0
+        if k >= len(self.coeffs):
+            if self._lock is None:
+                self._grow(k)
+            else:
+                with self._lock:
+                    self._grow(k)
+        return self.coeffs[k]
+
+    def graded(self, t: int) -> int:
+        """Monomials of degree t in I."""
+        return self.cumulative(t) - self.cumulative(t - 1)
+
+    def _grow(self, k: int) -> None:
+        if self._poly is None:
+            poly = [-c for c in k_polynomial(self.gens, self._memo)]
+            poly[0] += 1
+            self._poly = poly[self.low :]
         coeffs, sums, poly = self.coeffs, self._sums, self._poly
         rounds = range(len(sums))
         for j in range(len(coeffs), k + 1):
@@ -75,53 +102,6 @@ class _Quotient:
                 v += sums[r]
                 sums[r] = v
             coeffs.append(v)
-        return coeffs
-
-
-class _LengthRow:
-    """The lengths of one monomial ideal I, from its canonical generators.
-
-    HS(I) = (1 - N_I(t)) / (1-t)^d, and one more factor 1/(1-t) sums over
-    degrees, so the coefficients of (1 - N_I) / (1-t)^(d+1) are the
-    cumulative lengths; a graded length is the difference of two.  No
-    monomial of I lies below the least generator degree ``low``, so the row
-    starts there, and a query below it never computes the numerator.
-    ``lock``, when given, guards the growth of a row shared between threads.
-    """
-
-    __slots__ = ("gens", "low", "_memo", "_lock", "_row")
-
-    def __init__(self, gens: tuple, memo: Optional[dict], lock=None):
-        self.gens = gens
-        # canonical order puts a minimal-degree generator first
-        self.low = sum(gens[0])
-        self._memo = memo
-        self._lock = lock
-        self._row: Optional[_Quotient] = None
-
-    def cumulative(self, t: int) -> int:
-        """Monomials of degree <= t in I."""
-        k = t - self.low
-        if k < 0:
-            return 0
-        row = self._row
-        if row is None or k >= len(row.coeffs):
-            if self._lock is None:
-                return self._grow(k)
-            with self._lock:
-                return self._grow(k)
-        return row.coeffs[k]
-
-    def graded(self, t: int) -> int:
-        """Monomials of degree t in I."""
-        return self.cumulative(t) - self.cumulative(t - 1)
-
-    def _grow(self, k: int) -> int:
-        if self._row is None:
-            poly = [-c for c in k_polynomial(self.gens, self._memo)]
-            poly[0] += 1
-            self._row = _Quotient(poly[self.low :], len(self.gens[0]) + 1)
-        return self._row.upto(k)[k]
 
 
 def count_ideal_degree(gens, t: int) -> int:
@@ -130,28 +110,9 @@ def count_ideal_degree(gens, t: int) -> int:
     return _LengthRow(gens, None).graded(t) if gens else 0
 
 
-def length_component(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
-    """k-dimension of the graded piece M_degree (a monomial count).
-
-    ``memo`` is passed on to ``k_polynomial``.
-    """
-    return sum(
-        _LengthRow(gens, memo).graded(degree - m.ambient.basis_degree(basis))
-        for basis, gens in m.components
-    )
-
-
-def cumulative_length(m: TermModule, degree: int, memo: Optional[dict] = None) -> int:
-    """Sum of length_component over all degrees <= ``degree``.
-
-    This equals the graded-piece length at ``degree`` of the extension of M
-    along a polynomial extension by one extra degree-one variable, without
-    materializing that extension.  ``memo`` is passed on to ``k_polynomial``.
-    """
-    return sum(
-        _LengthRow(gens, memo).cumulative(degree - m.ambient.basis_degree(basis))
-        for basis, gens in m.components
-    )
+def length_component(m: TermModule, degree: int) -> int:
+    """k-dimension of the graded piece M_degree (a monomial count)."""
+    return LengthLadder(m).length(1, degree)
 
 
 def _leaf(key: tuple) -> Optional[list]:
@@ -279,59 +240,14 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     return memo[root]
 
 
-def quotient_census(
-    m: TermModule, msat: TermModule, memo: Optional[dict] = None
-) -> dict[int, int]:
-    """Exact census of msat/m for nested modules: ``{degree: length}``, ascending.
-
-    Componentwise, with ideals I inside J on the same basis exponent,
-    HS(J/I) = (N_I - N_J) / (1-t)^d, which is a polynomial exactly when J/I
-    has finite length.  The division is done by d rounds of prefix sums; the
-    coefficients, shifted by the basis degree, are the by-degree lengths;
-    degrees of length 0 are left out, so a saturated ``m`` gives ``{}``.  A
-    nonzero remainder means the quotient is not of finite length, which the
-    callers rule out (``msat`` is a saturation of ``m``), so it raises
-    ``InternalInvariantError``.  ``memo`` is passed on to ``k_polynomial``.
-    """
-    _require_same_ambient(m, msat)
-    if m.level != msat.level:
-        raise InputError("census requires equal levels")
-    if not is_submodule(m, msat):
-        raise NotSubmoduleError("census requires the first module inside the second")
-    memo = {} if memo is None else memo
-    d = m.ambient.ring.dim
-    by_degree: dict[int, int] = {}
-    for basis, sat_gens in msat.components:
-        gens = m.component(basis)
-        if gens == sat_gens:
-            continue
-        diff = _poly_add_shifted(
-            k_polynomial(gens, memo), [-c for c in k_polynomial(sat_gens, memo)], 0
-        )
-        # past deg(diff) - d the coefficients of diff / (1-t)^d follow a
-        # polynomial of degree < d, so d zeros there mean it is zero for good
-        lengths = _Quotient(diff, d).upto(len(diff) - 1)
-        if any(lengths[-d:]):
-            raise InternalInvariantError(
-                f"census of basis component {basis!r} is not of finite length"
-            )
-        del lengths[-d:]
-        base = m.ambient.basis_degree(basis)
-        for k, v in enumerate(lengths):
-            if v:
-                by_degree[base + k] = by_degree.get(base + k, 0) + v
-    return dict(sorted(by_degree.items()))
-
-
 class LengthLadder:
     """Everything cached about the Rees powers M^n of one module.
 
-    Holds the powers, their saturations and saturation-quotient censuses,
-    the K-polynomials of every component ideal it meets, and per component
-    of a power or saturation a row of cumulative lengths, grown to the
-    highest degree asked so far.  So all graded and cumulative lengths and
-    censuses come from one numerator per ideal, and a length is read from
-    its rows.
+    Holds the powers, their saturations, the K-polynomials of every
+    component ideal it meets, and per component of a power or saturation a
+    row of cumulative lengths, grown to the highest degree asked so far.  So
+    all graded and cumulative lengths, and the lengths of the quotients
+    sat(M^n)/M^n, come from one numerator per ideal, read from its rows.
 
     Given a ``directory`` (an empty path means none), each requested power
     is also stored there as ``{content_key}.{n}.json``, so warm runs skip
@@ -353,7 +269,6 @@ class LengthLadder:
                 ) from exc
         self._powers: dict[int, TermModule] = {0: unit_module(module.ambient), 1: module}
         self._sat: dict[int, TermModule] = {}
-        self._census: dict[int, dict[int, int]] = {}
         self._kpoly: dict = {}
         self._rows: dict[tuple[int, bool], list] = {}
         self._lock = threading.Lock()
@@ -465,16 +380,38 @@ class LengthLadder:
             row.cumulative(degree - base) for base, row in self._component_rows(n, False)
         )
 
-    def sat_quotient(self, n: int) -> dict[int, int]:
-        """Census of sat(M^n)/M^n, ``{degree: length}``."""
-        return self._memo(
-            self._census,
-            n,
-            lambda n: quotient_census(self.power(n), self.sat_power(n), self._kpoly),
-        )
-
     def sat_quotient_total(self, n: int) -> int:
-        return sum(self.sat_quotient(n).values())
+        """Length of sat(M^n)/M^n, from the rows of M^n and of its saturation.
+
+        Per basis component, with ideals I inside J, HS(J/I) =
+        (N_I - N_J) / (1-t)^d, whose coefficients are the differences of the
+        rows' graded lengths; it is a polynomial exactly when J/I has finite
+        length.  Past top - d, with top = max(deg N_I, deg N_J), they follow
+        a polynomial of degree < d, so d zeros ending at top mean zero for
+        good, and the component adds the difference of the rows' cumulative
+        lengths at top.  Anything else, or components on other basis
+        exponents, means an infinite quotient, which a true saturation rules
+        out, so it raises ``InternalInvariantError``.
+        """
+        bases = [basis for basis, _ in self.power(n).components]
+        if bases != [basis for basis, _ in self.sat_power(n).components]:
+            raise InternalInvariantError(
+                f"sat(M^{n}) and M^{n} have components on different basis exponents"
+            )
+        d = self.module.ambient.ring.dim
+        total = 0
+        for basis, (_, row), (_, sat) in zip(
+            bases, self._component_rows(n, False), self._component_rows(n, True)
+        ):
+            if row.gens == sat.gens:
+                continue
+            top = max(len(k_polynomial(r.gens, self._kpoly)) for r in (row, sat)) - 1
+            if any(sat.graded(k) != row.graded(k) for k in range(top - d + 1, top + 1)):
+                raise InternalInvariantError(
+                    f"census of basis component {basis!r} is not of finite length"
+                )
+            total += sat.cumulative(top) - row.cumulative(top)
+        return total
 
 
 def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:

@@ -484,8 +484,8 @@ def cumulative_identity(
 ) -> dict:
     """Compare the cumulative-length limit against the integral of the density.
 
-    The cumulative sampler (d+e)! * cumulative_length(M^n, floor(xn)) /
-    n^{d+e-1} converges to (d+e) * integral of the adic density up to x; both
+    The cumulative sampler (d+e)! * table.cumulative(n, floor(xn)) /
+    n^{d+e-1}, the length of M^n summed over degrees <= floor(xn), converges to (d+e) * integral of the adic density up to x; both
     sides are estimated (Richardson on the ladder; trapezoid on the grid) and
     returned with their gap and a tolerance that scales with the grid spacing
     and 1/n.

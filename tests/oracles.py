@@ -211,8 +211,9 @@ def quotient_monomials(m, msat, max_nodes=2_000_000):
     because divisor chains inside ``msat`` that start outside ``m`` stay
     outside ``m`` until they enter it for good.  The node cap turns a quotient
     that is not of finite length into ``CensusOverflowError`` rather than a
-    hang.  ``counting.quotient_census`` gets the same lengths from
-    K-polynomials; this enumeration is the reference it is tested against.
+    hang.  ``LengthLadder`` reads the same lengths as differences of the
+    graded lengths of the saturation and the module, from K-polynomials;
+    this enumeration is the reference they are tested against.
     """
     d = m.ambient.ring.dim
     seen = set()

@@ -9,6 +9,7 @@ import oracles
 from util import (
     RING_XYZ,
     census_by_enumeration,
+    census_by_lengths,
     components_of,
     ideal,
     module,
@@ -18,16 +19,11 @@ from util import (
 from reesdensity import (
     InternalInvariantError,
     LengthLadder,
-    cumulative_length,
     length_component,
     power,
     saturate,
 )
-from reesdensity.counting import (
-    count_ideal_degree,
-    k_polynomial,
-    quotient_census,
-)
+from reesdensity.counting import count_ideal_degree, k_polynomial
 
 
 # -- monomial counting primitive -------------------------------------------------
@@ -131,9 +127,9 @@ def test_length_matches_module_enumeration():
 
 
 def test_cumulative_length_maximal_ideal():
-    m = ideal([(1, 0), (0, 1)])
-    assert cumulative_length(m, 2) == 5
-    assert cumulative_length(m, 0) == 0
+    ladder = LengthLadder(ideal([(1, 0), (0, 1)]))
+    assert ladder.cumulative(1, 2) == 5
+    assert ladder.cumulative(1, 0) == 0
 
 
 def test_cumulative_matches_summed_enumeration():
@@ -149,41 +145,47 @@ def test_cumulative_matches_summed_enumeration():
         running = 0
         for deg in range(-3, 9):
             running += len(oracles.module_members_at_degree(comps, shifts, deg))
-            assert cumulative_length(m, deg) == running
             assert ladder.cumulative(1, deg) == running
 
 
 def test_cumulative_telescopes():
     m = ideal([(2, 0), (1, 1)])
+    ladder = LengthLadder(m)
     for deg in range(0, 8):
-        assert cumulative_length(m, deg) - cumulative_length(m, deg - 1) == length_component(m, deg)
+        assert ladder.cumulative(1, deg) - ladder.cumulative(1, deg - 1) == length_component(m, deg)
 
 
 # -- saturation quotient censuses ------------------------------------------------------
 
 
 def test_census_x_times_maximal_powers():
+    # sat((x^2, xy)^n) = (x^n), so the quotient lives in degrees n .. 2n-1
     m = ideal([(2, 0), (1, 1)])
+    ladder = LengthLadder(m)
     for n in range(1, 13):
         p = power(m, n)
-        census = quotient_census(p, saturate(p))
-        assert sum(census.values()) == n * (n + 1) // 2
-        assert list(census) == sorted(census)
+        assert ladder.sat_quotient_total(n) == n * (n + 1) // 2
+        assert (ladder.sat_quotient_total(n), census_by_lengths(ladder, n, 2 * n + 3)) == (
+            census_by_enumeration(p, saturate(p))
+        )
 
 
 def test_census_saturated_module_is_zero():
-    m = ideal([(1, 0)])
-    assert quotient_census(m, saturate(m)) == {}
+    ladder = LengthLadder(ideal([(1, 0)]))
+    assert ladder.sat_quotient_total(1) == 0
+    assert census_by_lengths(ladder, 1, 6) == {}
 
 
 def test_census_square_maximal():
-    m = power(ideal([(1, 0), (0, 1)]), 2)
-    assert quotient_census(m, saturate(m)) == {0: 1, 1: 2}
+    ladder = LengthLadder(power(ideal([(1, 0), (0, 1)]), 2))
+    assert ladder.sat_quotient_total(1) == 3
+    assert census_by_lengths(ladder, 1, 6) == {0: 1, 1: 2}
 
 
 def test_census_degrees_track_shift():
-    m = ideal([(2, 0), (1, 1)], shift=-2)
-    assert quotient_census(m, saturate(m)) == {-1: 1}
+    ladder = LengthLadder(ideal([(2, 0), (1, 1)], shift=-2))
+    assert ladder.sat_quotient_total(1) == 1
+    assert census_by_lengths(ladder, 1, 4) == {-1: 1}
 
 
 def test_k_polynomial_of_x2_xy():
@@ -243,15 +245,18 @@ def test_k_polynomial_matches_taylor_numerator():
     assert reaching >= 10
 
 
-def test_census_of_infinite_quotient_is_internal_error():
-    # (x) / (x^2) and a component missing from the smaller module: both
-    # quotients are nested but of infinite length
-    with pytest.raises(InternalInvariantError):
-        quotient_census(ideal([(2, 0)]), ideal([(1, 0)]))
-    with pytest.raises(InternalInvariantError):
-        quotient_census(
-            module({0: [(1, 0)]}, (0, 0)), module({0: [(1, 0)], 1: [(0, 1)]}, (0, 0))
-        )
+def test_census_of_infinite_quotient_is_internal_error(monkeypatch):
+    # a wrong saturation: (x) over (x^2), and a component missing from the
+    # smaller module; both quotients are nested but of infinite length
+    cases = [
+        (ideal([(2, 0)]), ideal([(1, 0)])),
+        (module({0: [(1, 0)]}, (0, 0)), module({0: [(1, 0)], 1: [(0, 1)]}, (0, 0))),
+    ]
+    for m, wrong_sat in cases:
+        ladder = LengthLadder(m)
+        monkeypatch.setattr(ladder, "sat_power", lambda n, s=wrong_sat: s)
+        with pytest.raises(InternalInvariantError):
+            ladder.sat_quotient_total(1)
 
 
 # -- shared ladder ------------------------------------------------------------------
@@ -265,11 +270,10 @@ def test_length_ladder_consistency():
         for deg in range(2 * n, 2 * n + 4):
             assert ladder.length(n, deg) == length_component(p, deg)
             assert ladder.sat_length(n, deg) == length_component(saturate(p), deg)
-        census = ladder.sat_quotient(n)
-        assert (ladder.sat_quotient_total(n), census) == census_by_enumeration(
-            p, saturate(p)
+        assert (ladder.sat_quotient_total(n), census_by_lengths(ladder, n, 2 * n + 3)) == (
+            census_by_enumeration(p, saturate(p))
         )
-        assert ladder.cumulative(n, 2 * n + 3) == cumulative_length(p, 2 * n + 3)
+        assert ladder.cumulative(n, 2 * n + 3) == LengthLadder(p).cumulative(1, 2 * n + 3)
 
 
 def test_length_ladder_rows_grow_on_demand():
@@ -302,7 +306,7 @@ def test_length_ladder_rows_grow_on_demand():
                 )
             # each row holds exactly the degrees up to the highest asked
             for base, row in ladder._component_rows(n, False):
-                assert len(row._row.coeffs) == top + 20 - base - row.low + 1
+                assert len(row.coeffs) == top + 20 - base - row.low + 1
 
 
 def test_length_ladder_shares_power_cache():

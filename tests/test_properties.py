@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from util import RING_XY, RING_XYZ, census_by_enumeration, ideal, module
+from util import RING_XY, RING_XYZ, census_by_enumeration, census_by_lengths, ideal, module
 
 from reesdensity import (
     LengthLadder,
@@ -192,16 +192,13 @@ def test_saturation_of_primary_is_unit(gens):
 @settings(max_examples=15, deadline=None)
 def test_saturated_quotient_is_finite_length(m, n):
     # the quotient census is supported in finitely many degrees; beyond the
-    # last one the power and its saturation have equal graded pieces
+    # last one the power and its saturation have equal graded pieces, so
+    # sat_length - length is the enumerated census and then zero
     ladder = LengthLadder(m)
-    census = ladder.sat_quotient(n)
-    assert (ladder.sat_quotient_total(n), census) == census_by_enumeration(
-        ladder.power(n), ladder.sat_power(n)
-    )
-    assert all(v > 0 for v in census.values())
-    probe = (max(census) if census else ladder.power(n).max_degree) + 1
-    for deg in (probe, probe + 3):
-        assert ladder.sat_length(n, deg) == ladder.length(n, deg)
+    total, census = census_by_enumeration(ladder.power(n), ladder.sat_power(n))
+    top = (max(census) if census else ladder.power(n).max_degree) + 4
+    assert ladder.sat_quotient_total(n) == total
+    assert census_by_lengths(ladder, n, top) == census
 
 
 @given(term_modules(), st.integers(1, 3))

@@ -74,6 +74,18 @@ def census_by_enumeration(m: TermModule, msat: TermModule) -> tuple[int, dict]:
     return len(terms), table
 
 
+def census_by_lengths(ladder, n: int, top: int) -> dict:
+    """{degree: length} of sat(M^n)/M^n up to ``top``, read as the difference
+    of the ladder's graded lengths, at the degrees where it is nonzero."""
+    low = ladder.sat_power(n).min_degree
+    by_degree = {}
+    for deg in range(low, top + 1):
+        v = ladder.sat_length(n, deg) - ladder.length(n, deg)
+        if v:
+            by_degree[deg] = v
+    return by_degree
+
+
 def fresh_python(code: str) -> dict:
     """Run ``code`` in a fresh interpreter with ``PYTHONPATH=src``; return the
     JSON object on the last line it prints."""
