@@ -41,7 +41,6 @@ from .density import _normalize_ladder
 from .multiplicity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
-    extract_polynomial_growth,
     mixed_multiplicities,
     truncation_epsilon,
 )
@@ -134,26 +133,6 @@ def direct_reduction_search(
     return None
 
 
-def _strict_growth(
-    totals_sub: dict, totals_sup: dict, sup: TermModule
-) -> bool:
-    """Heuristic: does t_n(M) - t_n(N) grow at the top order d+e-1?"""
-    ns = sorted(set(totals_sub) & set(totals_sup))
-    diffs = [totals_sup[n] - totals_sub[n] for n in ns]
-    if not diffs or any(v < 0 for v in diffs):
-        return False
-    d = sup.ambient.ring.dim
-    e = sup.ambient.rank
-    big_d = d + e - 1
-    if len(ns) < 2:
-        return False
-    step = ns[1] - ns[0]
-    if any(b - a != step for a, b in zip(ns, ns[1:])):
-        return False
-    ext = extract_polynomial_growth(ns, diffs, step, big_d)
-    return ext is not None and ext["degree"] == big_d and ext["normalized"] > 0
-
-
 def _evidence_row(
     name: str,
     label: str,
@@ -232,11 +211,6 @@ def check_dependence(
             detail={
                 "estimate_sub": eps_sub.values["estimate"],
                 "estimate_sup": eps_sup.values["estimate"],
-                # heuristic flag, not a verdict input: the gap t_n(M)-t_n(N)
-                # itself shows top-order growth across the ladder
-                "strict_growth_heuristic": _strict_growth(
-                    eps_sub.values["totals"], eps_sup.values["totals"], sup
-                ),
             },
         )
     )

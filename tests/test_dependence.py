@@ -95,12 +95,6 @@ def test_not_reduction_via_exact_epsilon_disagreement():
     assert "epsilon" in v.diagnostics["mismatches"]
 
 
-def test_strict_growth_heuristic_labeled_in_detail():
-    v = check_dependence(N_X2_XY, M_SQ)
-    eps = next(cr for cr in v.criteria if cr.name == "epsilon")
-    assert eps.detail["strict_growth_heuristic"] is True
-
-
 def test_self_pair_is_reduction_at_n0_zero():
     v = check_dependence(M_SQ, M_SQ)
     assert v.verdict == "reduction"
