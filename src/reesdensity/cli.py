@@ -168,6 +168,8 @@ def _cmd_density(args) -> int:
 def _cmd_multiplicity(args) -> int:
     from .multiplicity import diagonal_multiplicity, epsilon_multiplicity, mixed_multiplicities
 
+    if args.extended and not args.mixed:
+        raise InputError("--extended applies to the mixed multiplicities only; add --mixed")
     module = _load_module(args.module)
     wants = [name for name, on in (
         ("epsilon", args.epsilon), ("diagonal", args.diagonal), ("mixed", args.mixed)

@@ -41,6 +41,8 @@ DEFAULT_LADDER: tuple[int, ...] = (8, 16, 24, 32, 40)
 DEFAULT_STEP = Fraction(1, 8)
 # ray samples start at the first multiple of the ray step H past this n
 RAY_N_FLOOR = 8
+# ray steps H = h * (denominator of x) are tried for h = 1 .. RAY_H_MAX
+RAY_H_MAX = 12
 # chamber nodes beyond the d interpolation nodes, checked exactly
 HELD_OUT_NODES = 2
 # relative part of the cumulative-identity tolerance
@@ -308,16 +310,11 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 # -- exact limits along rays --------------------------------------------------
 
 
-def ray_extrapolate(
-    table: LengthLadder,
-    x: Fraction,
-    *,
-    h_max: int = 12,
-) -> Fraction:
+def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
     """Exact limit of the adic density at x via finite differences along a ray.
 
     Samples len((M^n)_{xn}) at n = n0 + jH, with H = h * (denominator of x)
-    for h = 1..h_max (so xn is an integer) and n0 the first multiple of H
+    for h = 1..RAY_H_MAX (so xn is an integer) and n0 the first multiple of H
     that is at least 2H and ``RAY_N_FLOOR``.  Once the counting function is
     polynomial along the ray, the (r+1)-st differences vanish (r = d+e-2) and
     the limit is (r+1) * (r-th difference) / H^r; smaller detected degree
@@ -334,7 +331,7 @@ def ray_extrapolate(
     r = d + e - 2
     q = x.denominator
     needed = r + STABLE_WINDOW + 2
-    for h in range(1, h_max + 1):
+    for h in range(1, RAY_H_MAX + 1):
         step = q * h
         n0 = step * max(2, -(-RAY_N_FLOOR // step))
         ns = [n0 + j * step for j in range(needed + 1)]
@@ -349,7 +346,7 @@ def ray_extrapolate(
             return Fraction(0)
         return Fraction((r + 1) * lead, step**r)
     raise FitNotConvergedError(
-        f"not converged; increase n ladder (no stable ray at x = {x} with h <= {h_max})"
+        f"not converged; increase n ladder (no stable ray at x = {x} with h <= {RAY_H_MAX})"
     )
 
 
@@ -388,7 +385,6 @@ def fit_piecewise(
     *,
     table: Optional[LengthLadder] = None,
     tol: Fraction = Fraction(1, 10),
-    h_max: int = 12,
 ) -> ChamberDecomposition:
     """Fit exact polynomials of degree <= d-1 to the adic density on the
     chambers of ``detect_chambers``.
@@ -411,7 +407,7 @@ def fit_piecewise(
             polys.append(())
             continue
         nodes = _chamber_nodes(ch, d + HELD_OUT_NODES)
-        values = [ray_extrapolate(table, x, h_max=h_max) for x in nodes]
+        values = [ray_extrapolate(table, x) for x in nodes]
         poly = poly_interpolate(list(zip(nodes[:d], values[:d])))
         for x, v in zip(nodes[d:], values[d:]):
             if poly_eval(poly, x) != v:

@@ -6,6 +6,7 @@ import pytest
 
 from util import ideal, module
 
+from reesdensity import density
 from reesdensity import (
     FitNotConvergedError,
     InputError,
@@ -179,11 +180,12 @@ class _BumpedLadder:
         return deg + 1 + (n == 14)
 
 
-def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial():
+def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial(monkeypatch):
     # at x = 2, h = 1 the ray samples n = 8..14: all but the last are the
     # line 2n + 1 (limit 4), and the held-out n = 14 leaves it
+    monkeypatch.setattr(density, "RAY_H_MAX", 1)
     with pytest.raises(FitNotConvergedError, match="increase n ladder"):
-        ray_extrapolate(_BumpedLadder(), F(2), h_max=1)
+        ray_extrapolate(_BumpedLadder(), F(2))
 
 
 # -- piecewise fits --------------------------------------------------------------------
@@ -217,11 +219,12 @@ def test_fit_shifted_module():
     assert fit.chambers[1].lower == 0
 
 
-def test_fit_not_converged_error_message():
+def test_fit_not_converged_error_message(monkeypatch):
     table = LengthLadder(M_XY)
     grid = sample_adic(M_XY, None, None, table=table)
+    monkeypatch.setattr(density, "RAY_H_MAX", 0)
     with pytest.raises(FitNotConvergedError, match="increase n ladder"):
-        fit_piecewise(grid, table=table, h_max=0)
+        fit_piecewise(grid, table=table)
 
 
 # -- integrals ----------------------------------------------------------------------

@@ -376,6 +376,19 @@ def test_cli_fit_without_adic_fails_before_computing(kinds, tmp_path, monkeypatc
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [["--extended"], ["--epsilon", "--diagonal", "--extended"]])
+def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monkeypatch, capsys):
+    # --extended only changes the mixed multiplicities, so without --mixed it
+    # would be silently ignored
+    monkeypatch.chdir(tmp_path)
+    argv = ["multiplicity", "--module", "corpus:maximal_ideal", *flags, "--json-out", "x.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--extended" in captured.err and "--mixed" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_start_up_loads_only_what_the_job_runs(tmp_path):
     # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, and
     # a density job loads neither the check nor the multiplicity engine
