@@ -481,8 +481,9 @@ def cumulative_identity(
     """Compare the cumulative-length limit against the integral of the density.
 
     The cumulative sampler (d+e)! * table.cumulative(n, floor(xn)) /
-    n^{d+e-1}, the length of M^n summed over degrees <= floor(xn), converges to (d+e) * integral of the adic density up to x; both
-    sides are estimated (Richardson on the ladder; trapezoid on the grid) and
+    n^{d+e-1}, from the lengths of M^n summed over degrees <= floor(xn),
+    converges to (d+e) * integral of the adic density up to x; both sides
+    are estimated (Richardson on the ladder; trapezoid on the grid) and
     returned with their gap and a tolerance that scales with the grid spacing
     and 1/n.
     """
