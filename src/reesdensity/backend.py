@@ -68,8 +68,8 @@ def _minimal_packed(packed, dim: int, width: int) -> list:
     return below
 
 
-def _staircase(points) -> list:
-    """The minimal points among 2-vectors, in canonical order."""
+def minimal_staircase(points) -> list:
+    """The minimal points among 2-vectors, sorted by first coordinate."""
     kept = []
     low = None  # second coordinate of the last point kept, the least so far
     # equal first coordinates sort by the second, so a repeat or a point
@@ -78,8 +78,12 @@ def _staircase(points) -> list:
         if low is None or p[1] < low:
             kept.append(p)
             low = p[1]
-    kept.sort(key=degree_lex)
     return kept
+
+
+def _staircase(points) -> list:
+    """The minimal points among 2-vectors, in canonical order."""
+    return sorted(minimal_staircase(points), key=degree_lex)
 
 
 def degree_lex(exp: tuple) -> tuple:

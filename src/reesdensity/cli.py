@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
+# a --grid with more points is refused before any is built
+MAX_GRID_POINTS = 10**5
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
@@ -81,12 +83,17 @@ def _parse_ladder_options(args, nmax_ladder=None):
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise InputError(f"bad grid {text!r}; expected LO:HI:STEP")
+        raise InputError(f"bad --grid {text!r}; expected LO:HI:STEP")
     lo, hi, step = (parse_fraction(p) for p in parts)
     if step <= 0:
-        raise InputError("grid step must be positive")
+        raise InputError("--grid step must be positive")
     if hi < lo:
-        raise InputError("grid upper bound must be >= lower bound")
+        raise InputError("--grid upper bound must be >= lower bound")
+    points = (hi - lo) // step + 1
+    if points > MAX_GRID_POINTS:
+        raise InputError(
+            f"--grid {text!r} has {points} points; at most {MAX_GRID_POINTS} are allowed"
+        )
     return _arithmetic_grid(lo, hi, step)
 
 

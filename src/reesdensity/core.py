@@ -15,7 +15,6 @@ into e parts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
@@ -44,14 +43,13 @@ class InternalInvariantError(RuntimeError):
     """Two routes to the same fact disagreed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """Polynomial ring k[x_1..x_d] with the standard grading."""
 
-    variables: tuple[str, ...]
+    __slots__ = ("variables",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", tuple(self.variables))
+    def __init__(self, variables: tuple[str, ...]) -> None:
+        self.variables = tuple(variables)
         if len(self.variables) < 2:
             raise InputError("ring needs at least two variables")
         if len(set(self.variables)) != len(self.variables):
@@ -59,22 +57,43 @@ class RingSpec:
         if not all(isinstance(v, str) and v for v in self.variables):
             raise InputError("ring variables must be nonempty strings")
 
+    def __eq__(self, other):
+        if type(other) is not RingSpec:
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self) -> int:
+        return hash(self.variables)
+
+    def __repr__(self) -> str:
+        return f"RingSpec({self.variables!r})"
+
     @property
     def dim(self) -> int:
         return len(self.variables)
 
 
-@dataclass(frozen=True)
 class GradedFreeModule:
     """Free module with basis vectors e_i of degree shifts[i]."""
 
-    ring: RingSpec
-    shifts: tuple[int, ...]
+    __slots__ = ("ring", "shifts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+    def __init__(self, ring: RingSpec, shifts: tuple[int, ...]) -> None:
+        self.ring = ring
+        self.shifts = tuple(int(s) for s in shifts)
         if not self.shifts:
             raise InputError("free module must have positive rank")
+
+    def __eq__(self, other):
+        if type(other) is not GradedFreeModule:
+            return NotImplemented
+        return (self.ring, self.shifts) == (other.ring, other.shifts)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.shifts))
+
+    def __repr__(self) -> str:
+        return f"GradedFreeModule({self.ring!r}, {self.shifts!r})"
 
     @property
     def rank(self) -> int:
@@ -89,12 +108,28 @@ class GradedFreeModule:
         return sum(a * f for a, f in zip(basis_exponents, self.shifts))
 
 
-@dataclass(frozen=True)
 class Term:
     """x^exponents * e^basis_exponents inside some symmetric power of F."""
 
-    exponents: tuple[int, ...]
-    basis_exponents: tuple[int, ...]
+    __slots__ = ("exponents", "basis_exponents")
+
+    def __init__(self, exponents: tuple[int, ...], basis_exponents: tuple[int, ...]) -> None:
+        self.exponents = exponents
+        self.basis_exponents = basis_exponents
+
+    def __eq__(self, other):
+        if type(other) is not Term:
+            return NotImplemented
+        return (self.exponents, self.basis_exponents) == (
+            other.exponents,
+            other.basis_exponents,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.exponents, self.basis_exponents))
+
+    def __repr__(self) -> str:
+        return f"Term({self.exponents!r}, {self.basis_exponents!r})"
 
     @property
     def level(self) -> int:
@@ -107,34 +142,34 @@ class Term:
 Component = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-@dataclass(frozen=True)
 class TermModule:
     """Term-generated submodule of Sym^level(F), stored componentwise.
 
     ``components`` pairs each occurring basis exponent with the minimal
     monomial generators of its coefficient ideal.  Construction canonicalizes:
     generators are minimalized per component, empty components are dropped,
-    and components are sorted, so equal submodules compare equal.
+    and components are sorted, so equal submodules compare equal.  Equality
+    and hash go by (ambient, level, components).
     """
 
-    ambient: GradedFreeModule
-    level: int
-    components: tuple[Component, ...]
-
-    def __post_init__(self) -> None:
-        d = self.ambient.ring.dim
-        e = self.ambient.rank
-        if self.level < 0:
+    def __init__(
+        self, ambient: GradedFreeModule, level: int, components: tuple[Component, ...]
+    ) -> None:
+        self.ambient = ambient
+        self.level = level
+        d = ambient.ring.dim
+        e = ambient.rank
+        if level < 0:
             raise InputError("level must be nonnegative")
         canon: list[Component] = []
         seen: dict[tuple[int, ...], set] = {}
-        for basis, gens in self.components:
+        for basis, gens in components:
             basis = tuple(int(a) for a in basis)
             if len(basis) != e or any(a < 0 for a in basis):
                 raise InputError(f"bad basis exponent {basis!r}")
-            if sum(basis) != self.level:
+            if sum(basis) != level:
                 raise InputError(
-                    f"basis exponent {basis!r} has level {sum(basis)}, expected {self.level}"
+                    f"basis exponent {basis!r} has level {sum(basis)}, expected {level}"
                 )
             bucket = seen.setdefault(basis, set())
             for g in gens:
@@ -146,7 +181,22 @@ class TermModule:
             gens = minimalize_exponents(seen[basis])
             if gens:
                 canon.append((basis, tuple(gens)))
-        object.__setattr__(self, "components", tuple(canon))
+        self.components = tuple(canon)
+
+    def __eq__(self, other):
+        if type(other) is not TermModule:
+            return NotImplemented
+        return (self.ambient, self.level, self.components) == (
+            other.ambient,
+            other.level,
+            other.components,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.level, self.components))
+
+    def __repr__(self) -> str:
+        return f"TermModule({self.ambient!r}, {self.level!r}, {self.components!r})"
 
     @classmethod
     def _from_canonical(
@@ -159,9 +209,9 @@ class TermModule:
         sorted by basis exponent at the right level.
         """
         mod = object.__new__(cls)
-        object.__setattr__(mod, "ambient", ambient)
-        object.__setattr__(mod, "level", level)
-        object.__setattr__(mod, "components", components)
+        mod.ambient = ambient
+        mod.level = level
+        mod.components = components
         return mod
 
     # -- basic structure -------------------------------------------------

@@ -2,9 +2,11 @@
 
 Every count comes from one recursion, ``k_polynomial``: the numerator N_I(t)
 of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal,
-computed by Bigatti's pivot recursion, whose leaves are ideals in at most
-two variables (a staircase, closed form) or with pairwise disjoint
-supports.  One numerator per component ideal yields every degree at once,
+computed by Bigatti's pivot recursion.  Its leaves (``_leaf``) are ideals
+in at most two variables (a staircase, closed form), ideals in three
+variables (one staircase per level of the third) and ideals with pairwise
+disjoint supports, so only ideals in four or more variables are split.  One
+numerator per component ideal yields every degree at once,
 by running prefix sums (``_LengthRow``): the ideal has
 HS(I) = (1 - N_I(t)) / (1-t)^d, and one more division by (1-t) sums over
 degrees, so (1 - N_I) / (1-t)^(d+1) is the row of cumulative lengths, and a
@@ -30,7 +32,7 @@ from bisect import insort
 from pathlib import Path
 from typing import Optional
 
-from .backend import degree_lex, minimalize_exponents
+from .backend import degree_lex, minimal_staircase, minimalize_exponents
 from .core import (
     InputError,
     InternalInvariantError,
@@ -118,16 +120,21 @@ def length_component(m: TermModule, degree: int) -> int:
 def _leaf(key: tuple) -> Optional[list]:
     """N for a node the recursion need not split, else None.
 
-    One scan finds the variables the generators use.  When there are at most
-    two, say x and y, the minimal generators x^a_i y^b_i sorted so that
-    a_1 < ... < a_m (hence b_1 > ... > b_m) form a staircase, whose inner
-    corners are the lcms of neighbours, and
-    N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i); the variables no
-    generator uses leave N unchanged.  Generators with pairwise disjoint
-    supports give N = prod(1 - t^(deg g)).
+    One scan finds the variables the generators use; the variables no
+    generator uses leave N unchanged.  Three kinds of node are leaves:
+
+    - A ring in two variables x and y: the minimal generators x^a_i y^b_i
+      sorted so that a_1 < ... < a_m (hence b_1 > ... > b_m) form a
+      staircase, whose inner corners are the lcms of neighbours, and
+      N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i).
+    - Generators that use at most three variables: one staircase per level
+      of the third (``_slice_numerator``).
+    - Pairwise disjoint supports: N = prod(1 - t^(deg g)).
     """
     if len(key[0]) == 2:
         return _staircase_numerator(sorted(key))
+    if len(key[0]) == 3:
+        return _slice_numerator(key)
     used: list[int] = []
     disjoint = True
     for g in key:
@@ -137,15 +144,39 @@ def _leaf(key: tuple) -> Optional[list]:
                     disjoint = False
                 else:
                     used.append(s)
-        if len(used) > 2 and not disjoint:
+        if len(used) > 3 and not disjoint:
             return None
-    if len(used) == 2:
-        x, y = used
-        return _staircase_numerator(sorted((g[x], g[y]) for g in key))
-    # fewer variables leave a single generator, which the product covers
+    if len(used) <= 3:
+        pad = (0,) * (3 - len(used))
+        return _slice_numerator([tuple(g[s] for s in used) + pad for g in key])
     poly = [1]
     for g in key:
         poly = _poly_add_shifted(poly, [-c for c in poly], sum(g))
+    return poly
+
+
+def _slice_numerator(points) -> list:
+    """N of a three-variable ideal I, from its generators' (a, b, c) exponents.
+
+    x^a y^b z^c lies in I iff x^a y^b lies in I_c, the two-variable ideal of
+    the generators with c_g <= c, so A/I is the sum over c of z^c k[x,y]/I_c
+    and N_I = (1-t) sum_c t^c N(I_c).  I_c only changes at the distinct
+    levels c_0 < ... < c_k of the generators and is 0 below c_0, which gives
+    N_I = 1 + sum_j t^(c_j) (N(I_(c_j)) - N(I_(c_(j-1)))) with N(I_(c_(-1)))
+    = 1.  Each N(I_c) is the staircase closed form; one sweep per level
+    merges the level's points into the staircase of the levels below.
+    """
+    levels: dict[int, list] = {}
+    for a, b, c in points:
+        levels.setdefault(c, []).append((a, b))
+    poly, prev, stair = [1], [1], []
+    for c in sorted(levels):
+        stair = minimal_staircase(stair + levels[c])
+        cur = _staircase_numerator(stair)
+        poly = _poly_add_shifted(_poly_add_shifted(poly, cur, c), [-v for v in prev], c)
+        prev = cur
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
     return poly
 
 
@@ -189,10 +220,11 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
 
     Bigatti's pivot recursion N(I) = N(I + (p)) + t^{deg p} N(I : p) on a
     pure-power pivot p, down to leaves (``_leaf``): generators that use at
-    most two variables, whose staircase gives N in closed form, or that have
-    pairwise disjoint supports, where N = prod(1 - t^{deg g}).  So an ideal
-    in two variables is a leaf at once.  Both branches are strictly larger
-    ideals generated by divisors of lcm(I), so the recursion terminates.
+    most three variables, whose staircases give N in closed form, or that
+    have pairwise disjoint supports, where N = prod(1 - t^{deg g}).  So an
+    ideal in at most three variables is a leaf at once.  Both branches are
+    strictly larger ideals generated by divisors of lcm(I), so the recursion
+    terminates.
     The list has no trailing zeros, except that the unit ideal gives [0].
     ``memo`` maps canonical generator tuples to finished numerators and may
     be shared across calls.

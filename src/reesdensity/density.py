@@ -20,7 +20,6 @@ cache through ``LengthLadder(m, dir)``; a ladder of another module raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional
@@ -88,19 +87,30 @@ def default_grid(m: TermModule) -> tuple[Fraction, ...]:
     )
 
 
-@dataclass
 class DensityGrid:
     """Exact density samples on an x grid over an n ladder."""
 
-    kind: str
-    module: TermModule
-    xs: tuple[Fraction, ...]
-    ladder: tuple[int, ...]
-    samples: dict[int, tuple[Fraction, ...]]
-    extrapolated: tuple[Fraction, ...]
-    diagnostics: tuple[Optional[Fraction], ...]
-    support: tuple[Optional[Fraction], Optional[Fraction]]
-    meta: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        kind: str,
+        module: TermModule,
+        xs: tuple[Fraction, ...],
+        ladder: tuple[int, ...],
+        samples: dict[int, tuple[Fraction, ...]],
+        extrapolated: tuple[Fraction, ...],
+        diagnostics: tuple[Optional[Fraction], ...],
+        support: tuple[Optional[Fraction], Optional[Fraction]],
+        meta: Optional[dict] = None,
+    ) -> None:
+        self.kind = kind
+        self.module = module
+        self.xs = xs
+        self.ladder = ladder
+        self.samples = samples
+        self.extrapolated = extrapolated
+        self.diagnostics = diagnostics
+        self.support = support
+        self.meta = {} if meta is None else meta
 
 
 def _reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
@@ -240,14 +250,22 @@ def sample_epsilon(
 # -- chambers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Chamber:
     """Interval between consecutive breakpoints; None bound means unbounded."""
 
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
-    lower_closed: bool
-    upper_closed: bool
+    __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
+
+    def __init__(
+        self,
+        lower: Optional[Fraction],
+        upper: Optional[Fraction],
+        lower_closed: bool,
+        upper_closed: bool,
+    ) -> None:
+        self.lower = lower
+        self.upper = upper
+        self.lower_closed = lower_closed
+        self.upper_closed = upper_closed
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
@@ -265,17 +283,26 @@ class Chamber:
         return f"{'[' if self.lower_closed else '('}{lo}, {hi}{']' if self.upper_closed else ')'}"
 
 
-@dataclass
 class ChamberDecomposition:
     """Breakpoints, chamber intervals, and (after fitting) exact polynomials."""
 
-    breakpoints: tuple[int, ...]
-    chambers: tuple[Chamber, ...]
-    polynomials: Optional[tuple[Poly, ...]] = None
-    continuity: Optional[tuple[bool, ...]] = None
-    top_degree: Optional[int] = None
-    residual_max: Optional[Fraction] = None
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        breakpoints: tuple[int, ...],
+        chambers: tuple[Chamber, ...],
+        polynomials: Optional[tuple[Poly, ...]] = None,
+        continuity: Optional[tuple[bool, ...]] = None,
+        top_degree: Optional[int] = None,
+        residual_max: Optional[Fraction] = None,
+        diagnostics: Optional[dict] = None,
+    ) -> None:
+        self.breakpoints = breakpoints
+        self.chambers = chambers
+        self.polynomials = polynomials
+        self.continuity = continuity
+        self.top_degree = top_degree
+        self.residual_max = residual_max
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def evaluate(self, x: Fraction) -> Fraction:
         if self.polynomials is None:

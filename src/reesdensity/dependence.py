@@ -23,7 +23,6 @@ the criteria use, so both share one set of powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -48,26 +47,59 @@ from .multiplicity import (
 DEFAULT_CHECK_LADDER: tuple[int, ...] = tuple(range(1, 17))
 
 
-@dataclass
 class CriterionEvidence:
-    name: str
-    label: str
-    left: object          # invariant of the submodule N
-    right: object         # invariant of M
-    usable: bool
-    match: Optional[bool]
-    stand_in: bool = False
-    detail: dict = field(default_factory=dict)
+    """One criterion's invariants of N (``left``) and of M (``right``)."""
+
+    def __init__(
+        self,
+        name: str,
+        label: str,
+        left: object,
+        right: object,
+        usable: bool,
+        match: Optional[bool],
+        stand_in: bool = False,
+        detail: Optional[dict] = None,
+    ) -> None:
+        self.name = name
+        self.label = label
+        self.left = left
+        self.right = right
+        self.usable = usable
+        self.match = match
+        self.stand_in = stand_in
+        self.detail = {} if detail is None else detail
+
+    def __eq__(self, other):
+        if type(other) is not CriterionEvidence:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass
 class DependenceVerdict:
-    verdict: str                      # reduction | not-reduction | undetermined
-    certificate: Optional[int]       # n0 with M^{n0+1} = N * M^{n0}
-    c: int
-    n_max: int
-    criteria: tuple[CriterionEvidence, ...]
-    diagnostics: dict = field(default_factory=dict)
+    """``verdict`` is reduction, not-reduction or undetermined; a
+    ``certificate`` n0 has M^(n0+1) = N * M^n0."""
+
+    def __init__(
+        self,
+        verdict: str,
+        certificate: Optional[int],
+        c: int,
+        n_max: int,
+        criteria: tuple[CriterionEvidence, ...],
+        diagnostics: Optional[dict] = None,
+    ) -> None:
+        self.verdict = verdict
+        self.certificate = certificate
+        self.c = c
+        self.n_max = n_max
+        self.criteria = criteria
+        self.diagnostics = {} if diagnostics is None else diagnostics
+
+    def __eq__(self, other):
+        if type(other) is not DependenceVerdict:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def validate_pair(sub: TermModule, sup: TermModule) -> int:

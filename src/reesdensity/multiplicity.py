@@ -15,7 +15,6 @@ guessed.  Lengths come from a ``LengthLadder`` of the module, passed in as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -49,13 +48,23 @@ FIT_MARGIN_CAP = 64
 FIT_H_MAX = 4
 
 
-@dataclass
 class MultiplicityReport:
-    kind: str                       # epsilon | diagonal | mixed
-    status: str                     # ok | estimate-only | undetermined | suspect
-    values: dict
-    ladder: tuple[int, ...]
-    diagnostics: dict = field(default_factory=dict)
+    """``kind`` is epsilon, diagonal or mixed; ``status`` is ok,
+    estimate-only, undetermined or suspect."""
+
+    def __init__(
+        self,
+        kind: str,
+        status: str,
+        values: dict,
+        ladder: tuple[int, ...],
+        diagnostics: Optional[dict] = None,
+    ) -> None:
+        self.kind = kind
+        self.status = status
+        self.values = values
+        self.ladder = ladder
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def _arithmetic_tail(ladder: tuple[int, ...]) -> tuple[list[int], int]:
@@ -294,17 +303,26 @@ def diagonal_multiplicity(
 # -- bigraded fits -------------------------------------------------------------
 
 
-@dataclass
 class BigradedFit:
     """Validated bivariate Hilbert polynomial P(X, Y) with fit metadata."""
 
-    poly: Poly2
-    c: int
-    margin: int
-    h: int
-    n_base: int
-    total_degree_bound: int
-    cumulative: bool
+    def __init__(
+        self,
+        poly: Poly2,
+        c: int,
+        margin: int,
+        h: int,
+        n_base: int,
+        total_degree_bound: int,
+        cumulative: bool,
+    ) -> None:
+        self.poly = poly
+        self.c = c
+        self.margin = margin
+        self.h = h
+        self.n_base = n_base
+        self.total_degree_bound = total_degree_bound
+        self.cumulative = cumulative
 
     def evaluate(self, m_deg: int, n: int) -> Fraction:
         return poly2_eval(self.poly, m_deg, n)

@@ -231,11 +231,13 @@ def test_k_polynomial_matches_taylor_numerator():
         # one convention: no trailing zeros, and the unit ideal gives [0]
         assert got[-1] != 0 or got == [0]
     assert k_polynomial([(0, 0)]) == k_polynomial([(0, 0, 0)]) == [0]
-    # mixed supports in d = 3: every node of the recursion, the two-variable
-    # leaves among them, matches the oracle
+    # mixed supports in d = 4, where a node in three variables is a leaf and
+    # one in four is split: every node of the recursion, the two-variable leaves
+    # among them, matches the oracle; a node in exactly two variables is
+    # rarer here than in d = 3, hence 200 ideals
     reaching = 0
-    for _ in range(60):
-        gens = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(3, 8))]
+    for _ in range(200):
+        gens = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(3, 8))]
         memo = {}
         k_polynomial(gens, memo)
         for key, poly in memo.items():
@@ -243,6 +245,48 @@ def test_k_polynomial_matches_taylor_numerator():
             assert poly[-1] != 0 or poly == [0]
         reaching += any(map(_staircase_leaf, memo))
     assert reaching >= 10
+
+
+def _three_of_d_variables(rng, d):
+    """Random generators in d variables that use exactly three of them."""
+    cols = rng.sample(range(d), 3)
+    while True:
+        gens = []
+        for _ in range(rng.randint(1, 8)):
+            g = [0] * d
+            for s in cols:
+                g[s] = rng.randint(0, 4)
+            gens.append(tuple(g))
+        if all(any(g[s] for g in gens) for s in cols):
+            return gens
+
+
+def test_three_variable_leaf_matches_taylor_numerator():
+    rng = random.Random(43)
+    ideals = [
+        [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(1, 9))]
+        for _ in range(150)
+    ]
+    ideals += [_three_of_d_variables(rng, d) for d in (4, 5) for _ in range(40)]
+    ideals += [
+        # gaps between the levels of the sliced variable
+        [(3, 0, 0), (0, 3, 0), (1, 1, 3), (0, 1, 6), (2, 0, 9)],
+        # a pure power of it, alone on its level or beside other generators
+        [(2, 1, 0), (0, 3, 1), (0, 0, 3)],
+        [(2, 1, 0), (0, 4, 1), (1, 0, 2), (0, 0, 2)],
+        [(0, 2, 0, 0, 1), (3, 0, 0, 0, 0), (0, 0, 0, 0, 4)],
+        # the unit ideal and single generators
+        [(0, 0, 0)],
+        [(2, 3, 1)],
+        [(0, 2, 0, 1, 3)],
+        # four variables with disjoint supports, the product leaf
+        [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)],
+    ]
+    for gens in ideals:
+        memo = {}
+        assert k_polynomial(gens, memo) == oracles.taylor_numerator(gens), gens
+        # the root is a leaf: the recursion never splits it
+        assert len(memo) == 1, gens
 
 
 def test_census_of_infinite_quotient_is_internal_error(monkeypatch):

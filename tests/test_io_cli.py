@@ -17,7 +17,7 @@ from reesdensity import (
     parse_module,
     serialize_module,
 )
-from reesdensity.cli import main
+from reesdensity.cli import MAX_GRID_POINTS, _parse_grid, main
 from reesdensity.io import (
     corpus_names,
     dump_json,
@@ -363,6 +363,22 @@ def test_cli_bad_output_directory_fails_before_computing(argv, tmp_path, monkeyp
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["0:1e9:1", "0:1:1/100000", "-1/2:100000:1"])
+def test_cli_oversized_grid_fails_before_computing(grid, tmp_path, monkeypatch, capsys):
+    # the points are counted, never built: 10^9 Fractions would hang the job
+    monkeypatch.chdir(tmp_path)
+    argv = ["density", "--module", "corpus:maximal_ideal", f"--grid={grid}", "--csv-out", "x.csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid" in captured.err and str(MAX_GRID_POINTS) in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_grid_at_the_point_limit_is_accepted():
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
 @pytest.mark.parametrize("kinds", ["saturated", "saturated,epsilon"])
 def test_cli_fit_without_adic_fails_before_computing(kinds, tmp_path, monkeypatch, capsys):
     # only the adic density is fitted, so --fit without it would fit nothing
@@ -390,20 +406,35 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
 
 
 def test_cli_start_up_loads_only_what_the_job_runs(tmp_path):
-    # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, and
-    # a density job loads neither the check nor the multiplicity engine
+    # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, a
+    # density job loads neither the check nor the multiplicity engine, and no
+    # job loads dataclasses or the inspect module it would pull in; the jobs
+    # run one after another in one process, so each list includes the last
     csv_path = str(tmp_path / "out.csv")
     loaded = fresh_python(f"""
 import json, sys
-watched = ("hashlib", "csv", "reesdensity.dependence", "reesdensity.multiplicity")
+watched = ("hashlib", "csv", "dataclasses", "inspect",
+           "reesdensity.dependence", "reesdensity.multiplicity")
 import reesdensity.cli
-after_import = [name for name in watched if name in sys.modules]
-code = reesdensity.cli.main(["density", "--module", "corpus:ideal_x2_xy", "--ladder=1,2,3",
-                             "--csv-out", {csv_path!r}])
-print(json.dumps({{"code": code, "import": after_import,
-                  "density": [name for name in watched if name in sys.modules]}}))
+jobs = {{"import": [None, [name for name in watched if name in sys.modules]]}}
+for job, argv in [
+    ("density", ["density", "--module", "corpus:ideal_x2_xy", "--ladder=1,2,3",
+                 "--csv-out", {csv_path!r}]),
+    ("check", ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+               "--ladder=1,2,3"]),
+    ("multiplicity", ["multiplicity", "--module", "corpus:maximal_ideal", "--epsilon"]),
+]:
+    code = reesdensity.cli.main(argv)
+    jobs[job] = [code, [name for name in watched if name in sys.modules]]
+print(json.dumps(jobs))
 """)
-    assert loaded == {"code": 0, "import": [], "density": ["csv"]}
+    engines = ["csv", "reesdensity.dependence", "reesdensity.multiplicity"]
+    assert loaded == {
+        "import": [None, []],
+        "density": [0, ["csv"]],
+        "check": [0, engines],
+        "multiplicity": [0, engines],
+    }
 
 
 def _readme_commands() -> list[list[str]]:
