@@ -45,6 +45,8 @@ EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
 # a --grid with more points is refused before any is built
 MAX_GRID_POINTS = 10**5
+# a --nmax or --ladder entry above this is refused before any power is built
+MAX_LADDER_N = 1000
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
@@ -54,11 +56,13 @@ def _parse_ladder_options(args, nmax_ladder=None):
     engine default).  ``nmax_ladder`` builds the ladder from ``--nmax`` for
     subcommands whose ``--nmax`` tops the ladder; ``--ladder`` wins over it.
     Without it (``check``), ``--nmax`` bounds the certificate search and may
-    be 0.
+    be 0.  No entry may pass ``MAX_LADDER_N``: memory grows with the power.
     """
     least = 0 if nmax_ladder is None else 1
     if args.nmax is not None and args.nmax < least:
         raise InputError(f"--nmax must be at least {least}, got {args.nmax}")
+    if args.nmax is not None and args.nmax > MAX_LADDER_N:
+        raise InputError(f"--nmax must be at most {MAX_LADDER_N}, got {args.nmax}")
     ladder = None
     if args.ladder:
         try:
@@ -71,6 +75,8 @@ def _parse_ladder_options(args, nmax_ladder=None):
             raise InputError("--ladder must be strictly increasing")
         if ladder[0] < 1:
             raise InputError("--ladder entries must be positive")
+        if ladder[-1] > MAX_LADDER_N:
+            raise InputError(f"--ladder entries must be at most {MAX_LADDER_N}, got {ladder[-1]}")
     elif args.nmax is not None and nmax_ladder is not None:
         ladder = nmax_ladder(args.nmax)
     tol = getattr(args, "tol", None)

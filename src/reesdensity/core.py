@@ -15,6 +15,7 @@ into e parts.
 from __future__ import annotations
 
 import json
+import zlib
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
@@ -266,12 +267,14 @@ class TermModule:
 
     @cached_property
     def content_key(self) -> str:
-        """Content hash identifying the module up to equality."""
-        import hashlib  # loads OpenSSL; only disk-cached ladders name files by it
+        """Eight hex digits that name the module's disk-cache files.
 
-        payload = module_to_payload(self)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        The CRC-32 of the canonical payload: equal modules get equal keys, but
+        different modules may collide, so a key only names files; a cached
+        file stores its module's payload, and a load compares it.
+        """
+        blob = json.dumps(module_to_payload(self), sort_keys=True, separators=(",", ":"))
+        return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
 
 # -- construction helpers ------------------------------------------------
@@ -348,8 +351,31 @@ def power(m: TermModule, n: int) -> TermModule:
         return unit_module(m.ambient)
     cur = m
     for _ in range(n - 1):
-        cur = product(cur, m)
+        cur = next_power(cur, m)
     return cur
+
+
+def next_power(cur: TermModule, m: TermModule) -> TermModule:
+    """M^(k+1) from cur = M^k.
+
+    For M of level 1 with component ideals I_i, the component beta of
+    M^(k+1) is prod_j I_j^(beta_j), which equals M^k_(beta-e_i) * I_i for
+    every i with beta_i > 0; so one product per component gives it, already
+    minimal, where ``product`` would form and merge all of them.  Other
+    levels take ``product``.
+    """
+    if m.level != 1:
+        return product(cur, m)
+    pairs: dict[tuple[int, ...], tuple] = {}
+    for basis, gens in m.components:
+        i = basis.index(1)
+        for cbasis, cgens in cur.components:
+            pairs.setdefault(cbasis[:i] + (cbasis[i] + 1,) + cbasis[i + 1 :], (cgens, gens))
+    comps = tuple(
+        (basis, tuple(product_exponents(cgens, gens)))
+        for basis, (cgens, gens) in sorted(pairs.items())
+    )
+    return TermModule._from_canonical(cur.ambient, cur.level + 1, comps)
 
 
 def membership(term: Term, m: TermModule) -> bool:
@@ -372,16 +398,18 @@ def is_submodule(a: TermModule, b: TermModule) -> bool:
     return all(membership(t, b) for t in a.generators())
 
 
+def _colon_gens(gens: tuple, i: int) -> tuple:
+    """Minimal generators of (I : x_i^inf): the i-th exponents zeroed."""
+    return tuple(minimalize_exponents({g[:i] + (0,) + g[i + 1 :] for g in gens}))
+
+
 def colon_variable_saturation(m: TermModule, i: int) -> TermModule:
     """(M :_F x_i^inf): zero out the i-th exponent of every generator."""
     d = m.ambient.ring.dim
     if not 0 <= i < d:
         raise InputError(f"variable index {i} out of range")
-    comps = []
-    for basis, gens in m.components:
-        zeroed = {g[:i] + (0,) + g[i + 1 :] for g in gens}
-        comps.append((basis, tuple(zeroed)))
-    return TermModule(m.ambient, m.level, tuple(comps))
+    comps = tuple((basis, _colon_gens(gens, i)) for basis, gens in m.components)
+    return TermModule._from_canonical(m.ambient, m.level, comps)
 
 
 def intersect(a: TermModule, b: TermModule) -> TermModule:
@@ -399,14 +427,23 @@ def intersect(a: TermModule, b: TermModule) -> TermModule:
 
 
 def saturate(m: TermModule) -> TermModule:
-    """Saturation (M :_F m^inf) = intersection of the per-variable saturations."""
+    """Saturation (M :_F m^inf) = intersection of the per-variable saturations.
+
+    Componentwise.  A pure power of x_i among a component's generators makes
+    its colon by x_i^inf the unit ideal, which leaves the intersection as it
+    is, so that variable is skipped; with none left the component is A.
+    """
     d = m.ambient.ring.dim
-    if m.is_zero:
-        return m
-    out = colon_variable_saturation(m, 0)
-    for i in range(1, d):
-        out = intersect(out, colon_variable_saturation(m, i))
-    return out
+    comps = []
+    for basis, gens in m.components:
+        sat = None
+        for i in range(d):
+            if any(g[i] == sum(g) for g in gens):
+                continue
+            colon = _colon_gens(gens, i)
+            sat = colon if sat is None else tuple(intersect_exponents(sat, colon))
+        comps.append((basis, sat or ((0,) * d,)))
+    return TermModule._from_canonical(m.ambient, m.level, tuple(comps))
 
 
 # -- serialization (internal payload, any level) --------------------------

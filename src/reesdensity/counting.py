@@ -39,7 +39,7 @@ from .core import (
     TermModule,
     module_from_payload,
     module_to_payload,
-    product,
+    next_power,
     saturate,
     unit_module,
 )
@@ -282,11 +282,12 @@ class LengthLadder:
     sat(M^n)/M^n, come from one numerator per ideal, read from its rows.
 
     Given a ``directory`` (an empty path means none), each requested power
-    is also stored there as ``{content_key}.{n}.json``, so warm runs skip
-    the multiplications.  A file that does not parse, or holds a module
-    that cannot be M^n (wrong level or ambient, zero for a nonzero M, a
-    generator degree outside [n*d_min, n*d_max], or none at n*d_min), is a
-    miss and is rewritten.  Insertions are idempotent and take one lock.
+    is also stored there as ``{content_key}.{n}.json``, beside M's own
+    payload, so warm runs skip the multiplications.  A file that does not
+    parse, stores another module than M (the key may collide), or holds a
+    power that cannot be M^n (wrong level or ambient, zero for a nonzero M,
+    a generator degree outside [n*d_min, n*d_max], or none at n*d_min), is
+    a miss and is rewritten.  Insertions are idempotent and take one lock.
     """
 
     def __init__(self, module: TermModule, directory: "str | Path | None" = None):
@@ -299,6 +300,7 @@ class LengthLadder:
                 raise InputError(
                     f"cannot use cache directory {self.directory}: {exc}"
                 ) from exc
+            self._payload = module_to_payload(module)
         self._powers: dict[int, TermModule] = {0: unit_module(module.ambient), 1: module}
         self._sat: dict[int, TermModule] = {}
         self._kpoly: dict = {}
@@ -314,15 +316,17 @@ class LengthLadder:
             return None
         # a missing file raises FileNotFoundError, an OSError
         try:
-            text = self._path(n).read_text(encoding="utf-8")
-            mod = module_from_payload(json.loads(text))
+            data = json.loads(self._path(n).read_text(encoding="utf-8"))
+            if data["module"] != self._payload:
+                return None
+            mod = module_from_payload(data["power"])
         except (ValueError, KeyError, TypeError, OSError):
             return None
         m = self.module
-        # the file name carries the key, so a module of another level or
-        # ambient, or a zero module for a nonzero M, is a damaged file, never
-        # M^n; so is one whose generator degrees leave [n*d_min, n*d_max] or
-        # miss n*d_min, the degree of g^n for a generator g of least degree
+        # the file stores M, so a power of another level or ambient, or a
+        # zero power of a nonzero M, is a damaged file, never M^n; so is one
+        # whose generator degrees leave [n*d_min, n*d_max] or miss n*d_min,
+        # the degree of g^n for a generator g of least degree
         if (
             mod.level != n * m.level
             or mod.ambient != m.ambient
@@ -345,7 +349,9 @@ class LengthLadder:
             return
         path = self._path(n)
         blob = json.dumps(
-            module_to_payload(mod), sort_keys=True, separators=(",", ":")
+            {"module": self._payload, "power": module_to_payload(mod)},
+            sort_keys=True,
+            separators=(",", ":"),
         )
         # one temp name per process and thread, so concurrent writers never
         # share one; os.replace publishes the finished file atomically
@@ -380,7 +386,7 @@ class LengthLadder:
             base = max(k for k in self._powers if k < n)
         cur = self._powers[base]
         for k in range(base + 1, n + 1):
-            cur = product(cur, self.module)
+            cur = next_power(cur, self.module)
             with self._lock:
                 cur = self._powers.setdefault(k, cur)
         self._store(n, cur)

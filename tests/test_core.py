@@ -4,12 +4,13 @@ import json
 import random
 import sys
 import threading
+from itertools import product as iter_product
 
 import pytest
 
 import oracles
 import reesdensity
-from util import RING_XY, components_of, fresh_python, ideal, module, random_module
+from util import RING_XY, RING_XYZ, components_of, fresh_python, ideal, module, random_module
 
 from reesdensity import (
     GradedFreeModule,
@@ -18,6 +19,7 @@ from reesdensity import (
     LengthLadder,
     RingSpec,
     Term,
+    TermModule,
     colon_variable_saturation,
     intersect,
     is_submodule,
@@ -213,6 +215,66 @@ def test_power_additivity_small_random():
                 assert product(power(m, a), power(m, b)) == power(m, a + b)
 
 
+def _component_ideals(m):
+    """{basis index: generators} of a level-1 module."""
+    return {basis.index(1): gens for basis, gens in m.components}
+
+
+def _power_by_oracle(ideals: dict, e: int, n: int) -> dict:
+    """{beta: generators} of M^n, each component prod_i I_i^(beta_i) by oracles."""
+    want = {}
+    for beta in iter_product(range(n + 1), repeat=e):
+        if sum(beta) != n or any(b and i not in ideals for i, b in enumerate(beta)):
+            continue
+        gens = [tuple(0 for _ in next(iter(ideals.values()))[0])]
+        for i, b in enumerate(beta):
+            if b:
+                gens = oracles.product_oracle(gens, oracles.power_oracle(ideals[i], b))
+        want[beta] = gens
+    return want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_powers_match_oracle_componentwise(d, e):
+    rng = random.Random(1000 + 10 * d + e)
+    for _ in range(4):
+        m = random_module(rng, d, e, max_degree=3)
+        ideals = _component_ideals(m)
+        ladder = LengthLadder(m)
+        for n in range(1, 5):
+            want = _power_by_oracle(ideals, e, n)
+            for got in (ladder.power(n), power(m, n)):
+                assert {b: list(g) for b, g in got.components} == want
+                assert got == TermModule(got.ambient, got.level, got.components)
+
+
+def test_power_of_a_component_subset_matches_oracle():
+    # a level-1 module missing a basis component: M^n never reaches it
+    m = module({0: [(2, 0, 1), (0, 1, 1)], 2: [(1, 1, 0), (0, 0, 2)]}, (1, 0, -1), RING_XYZ)
+    ladder = LengthLadder(m)
+    for n in range(1, 5):
+        want = _power_by_oracle(_component_ideals(m), 3, n)
+        assert {b: list(g) for b, g in ladder.power(n).components} == want
+        assert {b: list(g) for b, g in power(m, n).components} == want
+
+
+def test_power_of_level_two_module_is_the_product_chain(tmp_path):
+    # e1*e1 * e2*e2 and (e1*e2)^2 both land on e1^2 e2^2 with other ideals,
+    # so a level-2 power needs the full product
+    ambient = GradedFreeModule(RING_XY, (0, 1))
+    m2 = TermModule(
+        ambient, 2, (((2, 0), ((1, 0),)), ((1, 1), ((0, 1),)), ((0, 2), ((1, 0),)))
+    )
+    chain = m2
+    for n in range(2, 5):
+        chain = product(chain, m2)
+        assert power(m2, n) == chain
+        assert LengthLadder(m2).power(n) == chain
+        assert LengthLadder(m2, tmp_path).power(n) == chain
+    assert dict(power(m2, 2).components)[(2, 2)] == ((0, 2), (2, 0))
+
+
 def test_power_zero_is_unit():
     m = ideal([(2, 0)])
     assert power(m, 0) == unit_module(m.ambient)
@@ -301,6 +363,46 @@ def test_saturate_matches_oracle_components():
         assert {b: sorted(g) for b, g in got.items()} == {
             b: sorted(g) for b, g in want.items()
         }
+
+
+def _random_saturation_module(rng, d, pure):
+    """Random level-1 module of rank 1-3 with shifts; with ``pure``, each
+    component gets pure powers of a random nonempty set of variables (all of
+    them now and then), else no generator is a pure power."""
+    e = rng.randint(1, 3)
+    comps = {}
+    for i in range(e):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(0, 3) for _ in range(d)]
+            for s in rng.sample(range(d), 2):  # at least two variables
+                g[s] = max(g[s], 1)
+            gens.append(tuple(g))
+        if pure:
+            for s in rng.sample(range(d), rng.randint(1, d)):
+                gens.append(tuple(rng.randint(1, 5) if k == s else 0 for k in range(d)))
+        comps[i] = gens
+    shifts = tuple(rng.randint(-1, 1) for _ in range(e))
+    return module(comps, shifts, RING_XY if d == 2 else RING_XYZ)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("pure", [False, True], ids=["no-pure-powers", "pure-powers"])
+def test_saturate_matches_oracle_with_and_without_pure_powers(d, pure):
+    rng = random.Random(2000 + 10 * d + pure)
+    for _ in range(15):
+        m = _random_saturation_module(rng, d, pure)
+        for mod in (m, power(m, 2)):
+            got = saturate(mod)
+            assert components_of(got) == oracles.saturation_oracle_components(
+                components_of(mod)
+            )
+            assert got == TermModule(got.ambient, got.level, got.components)
+            for i in range(d):
+                colon = colon_variable_saturation(mod, i)
+                assert components_of(colon) == {
+                    b: oracles.colon_saturation_oracle(g, i) for b, g in mod.components
+                }
 
 
 # -- quotient enumeration -----------------------------------------------------------
@@ -397,27 +499,49 @@ def test_power_cache_writes_only_the_requested_power(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == [f"{m.content_key}.5.json"]
 
 
-# M^3 of m = (x^2, xy) damaged on disk: each maps (m, the good file) to a bad one
+def _cache_file(stored, power_module) -> str:
+    """The text of a cache file: the stored module's payload beside a power."""
+    return json.dumps(
+        {"module": module_to_payload(stored), "power": module_to_payload(power_module)}
+    )
+
+
+# M^3 of m = (x^2, xy) damaged on disk: each maps (m, the good file) to a bad
+# one.  The cases named for a check on the power store M's own payload, so
+# that check is what rejects them, not the stored-module comparison.
 DAMAGED_POWER_FILES = {
-    "wrong level": lambda m, good: json.dumps(module_to_payload(power(m, 2))),
-    "wrong ambient": lambda m, good: json.dumps(
-        module_to_payload(power(ideal([(2, 0), (1, 1)], shift=1), 3))
+    "wrong level": lambda m, good: _cache_file(m, power(m, 2)),
+    "wrong ambient": lambda m, good: _cache_file(
+        m, power(ideal([(2, 0), (1, 1)], shift=1), 3)
     ),
-    "zero module": lambda m, good: json.dumps(
-        module_to_payload(zero_module(m.ambient, 3))
+    "zero module": lambda m, good: _cache_file(m, zero_module(m.ambient, 3)),
+    "other generators": lambda m, good: _cache_file(m, power(ideal([(3, 0), (0, 3)]), 3)),
+    "degree above n*d_max": lambda m, good: _cache_file(
+        m, power(ideal([(2, 0), (0, 3)]), 3)
     ),
-    "other generators": lambda m, good: json.dumps(
-        module_to_payload(power(ideal([(3, 0), (0, 3)]), 3))
-    ),
-    "degree above n*d_max": lambda m, good: json.dumps(
-        module_to_payload(power(ideal([(2, 0), (0, 3)]), 3))
-    ),
-    "degree below n*d_min": lambda m, good: json.dumps(
-        module_to_payload(power(ideal([(1, 0), (0, 1)]), 3))
+    "degree below n*d_min": lambda m, good: _cache_file(
+        m, power(ideal([(1, 0), (0, 1)]), 3)
     ),
     "wrong shape": lambda m, good: "[1, 2, 3]",
     "truncated": lambda m, good: good[: len(good) // 2],
+    # (x^2, y^2)^3 has the degrees of (x^2, xy)^3, so only the stored module
+    # tells the two apart: what a key collision leaves under M's name
+    "another module's file": lambda m, good: _cache_file(
+        ideal([(2, 0), (0, 2)]), power(ideal([(2, 0), (0, 2)]), 3)
+    ),
+    "stored module not M": lambda m, good: _cache_file(
+        ideal([(2, 0), (1, 1), (0, 2)]), power(m, 3)
+    ),
 }
+STORED_MODULE_CASES = ("wrong shape", "truncated", "another module's file", "stored module not M")
+
+
+def test_damaged_power_files_store_m_unless_named_for_it():
+    m = ideal([(2, 0), (1, 1)])
+    good = _cache_file(m, power(m, 3))
+    for damage, make in DAMAGED_POWER_FILES.items():
+        if damage not in STORED_MODULE_CASES:
+            assert json.loads(make(m, good))["module"] == module_to_payload(m), damage
 
 
 @pytest.mark.parametrize("damage", list(DAMAGED_POWER_FILES))
@@ -426,10 +550,30 @@ def test_power_cache_rejects_and_rewrites_damaged_file(tmp_path, damage):
     LengthLadder(m, tmp_path).power(3)
     (path,) = tmp_path.glob("*.3.json")
     good = path.read_text(encoding="utf-8")
+    assert json.loads(good) == json.loads(_cache_file(m, power(m, 3)))
     path.write_text(DAMAGED_POWER_FILES[damage](m, good), encoding="utf-8")
     assert LengthLadder(m, tmp_path).power(3) == power(m, 3)
     assert path.read_text(encoding="utf-8") == good
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+def test_power_cache_key_collision_costs_a_miss(tmp_path):
+    # two modules forced onto one key take turns rewriting the shared file,
+    # and each still reads its own powers
+    m = ideal([(2, 0), (1, 1)])
+    other = ideal([(2, 0), (0, 2)])
+    other.__dict__["content_key"] = m.content_key
+    for mod in (m, other, m):
+        assert LengthLadder(mod, tmp_path).power(3) == power(mod, 3)
+        (path,) = tmp_path.iterdir()
+        assert json.loads(path.read_text(encoding="utf-8"))["module"] == module_to_payload(mod)
+
+
+def test_content_key_is_eight_hex_digits_of_the_payload():
+    m = ideal([(2, 0), (1, 1)])
+    assert len(m.content_key) == 8 and set(m.content_key) <= set("0123456789abcdef")
+    assert m.content_key == ideal([(1, 1), (2, 0), (3, 0)]).content_key
+    assert m.content_key != ideal([(2, 0), (1, 1)], shift=1).content_key
 
 
 def test_power_cache_two_concurrent_writers(tmp_path):

@@ -1,5 +1,6 @@
 """Module documents, JSON/CSV emission, CLI subcommands and exit codes."""
 
+import argparse
 import csv
 import json
 import shlex
@@ -17,7 +18,7 @@ from reesdensity import (
     parse_module,
     serialize_module,
 )
-from reesdensity.cli import MAX_GRID_POINTS, _parse_grid, main
+from reesdensity.cli import MAX_GRID_POINTS, MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.io import (
     corpus_names,
     dump_json,
@@ -375,6 +376,37 @@ def test_cli_oversized_grid_fails_before_computing(grid, tmp_path, monkeypatch, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--module", "corpus:maximal_ideal", "--nmax", "100000000"],
+    ["density", "--module", "corpus:maximal_ideal", f"--ladder=1,2,{MAX_LADDER_N + 1}"],
+    ["multiplicity", "--module", "corpus:maximal_ideal", "--nmax", f"{MAX_LADDER_N + 1}"],
+    ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+     "--nmax", f"{MAX_LADDER_N + 1}"],
+    ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+     f"--ladder={10 * MAX_LADDER_N}"],
+], ids=["density-nmax", "density-ladder", "multiplicity-nmax", "check-nmax", "check-ladder"])
+def test_cli_oversized_ladder_fails_before_computing(argv, tmp_path, monkeypatch, capsys):
+    # memory grows with the power, and --nmax 10^8 multiplies toward the
+    # rung 2*10^7; the cap refuses it before any power is built
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ["--cache-dir", "cache", "--json-out", "x.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = "--nmax" if "--nmax" in argv else "--ladder"
+    assert flag in captured.err and str(MAX_LADDER_N) in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_ladder_at_the_cap_is_accepted():
+    at_cap = argparse.Namespace(nmax=MAX_LADDER_N, ladder=None)
+    assert _parse_ladder_options(at_cap)[0] is None  # check: --nmax bounds the search
+    top = tuple(range(1, MAX_LADDER_N + 1))
+    assert _parse_ladder_options(at_cap, lambda n: tuple(range(1, n + 1)))[0] == top
+    explicit = argparse.Namespace(nmax=None, ladder=f"1,{MAX_LADDER_N}")
+    assert _parse_ladder_options(explicit)[0] == (1, MAX_LADDER_N)
+
+
 def test_cli_grid_at_the_point_limit_is_accepted():
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
@@ -406,14 +438,16 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
 
 
 def test_cli_start_up_loads_only_what_the_job_runs(tmp_path):
-    # OpenSSL (hashlib) loads only for --cache-dir, csv only for a CSV, a
-    # density job loads neither the check nor the multiplicity engine, and no
-    # job loads dataclasses or the inspect module it would pull in; the jobs
-    # run one after another in one process, so each list includes the last
+    # csv loads only for a CSV, a density job loads neither the check nor the
+    # multiplicity engine, no job loads dataclasses or the inspect module it
+    # would pull in, and no job loads hashlib or OpenSSL (_hashlib), a cached
+    # one included: cache files are named by a CRC; the jobs run one after
+    # another in one process, so each list includes the last
     csv_path = str(tmp_path / "out.csv")
+    cache_dir = str(tmp_path / "cache")
     loaded = fresh_python(f"""
 import json, sys
-watched = ("hashlib", "csv", "dataclasses", "inspect",
+watched = ("hashlib", "_hashlib", "csv", "dataclasses", "inspect",
            "reesdensity.dependence", "reesdensity.multiplicity")
 import reesdensity.cli
 jobs = {{"import": [None, [name for name in watched if name in sys.modules]]}}
@@ -423,6 +457,8 @@ for job, argv in [
     ("check", ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
                "--ladder=1,2,3"]),
     ("multiplicity", ["multiplicity", "--module", "corpus:maximal_ideal", "--epsilon"]),
+    ("multiplicity-cached", ["multiplicity", "--module", "corpus:maximal_ideal", "--epsilon",
+                             "--cache-dir", {cache_dir!r}]),
 ]:
     code = reesdensity.cli.main(argv)
     jobs[job] = [code, [name for name in watched if name in sys.modules]]
@@ -434,7 +470,9 @@ print(json.dumps(jobs))
         "density": [0, ["csv"]],
         "check": [0, engines],
         "multiplicity": [0, engines],
+        "multiplicity-cached": [0, engines],
     }
+    assert any(Path(cache_dir).iterdir())
 
 
 def _readme_commands() -> list[list[str]]:
