@@ -15,9 +15,9 @@ _EXPORTS = {
     "backend": ("BACKEND",),
     "core": (
         "GradedFreeModule", "InputError", "InternalInvariantError", "NotSubmoduleError",
-        "RankMismatchError", "RingSpec", "Term", "TermModule", "colon_variable_saturation",
-        "ideal_module", "intersect", "is_submodule", "membership", "power", "product",
-        "saturate", "term_module", "unit_module", "zero_module",
+        "RankMismatchError", "RingSpec", "Term", "TermModule", "ideal_module",
+        "is_submodule", "membership", "power", "product", "saturate", "term_module",
+        "unit_module", "zero_module",
     ),
     "counting": ("LengthLadder", "count_ideal_degree", "length_component"),
     "density": (

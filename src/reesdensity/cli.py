@@ -15,6 +15,7 @@ from typing import Optional
 from .core import InputError, InternalInvariantError, TermModule
 from .counting import LengthLadder
 from .density import (
+    MAX_LADDER_N,
     FitNotConvergedError,
     _arithmetic_grid,
     fit_piecewise,
@@ -45,8 +46,6 @@ EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
 # a --grid with more points is refused before any is built
 MAX_GRID_POINTS = 10**5
-# a --nmax or --ladder entry above this is refused before any power is built
-MAX_LADDER_N = 1000
 
 
 def _parse_ladder_options(args, nmax_ladder=None):

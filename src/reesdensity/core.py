@@ -403,29 +403,6 @@ def _colon_gens(gens: tuple, i: int) -> tuple:
     return tuple(minimalize_exponents({g[:i] + (0,) + g[i + 1 :] for g in gens}))
 
 
-def colon_variable_saturation(m: TermModule, i: int) -> TermModule:
-    """(M :_F x_i^inf): zero out the i-th exponent of every generator."""
-    d = m.ambient.ring.dim
-    if not 0 <= i < d:
-        raise InputError(f"variable index {i} out of range")
-    comps = tuple((basis, _colon_gens(gens, i)) for basis, gens in m.components)
-    return TermModule._from_canonical(m.ambient, m.level, comps)
-
-
-def intersect(a: TermModule, b: TermModule) -> TermModule:
-    """Componentwise intersection via pairwise lcm of generators."""
-    _require_same_ambient(a, b)
-    if a.level != b.level:
-        raise InputError("cannot intersect modules of different levels")
-    comps = []
-    for basis, agens in a.components:
-        bgens = b.component(basis)
-        if not bgens:
-            continue
-        comps.append((basis, tuple(intersect_exponents(agens, bgens))))
-    return TermModule._from_canonical(a.ambient, a.level, tuple(comps))
-
-
 def saturate(m: TermModule) -> TermModule:
     """Saturation (M :_F m^inf) = intersection of the per-variable saturations.
 

@@ -1,13 +1,15 @@
 """Exact graded-piece length counting for term modules.
 
 Every count comes from one recursion, ``k_polynomial``: the numerator N_I(t)
-of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal,
-computed by Bigatti's pivot recursion.  Its leaves (``_leaf``) are ideals
-in at most two variables (a staircase, closed form), ideals in three
-variables (one staircase per level of the third) and ideals with pairwise
-disjoint supports, so only ideals in four or more variables are split.  One
-numerator per component ideal yields every degree at once,
-by running prefix sums (``_LengthRow``): the ideal has
+of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal, by
+slicing on a variable z: A/I is the sum over c of z^c k[x']/I_c, where I_c
+is the ideal, in the other variables, of the generators with z-exponent at
+most c (``_sliced``).  Its leaves (``_leaf``) are ideals whose generators
+use at most three variables: a staircase in two (closed form), one
+staircase per level of the third in three.  Any other ideal is sliced on a
+variable it uses with the fewest distinct exponents into ideals in one
+variable fewer.  One numerator per component ideal yields every degree at
+once, by running prefix sums (``_LengthRow``): the ideal has
 HS(I) = (1 - N_I(t)) / (1-t)^d, and one more division by (1-t) sums over
 degrees, so (1 - N_I) / (1-t)^(d+1) is the row of cumulative lengths, and a
 graded length is the difference of two neighbours.
@@ -28,11 +30,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from bisect import insort
 from pathlib import Path
 from typing import Optional
 
-from .backend import degree_lex, minimal_staircase, minimalize_exponents
+from .backend import minimal_staircase, minimalize_exponents
 from .core import (
     InputError,
     InternalInvariantError,
@@ -118,66 +119,65 @@ def length_component(m: TermModule, degree: int) -> int:
 
 
 def _leaf(key: tuple) -> Optional[list]:
-    """N for a node the recursion need not split, else None.
+    """N for a node whose generators use at most three variables, else None.
 
-    One scan finds the variables the generators use; the variables no
-    generator uses leave N unchanged.  Three kinds of node are leaves:
-
-    - A ring in two variables x and y: the minimal generators x^a_i y^b_i
-      sorted so that a_1 < ... < a_m (hence b_1 > ... > b_m) form a
-      staircase, whose inner corners are the lcms of neighbours, and
-      N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i).
-    - Generators that use at most three variables: one staircase per level
-      of the third (``_slice_numerator``).
-    - Pairwise disjoint supports: N = prod(1 - t^(deg g)).
+    In a ring of two variables x and y the minimal generators x^a_i y^b_i
+    sorted so that a_1 < ... < a_m (hence b_1 > ... > b_m) form a staircase,
+    whose inner corners are the lcms of neighbours, so
+    N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i).  In more
+    variables one scan finds the variables the generators use (the others
+    leave N unchanged); at most three of them, padded to three, are sliced
+    on the third (``_slice_numerator``).
     """
     if len(key[0]) == 2:
         return _staircase_numerator(sorted(key))
     if len(key[0]) == 3:
         return _slice_numerator(key)
     used: list[int] = []
-    disjoint = True
     for g in key:
         for s, v in enumerate(g):
-            if v:
-                if s in used:
-                    disjoint = False
-                else:
-                    used.append(s)
-        if len(used) > 3 and not disjoint:
+            if v and s not in used:
+                used.append(s)
+        if len(used) > 3:
             return None
-    if len(used) <= 3:
-        pad = (0,) * (3 - len(used))
-        return _slice_numerator([tuple(g[s] for s in used) + pad for g in key])
-    poly = [1]
-    for g in key:
-        poly = _poly_add_shifted(poly, [-c for c in poly], sum(g))
-    return poly
+    pad = (0,) * (3 - len(used))
+    return _slice_numerator([tuple(g[s] for s in used) + pad for g in key])
 
 
-def _slice_numerator(points) -> list:
-    """N of a three-variable ideal I, from its generators' (a, b, c) exponents.
+def _sliced(levels: dict, below) -> list:
+    """N of an ideal I sliced on a variable z, from ``levels``: z-exponent ->
+    the generators on that level, with z dropped.
 
-    x^a y^b z^c lies in I iff x^a y^b lies in I_c, the two-variable ideal of
-    the generators with c_g <= c, so A/I is the sum over c of z^c k[x,y]/I_c
-    and N_I = (1-t) sum_c t^c N(I_c).  I_c only changes at the distinct
-    levels c_0 < ... < c_k of the generators and is 0 below c_0, which gives
-    N_I = 1 + sum_j t^(c_j) (N(I_(c_j)) - N(I_(c_(j-1)))) with N(I_(c_(-1)))
-    = 1.  Each N(I_c) is the staircase closed form; one sweep per level
-    merges the level's points into the staircase of the levels below.
+    x^a z^c lies in I iff x^a lies in I_c, the ideal in the other variables
+    of the generators with z-exponent <= c, so A/I is the sum over c of
+    z^c k[x']/I_c and N_I = (1-t) sum_c t^c N(I_c).  I_c only changes at
+    the distinct levels c_0 < ... < c_k and is 0 below c_0, which gives
+    N_I = 1 + sum_j t^(c_j) (N(I_(c_j)) - N(I_(c_(j-1)))) with
+    N(I_(c_(-1))) = 1.  ``below`` maps the generators of I_(c_(j-1)) joined
+    with level c_j's to the minimal generators of I_(c_j) and its N.
     """
-    levels: dict[int, list] = {}
-    for a, b, c in points:
-        levels.setdefault(c, []).append((a, b))
-    poly, prev, stair = [1], [1], []
+    poly, prev, gens = [1], [1], []
     for c in sorted(levels):
-        stair = minimal_staircase(stair + levels[c])
-        cur = _staircase_numerator(stair)
+        gens, cur = below([*gens, *levels[c]])
         poly = _poly_add_shifted(_poly_add_shifted(poly, cur, c), [-v for v in prev], c)
         prev = cur
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return poly
+
+
+def _slice_numerator(points) -> list:
+    """N of a three-variable ideal, from its generators' (a, b, c) exponents:
+    sliced on c, each I_c is a staircase, grown level by level by one sweep."""
+    levels: dict[int, list] = {}
+    for a, b, c in points:
+        levels.setdefault(c, []).append((a, b))
+    return _sliced(levels, _staircase_level)
+
+
+def _staircase_level(points: list) -> tuple:
+    stair = minimal_staircase(points)
+    return stair, _staircase_numerator(stair)
 
 
 def _staircase_numerator(points: list) -> list:
@@ -193,20 +193,6 @@ def _staircase_numerator(points: list) -> list:
     return poly
 
 
-def _pivot(gens: tuple) -> tuple[int, int]:
-    """Bigatti pivot x_s^e: the variable in the most generators, median exponent."""
-    d = len(gens[0])
-    counts = [sum(1 for g in gens if g[s]) for s in range(d)]
-    s = counts.index(max(counts))
-    exps = sorted(g[s] for g in gens if g[s])
-    e = exps[len(exps) // 2]
-    if any(g[s] == sum(g) <= e for g in gens):
-        # x_s^e already lies in I, so I + (x_s^e) = I would not shrink the
-        # problem; x_s itself is never in I because x_s divides two generators
-        e = 1
-    return s, e
-
-
 def _poly_add_shifted(a: list, b: list, shift: int) -> list:
     """a(t) + t^shift * b(t) on coefficient lists."""
     out = a + [0] * max(0, shift + len(b) - len(a))
@@ -218,58 +204,39 @@ def _poly_add_shifted(a: list, b: list, shift: int) -> list:
 def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     """Coefficients of N_I(t), where HS(A/I) = N_I(t) / (1-t)^d.
 
-    Bigatti's pivot recursion N(I) = N(I + (p)) + t^{deg p} N(I : p) on a
-    pure-power pivot p, down to leaves (``_leaf``): generators that use at
-    most three variables, whose staircases give N in closed form, or that
-    have pairwise disjoint supports, where N = prod(1 - t^{deg g}).  So an
-    ideal in at most three variables is a leaf at once.  Both branches are
-    strictly larger ideals generated by divisors of lcm(I), so the recursion
-    terminates.
+    One recursion for every d: a node whose generators use at most three
+    variables is a leaf (``_leaf``); any other is sliced (``_sliced``) on a
+    variable it uses with the fewest distinct exponents, into nodes I_c in
+    one variable fewer, so the depth is below the number of variables used.
     The list has no trailing zeros, except that the unit ideal gives [0].
-    ``memo`` maps canonical generator tuples to finished numerators and may
-    be shared across calls.
+    ``memo`` maps the canonical generator tuple of every node to its
+    numerator and may be shared across calls.
     """
     memo = {} if memo is None else memo
     # components of a TermModule are already canonical, so a hit skips the
     # minimalize pass
     if isinstance(gens, tuple) and gens in memo:
         return memo[gens]
-    root = _canonical_gens(gens)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
+    return _node(gens, memo)[1]
+
+
+def _node(points, memo: dict) -> tuple:
+    """The canonical generators of the ideal of ``points`` and its N."""
+    key = _canonical_gens(points)
+    poly = memo.get(key)
+    if poly is None:
         poly = _leaf(key) if key else [1]
-        if poly is not None:
-            memo[key] = poly
-            stack.pop()
-            continue
-        s, e = _pivot(key)
-        pure = (0,) * s + (e,) + (0,) * (len(key[0]) - s - 1)
-        # pure is not in I, so dropping its multiples leaves a minimal set,
-        # still in canonical order; inserting pure at its place in that order
-        # keeps memo keys equal whichever way an ideal was reached
-        plus = [g for g in key if g[s] < e]
-        insort(plus, pure, key=degree_lex)
-        plus = tuple(plus)
-        colon = _canonical_gens(
-            g[:s] + (max(0, g[s] - e),) + g[s + 1 :] for g in key
-        )
-        n_plus, n_colon = memo.get(plus), memo.get(colon)
-        if n_plus is not None and n_colon is not None:
-            poly = _poly_add_shifted(n_plus, n_colon, e)
-            while poly[-1] == 0:
-                poly.pop()
-            memo[key] = poly
-            stack.pop()
-        else:
-            if n_plus is None:
-                stack.append(plus)
-            if n_colon is None:
-                stack.append(colon)
-    return memo[root]
+        if poly is None:
+            # an unused variable is never sliced: that would only drop it,
+            # one node deeper
+            used = [s for s in range(len(key[0])) if any(g[s] for g in key)]
+            s = min(used, key=lambda s: len({g[s] for g in key}))
+            levels: dict[int, list] = {}
+            for g in key:
+                levels.setdefault(g[s], []).append(g[:s] + g[s + 1 :])
+            poly = _sliced(levels, lambda below: _node(below, memo))
+        memo[key] = poly
+    return key, poly
 
 
 class LengthLadder:

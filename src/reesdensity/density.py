@@ -42,6 +42,9 @@ DEFAULT_STEP = Fraction(1, 8)
 RAY_N_FLOOR = 8
 # ray steps H = h * (denominator of x) are tried for h = 1 .. RAY_H_MAX
 RAY_H_MAX = 12
+# no power M^n above this is built: memory grows with n, so a --nmax or
+# --ladder entry above it is refused, and a ray stops before sampling past it
+MAX_LADDER_N = 1000
 # chamber nodes beyond the d interpolation nodes, checked exactly
 HELD_OUT_NODES = 2
 # relative part of the cumulative-identity tolerance
@@ -348,7 +351,8 @@ def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
     means the limit is 0.  A step H is accepted only when the difference
     table of all but the last sample stabilizes at some degree D and the
     held-out last sample continues it: the (D+1)-st difference of the last
-    D+2 samples is 0.
+    D+2 samples is 0.  A step whose last sample lies above ``MAX_LADDER_N``
+    is never sampled: the ray gives up there.
     """
     m = table.module
     require_samplable(m)
@@ -362,6 +366,11 @@ def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
         step = q * h
         n0 = step * max(2, -(-RAY_N_FLOOR // step))
         ns = [n0 + j * step for j in range(needed + 1)]
+        if ns[-1] > MAX_LADDER_N:
+            raise FitNotConvergedError(
+                f"not converged; the ray at x = {x} with step {step} would sample "
+                f"M^{ns[-1]}, above the bound n <= {MAX_LADDER_N}"
+            )
         vals = [Fraction(table.length(n, floor_times(x, n))) for n in ns]
         det = stabilized_difference(vals[:-1], r)
         if det is None:

@@ -87,6 +87,54 @@ def taylor_numerator(gens):
     return out
 
 
+def pivot_numerator(gens, memo=None):
+    """N_I(t) of HS(A/I) = N_I(t) / (1-t)^d by Bigatti's pivot recursion
+    (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997).
+
+    N(I) = N(I + (p)) + t^(deg p) N(I : p) on a pure power p = x_s^e of a
+    variable that divides the most generators, e their median exponent (or
+    1 when x_s^e lies in I; x_s does not, as it divides two minimal
+    generators), down to ideals whose generators have pairwise
+    disjoint supports, where N = prod(1 - t^(deg g)).  Both branches are
+    strictly larger ideals generated by divisors of lcm(I), so it
+    terminates.  Same conventions as ``taylor_numerator``, with no
+    generator limit; ``memo`` may be shared across calls.
+    """
+    memo = {} if memo is None else memo
+    key = tuple(minimalize_oracle(gens))
+    if key in memo:
+        return memo[key]
+    counts = [sum(1 for g in key if g[s]) for s in range(len(key[0]))] if key else [0]
+    if max(counts) <= 1:
+        out = [1]
+        for g in key:
+            out = _add_shifted(out, out, sum(g), -1)
+    else:
+        s = counts.index(max(counts))
+        exps = sorted(g[s] for g in key if g[s])
+        e = exps[len(exps) // 2]
+        if any(g[s] == sum(g) <= e for g in key):
+            e = 1
+        pure = tuple(e if k == s else 0 for k in range(len(key[0])))
+        plus = pivot_numerator(key + (pure,), memo)
+        colon = pivot_numerator(
+            [g[:s] + (max(0, g[s] - e),) + g[s + 1 :] for g in key], memo
+        )
+        out = _add_shifted(plus, colon, e, 1)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    memo[key] = out
+    return out
+
+
+def _add_shifted(a, b, shift, sign):
+    """a(t) + sign * t^shift * b(t) on coefficient lists."""
+    out = a + [0] * max(0, shift + len(b) - len(a))
+    for k, v in enumerate(b):
+        out[k + shift] += sign * v
+    return out
+
+
 def minimalize_oracle(gens):
     """Divisibility-minimal elements, found by a full pairwise scan."""
     uniq = set(map(tuple, gens))

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from util import (
@@ -19,6 +20,7 @@ from util import (
 from reesdensity import (
     InternalInvariantError,
     LengthLadder,
+    RingSpec,
     length_component,
     power,
     saturate,
@@ -279,14 +281,75 @@ def test_three_variable_leaf_matches_taylor_numerator():
         [(0, 0, 0)],
         [(2, 3, 1)],
         [(0, 2, 0, 1, 3)],
-        # four variables with disjoint supports, the product leaf
-        [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)],
     ]
     for gens in ideals:
         memo = {}
         assert k_polynomial(gens, memo) == oracles.taylor_numerator(gens), gens
         # the root is a leaf: the recursion never splits it
         assert len(memo) == 1, gens
+    # four variables with disjoint supports are sliced like any other ideal
+    # in four variables
+    gens = [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)]
+    assert k_polynomial(gens) == oracles.taylor_numerator(gens)
+
+
+@st.composite
+def ideals_in_four_to_six_variables(draw):
+    """Generators in d = 4-6 variables, exponents <= 3, sometimes squared."""
+    d = draw(st.integers(4, 6))
+    vector = st.tuples(*[st.integers(0, 3)] * d)
+    gens = draw(st.lists(vector, min_size=1, max_size=7))
+    return oracles.power_oracle(gens, draw(st.integers(1, 2)))
+
+
+@given(ideals_in_four_to_six_variables())
+# pure powers with disjoint supports, the unit ideal, a root that uses three
+# of six variables, and (x^2, y^2, z^2, w^3, xyz)^2
+@example([(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 3, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 2)])
+@example([(0, 0, 0, 0)])
+@example([(2, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 1), (1, 0, 0, 0, 0, 1)])
+@example(oracles.power_oracle([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 1, 1, 0)], 2))
+@settings(max_examples=60, deadline=None)
+def test_k_polynomial_matches_pivot_oracle_in_four_to_six_variables(gens):
+    # every node the slicing recursion visits, against Bigatti's pivot
+    # recursion and, where it is small enough, Taylor's resolution
+    memo, pivot_memo = {}, {}
+    got = k_polynomial(gens, memo)
+    assert got == oracles.pivot_numerator(gens, pivot_memo)
+    for key, poly in memo.items():
+        assert poly == oracles.pivot_numerator(key, pivot_memo), key
+        if len(key) <= 12:
+            assert poly == oracles.taylor_numerator(key), key
+
+
+def test_k_polynomial_slices_only_used_variables():
+    # four generators that use four of 400 variables: one slice on a used
+    # variable gives two nodes in three used variables, both leaves, and no
+    # node is spent on an unused variable
+    gens = [tuple(int(k in (i, (i + 1) % 4)) for k in range(400)) for i in range(4)]
+    memo = {}
+    assert k_polynomial(gens, memo) == oracles.taylor_numerator(gens) == [1, 0, -4, 4, -1]
+    assert len(memo) == 3
+
+
+def test_rank2_four_variable_ladder_matches_enumeration():
+    ring = RingSpec(("x", "y", "z", "w"))
+    rng = random.Random(47)
+    for _ in range(6):
+        comps = {
+            i: [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(rng.randint(1, 3))]
+            for i in range(2)
+        }
+        m = module(comps, tuple(rng.randint(-1, 1) for _ in range(2)), ring)
+        ladder = LengthLadder(m)
+        for n in (1, 2, 3):
+            p = power(m, n)
+            running = 0
+            for deg in range(p.min_degree - 1, p.max_degree + 3):
+                want = len(oracles.module_members_at_degree(components_of(p), m.ambient.shifts, deg))
+                running += want
+                assert ladder.length(n, deg) == want, (comps, n, deg)
+                assert ladder.cumulative(n, deg) == running, (comps, n, deg)
 
 
 def test_census_of_infinite_quotient_is_internal_error(monkeypatch):

@@ -188,6 +188,36 @@ def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial(monkeypatch):
         ray_extrapolate(_BumpedLadder(), F(2))
 
 
+class _NeverStableLadder:
+    """Ladder of (x, y) whose lengths never settle on a polynomial; records
+    every n it is asked for."""
+
+    module = M_XY
+
+    def __init__(self):
+        self.asked = []
+
+    def length(self, n, deg):
+        self.asked.append(n)
+        return deg + 1 + n * n % 7
+
+
+def test_ray_stops_before_sampling_past_the_power_bound(monkeypatch):
+    # at x = 1/8 the first step, H = 8, would sample n = 16, 24, ..., 64,
+    # past a bound of 30, so nothing is sampled
+    monkeypatch.setattr(density, "MAX_LADDER_N", 30)
+    ladder = _NeverStableLadder()
+    with pytest.raises(FitNotConvergedError, match="n <= 30"):
+        ray_extrapolate(ladder, F(1, 8))
+    assert ladder.asked == []
+    # at x = 2 the steps H = 1, 2, 3 sample up to n = 14, 20, 27, and H = 4
+    # would sample up to n = 32
+    ladder = _NeverStableLadder()
+    with pytest.raises(FitNotConvergedError, match="n <= 30"):
+        ray_extrapolate(ladder, F(2))
+    assert max(ladder.asked) == 27
+
+
 # -- piecewise fits --------------------------------------------------------------------
 
 
