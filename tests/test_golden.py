@@ -42,6 +42,14 @@ def _cases() -> dict[str, list[str]]:
     # a not-reduction pair: two different modules, so two censuses
     cases["check-both-c.ideal_x2_xy-in-square_maximal"] = [
         "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal", "--both-c"]
+    # ladders with step > 1: the extraction normalizes by the step and reads
+    # the onset on the coarser ladder
+    cases["multiplicity-ed-step2.ideal_x2_y3"] = [
+        "multiplicity", "--module", "corpus:ideal_x2_y3", "--epsilon", "--diagonal",
+        "--ladder", ",".join(str(n) for n in range(2, 41, 2))]
+    cases["check-step3.ideal_x2_xy-in-square_maximal"] = [
+        "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal",
+        "--ladder", ",".join(str(n) for n in range(3, 46, 3))]
     for name in ("ideal_x2_y3", "three_vars"):
         cases[f"density-fit.{name}"] = [
             "density", "--module", f"corpus:{name}", "--kind", "adic,saturated,epsilon",
