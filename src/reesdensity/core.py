@@ -28,6 +28,11 @@ from .backend import (
 )
 
 
+# rings with more variables are refused: the K-polynomial recursion slices one
+# used variable per level, and about 330 levels reach Python's recursion limit
+MAX_RING_VARIABLES = 256
+
+
 class InputError(ValueError):
     """Invalid user-supplied data (schema, shapes, preconditions)."""
 
@@ -53,6 +58,8 @@ class RingSpec:
         self.variables = tuple(variables)
         if len(self.variables) < 2:
             raise InputError("ring needs at least two variables")
+        if len(self.variables) > MAX_RING_VARIABLES:
+            raise InputError(f"ring has more than {MAX_RING_VARIABLES} variables")
         if len(set(self.variables)) != len(self.variables):
             raise InputError("ring variables must be distinct")
         if not all(isinstance(v, str) and v for v in self.variables):

@@ -371,16 +371,14 @@ def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
                 f"not converged; the ray at x = {x} with step {step} would sample "
                 f"M^{ns[-1]}, above the bound n <= {MAX_LADDER_N}"
             )
-        vals = [Fraction(table.length(n, floor_times(x, n))) for n in ns]
-        det = stabilized_difference(vals[:-1], r)
-        if det is None:
+        vals = [table.length(n, floor_times(x, n)) for n in ns]
+        ext = stabilized_difference(ns[:-1], vals[:-1], r)
+        if ext is None:
             continue
-        degree, lead, _ = det
+        degree = ext["degree"]
         if difference_rows(vals[-(degree + 2) :], degree + 1)[-1][0] != 0:
             continue
-        if degree < r:
-            return Fraction(0)
-        return Fraction((r + 1) * lead, step**r)
+        return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
     raise FitNotConvergedError(
         f"not converged; increase n ladder (no stable ray at x = {x} with h <= {RAY_H_MAX})"
     )

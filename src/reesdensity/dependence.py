@@ -221,20 +221,26 @@ def check_dependence(
         raise InputError(f"dependence check needs c > {bound}, got c = {c}")
     ladder = _normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
     same = sub == sup
+    slopes = (c, c + 1) if robustness_c else (c,)
     table_sup = LengthLadder(sup, cache_dir)
-    table_sub = table_sup if same else LengthLadder(sub, cache_dir)
-
     certificate = direct_reduction_search(sub, sup, n_max, table=table_sup)
 
-    criteria: list[CriterionEvidence] = []
+    def invariants(m: TermModule, table: LengthLadder) -> dict:
+        eps = epsilon_multiplicity(m, ladder, table=table, cross_check=False)
+        return {
+            "epsilon": eps,
+            "diagonal": [
+                diagonal_multiplicity(m, slope, ladder=ladder, table=table)
+                for slope in slopes
+            ],
+            "mixed": mixed_multiplicities(m, extended=True, c=c, table=table),
+            "truncation": truncation_epsilon(table, c, eps.values["totals"]),
+        }
 
-    eps_sup = epsilon_multiplicity(sup, ladder, table=table_sup, cross_check=False)
-    eps_sub = (
-        eps_sup
-        if same
-        else epsilon_multiplicity(sub, ladder, table=table_sub, cross_check=False)
-    )
-    criteria.append(
+    inv_sup = invariants(sup, table_sup)
+    inv_sub = inv_sup if same else invariants(sub, LengthLadder(sub, cache_dir))
+    eps_sub, eps_sup = inv_sub["epsilon"], inv_sup["epsilon"]
+    criteria = [
         _evidence_row(
             "epsilon",
             "epsilon multiplicity",
@@ -245,19 +251,12 @@ def check_dependence(
                 "estimate_sup": eps_sup.values["estimate"],
             },
         )
-    )
+    ]
 
     def diagonal_key(v):
         return (v["dimension"], v["multiplicity"]) if v else None
 
-    slopes = (c, c + 1) if robustness_c else (c,)
-    for slope in slopes:
-        diag_sup = diagonal_multiplicity(sup, slope, ladder=ladder, table=table_sup)
-        diag_sub = (
-            diag_sup
-            if same
-            else diagonal_multiplicity(sub, slope, ladder=ladder, table=table_sub)
-        )
+    for slope, diag_sub, diag_sup in zip(slopes, inv_sub["diagonal"], inv_sup["diagonal"]):
         suffix = "" if slope == c else "+1"
         for version, label in (("a_version", "diagonal (base ring)"),
                                ("s_version", "diagonal (extension)")):
@@ -271,12 +270,7 @@ def check_dependence(
                 )
             )
 
-    mixed_sup = mixed_multiplicities(sup, extended=True, c=c, table=table_sup)
-    mixed_sub = (
-        mixed_sup
-        if same
-        else mixed_multiplicities(sub, extended=True, c=c, table=table_sub)
-    )
+    mixed_sub, mixed_sup = inv_sub["mixed"], inv_sup["mixed"]
     criteria.append(
         _evidence_row(
             "mixed-extended",
@@ -286,19 +280,12 @@ def check_dependence(
             detail={"status_sub": mixed_sub.status, "status_sup": mixed_sup.status},
         )
     )
-
-    eps_t_sup = truncation_epsilon(table_sup, c, eps_sup.values["totals"])
-    eps_t_sub = (
-        eps_t_sup
-        if same
-        else truncation_epsilon(table_sub, c, eps_sub.values["totals"])
-    )
     criteria.append(
         _evidence_row(
             "epsilon-truncation",
             f"epsilon of degree-{c} truncations [stand-in]",
-            eps_t_sub,
-            eps_t_sup,
+            inv_sub["truncation"],
+            inv_sup["truncation"],
             stand_in=True,
         )
     )

@@ -24,6 +24,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
+    MAX_RING_VARIABLES,
     GradedFreeModule,
     InputError,
     RankMismatchError,
@@ -152,6 +153,8 @@ def parse_module(doc) -> TermModule:
     )
     _expect(len(set(variables)) == len(variables), "ring.variables",
             "variable names must be distinct")
+    _expect(len(variables) <= MAX_RING_VARIABLES, "ring.variables",
+            f"has {len(variables)} variables; at most {MAX_RING_VARIABLES} are allowed")
     free = doc.get("free_module")
     _expect(isinstance(free, dict), "free_module", "must be an object")
     shifts = free.get("shifts")

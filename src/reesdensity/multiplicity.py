@@ -31,7 +31,6 @@ from .density import (
     trapezoid,
 )
 from .polyfit import (
-    STABLE_WINDOW,
     Poly2,
     fit_poly2_triangular,
     poly2_eval,
@@ -67,51 +66,26 @@ class MultiplicityReport:
         self.diagnostics = {} if diagnostics is None else diagnostics
 
 
-def _arithmetic_tail(ladder: tuple[int, ...]) -> tuple[list[int], int]:
-    """Longest arithmetic suffix of the ladder and its step."""
-    if len(ladder) < 2:
-        return list(ladder), 1
-    step = ladder[-1] - ladder[-2]
-    tail = [ladder[-2], ladder[-1]]
-    i = len(ladder) - 3
-    while i >= 0 and tail[0] - ladder[i] == step:
-        tail.insert(0, ladder[i])
+def _arithmetic_tail(ladder: tuple[int, ...]) -> list[int]:
+    """Longest arithmetic suffix of the ladder."""
+    i = len(ladder) - 2
+    while i > 0 and ladder[i] - ladder[i - 1] == ladder[-1] - ladder[-2]:
         i -= 1
-    return tail, step
+    return list(ladder[max(i, 0) :])
 
 
 def extract_polynomial_growth(
-    ns: list[int],
-    values: list[int],
-    step: int,
-    max_order: int,
+    ns: list[int], values: list[int], max_order: int
 ) -> Optional[dict]:
-    """Detect eventual polynomial growth of an exact integer sequence.
-
-    Values are samples at the arithmetic progression ``ns`` (common
-    difference ``step``).  Substeps thin the progression in case the sequence
-    is only quasi-polynomial with a small period.  Returns the detected
-    degree, the normalized leading value degree! * (leading coefficient), and
-    the onset, or None.
+    """``stabilized_difference``'s record of the first thinning of the
+    arithmetic progression ``ns`` by ``GROWTH_SUBSTEPS`` that stabilizes, in
+    case the sequence is only quasi-polynomial with a small period; or None.
     """
     for s in GROWTH_SUBSTEPS:
-        idx = list(range(len(values) - 1, -1, -s))[::-1]
-        sub = [values[i] for i in idx]
-        sub_ns = [ns[i] for i in idx]
-        if len(sub) < STABLE_WINDOW + 1:
-            continue
-        det = stabilized_difference(sub, max_order)
-        if det is None:
-            continue
-        degree, lead, onset = det
-        h = step * s
-        return {
-            "degree": degree,
-            "normalized": Fraction(lead, h**degree),
-            "step": h,
-            "onset_n": sub_ns[min(onset, len(sub_ns) - 1)],
-            "stabilized_difference": lead,
-        }
+        idx = range(len(values) - 1, -1, -s)[::-1]
+        ext = stabilized_difference([ns[i] for i in idx], [values[i] for i in idx], max_order)
+        if ext is not None:
+            return ext
     return None
 
 
@@ -128,10 +102,8 @@ def _exact_epsilon(
     arithmetic tail when they certify growth of order big_d = d+e-1, and 0
     when they certify lower order; otherwise it is None.
     """
-    tail_ns, step = _arithmetic_tail(tuple(totals))
-    ext = extract_polynomial_growth(
-        tail_ns, [totals[n] for n in tail_ns], step, big_d
-    )
+    tail_ns = _arithmetic_tail(tuple(totals))
+    ext = extract_polynomial_growth(tail_ns, [totals[n] for n in tail_ns], big_d)
     exact: Optional[Fraction] = None
     if ext is not None:
         exact = ext["normalized"] if ext["degree"] == big_d else Fraction(0)
@@ -265,19 +237,14 @@ def diagonal_multiplicity(
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
-    tail_ns, step = _arithmetic_tail(ladder)
+    tail_ns = _arithmetic_tail(ladder)
 
     def analyze(values: list[int], max_order: int) -> Optional[dict]:
-        ext = extract_polynomial_growth(tail_ns, values, step, max_order)
-        if ext is None:
-            return None
-        return {
-            "dimension": ext["degree"] + 1,
-            "multiplicity": ext["normalized"],
-            "onset_n": ext["onset_n"],
-            "stabilized_difference": ext["stabilized_difference"],
-            "step": ext["step"],
-        }
+        ext = extract_polynomial_growth(tail_ns, values, max_order)
+        if ext is not None:
+            ext["dimension"] = ext.pop("degree") + 1
+            ext["multiplicity"] = ext.pop("normalized")
+        return ext
 
     h_vals = [table.length(n, c * n) for n in tail_ns]
     hbar_vals = [table.cumulative(n, c * n) for n in tail_ns]

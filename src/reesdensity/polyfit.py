@@ -76,28 +76,35 @@ def difference_rows(values: Sequence, max_order: int) -> list[list]:
 
 
 def stabilized_difference(
-    values: Sequence, max_order: int, window: int = STABLE_WINDOW
-) -> Optional[tuple[int, Fraction, int]]:
-    """Detect eventual polynomial behavior of an arithmetic-progression sample.
+    ns: Sequence[int], values: Sequence, max_order: int
+) -> Optional[dict]:
+    """Read eventual polynomial growth off samples at an arithmetic progression.
 
-    Returns (degree, last stabilized difference of that order, onset index)
-    for the least degree whose next difference row ends in ``window`` zeros,
-    or None when no order up to ``max_order`` stabilizes.  The onset index is
-    the first position from which that row stays zero.
+    ``values`` are samples at ``ns``, whose common difference is the step.
+    Takes the least degree whose next difference row ends in
+    ``STABLE_WINDOW`` zeros and returns the extraction record: that
+    ``degree``, the last ``stabilized_difference`` of that order, its
+    ``normalized`` value (the difference over step^degree, which is
+    degree! times the leading coefficient), the ``step``, and ``onset_n``,
+    the first n from which the next row stays zero.  None when no order up
+    to ``max_order`` stabilizes.
     """
     rows = difference_rows(values, max_order + 1)
-    for order in range(max_order + 1):
-        if order + 1 >= len(rows):
-            break
-        nxt = rows[order + 1]
-        if len(nxt) < window:
-            continue
-        if any(v != 0 for v in nxt[-window:]):
+    for order, nxt in enumerate(rows[1:]):
+        if len(nxt) < STABLE_WINDOW or any(nxt[-STABLE_WINDOW:]):
             continue
         onset = len(nxt)
         while onset > 0 and nxt[onset - 1] == 0:
             onset -= 1
-        return order, rows[order][-1], onset
+        step = ns[1] - ns[0]
+        lead = rows[order][-1]
+        return {
+            "degree": order,
+            "normalized": lead / step**order,
+            "step": step,
+            "onset_n": ns[onset],
+            "stabilized_difference": lead,
+        }
     return None
 
 

@@ -209,6 +209,37 @@ def test_certificate_contradiction_raises_internal_error(monkeypatch):
         check_dependence(N_CI, M_SQ)
 
 
+@pytest.mark.parametrize(
+    "sub, sup, verdict, calls",
+    [(M_SQ, M_SQ, "reduction", 1), (N_X2_XY, M_SQ, "not-reduction", 2)],
+    ids=["self-pair", "distinct-pair"],
+)
+def test_each_module_gets_one_invariant_pass(sub, sup, verdict, calls, monkeypatch):
+    counts = {}
+
+    def counted(name):
+        real = getattr(dependence, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dependence, name, wrapper)
+
+    for name in ("epsilon_multiplicity", "diagonal_multiplicity",
+                 "mixed_multiplicities", "truncation_epsilon", "LengthLadder"):
+        counted(name)
+    got = check_dependence(sub, sup, robustness_c=True)
+    assert got.verdict == verdict
+    assert counts == {
+        "epsilon_multiplicity": calls,
+        "diagonal_multiplicity": 2 * calls,  # once per slope c, c + 1
+        "mixed_multiplicities": calls,
+        "truncation_epsilon": calls,
+        "LengthLadder": calls,
+    }
+
+
 def test_cache_dir_reused_across_checks(tmp_path):
     first = check_dependence(N_CI, M_SQ, cache_dir=tmp_path, ladder=tuple(range(1, 9)))
     # os.replace gives a rewritten file a new inode

@@ -19,6 +19,7 @@ from reesdensity import (
     serialize_module,
 )
 from reesdensity.cli import MAX_GRID_POINTS, MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
+from reesdensity.core import MAX_RING_VARIABLES
 from reesdensity.io import (
     corpus_names,
     dump_json,
@@ -409,6 +410,30 @@ def test_cli_ladder_at_the_cap_is_accepted():
 
 def test_cli_grid_at_the_point_limit_is_accepted():
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
+def _pure_squares(d: int) -> dict:
+    return {
+        "schema_version": 1,
+        "ring": {"variables": [f"x{i}" for i in range(d)]},
+        "free_module": {"shifts": [0]},
+        "generators": [
+            {"exponents": [2 if k == i else 0 for k in range(d)], "basis": 0}
+            for i in range(d)
+        ],
+    }
+
+
+def test_cli_ring_with_too_many_variables_exits_two(tmp_path, capsys):
+    # the K-polynomial recursion slices one variable per level, and 340 used
+    # variables overflow Python's stack; the document is refused at parsing
+    path = write_doc(tmp_path, _pure_squares(340))
+    argv = ["density", "--module", str(path), "--ladder", "1", "--grid", "2:2:1",
+            "--csv-out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ring.variables" in err and str(MAX_RING_VARIABLES) in err
+    assert parse_module(_pure_squares(MAX_RING_VARIABLES)).ambient.ring.dim == MAX_RING_VARIABLES
 
 
 @pytest.mark.parametrize("kinds", ["saturated", "saturated,epsilon"])

@@ -32,7 +32,7 @@ M_CI = ideal([(2, 0), (0, 2)])
 def test_extract_growth_quadratic():
     ns = list(range(1, 11))
     vals = [3 * n * n + n + 2 for n in ns]
-    got = extract_polynomial_growth(ns, vals, 1, 3)
+    got = extract_polynomial_growth(ns, vals, 3)
     assert got["degree"] == 2
     assert got["normalized"] == 6      # 2! * 3
     assert got["onset_n"] == 1
@@ -41,7 +41,7 @@ def test_extract_growth_quadratic():
 def test_extract_growth_with_substep_quasi_period():
     ns = list(range(1, 17))
     vals = [n * n if n % 2 == 0 else n * n + 1 for n in ns]
-    got = extract_polynomial_growth(ns, vals, 1, 2)
+    got = extract_polynomial_growth(ns, vals, 2)
     assert got is not None
     assert got["degree"] == 2
     assert got["normalized"] == 2
@@ -53,7 +53,7 @@ def test_extract_growth_none_on_noise():
 
     rng = random.Random(3)
     vals = [rng.randint(0, 1000) for _ in range(12)]
-    assert extract_polynomial_growth(list(range(12)), vals, 1, 3) is None
+    assert extract_polynomial_growth(list(range(12)), vals, 3) is None
 
 
 # -- epsilon -------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Structural invariants checked on randomized inputs."""
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +27,7 @@ from reesdensity import (
 from reesdensity.backend import minimalize_exponents
 from reesdensity.core import GradedFreeModule
 from reesdensity.multiplicity import truncation_totals
+from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
 # Exponent vectors in two variables, total degree <= 4.
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
@@ -267,3 +268,38 @@ def test_ambient_hash_and_equality():
     b = GradedFreeModule(RING_XY, (0, -1))
     assert a == b
     assert hash(a) == hash(b)
+
+
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.lists(st.integers(-50, 50), max_size=3),
+    st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_stabilized_difference_reads_polynomial_samples(coeffs, a, h, prefix, extra):
+    # samples of a degree-D integer polynomial at n = a + j*h, after a
+    # prefix of arbitrary values; D + 1 + STABLE_WINDOW polynomial samples
+    # put the whole trailing window of the (D+1)-st differences past it; a
+    # lower row is a nonzero polynomial of degree <= 2 there, which cannot
+    # end in STABLE_WINDOW zeros, so the least stabilizing order is D
+    degree = len(coeffs) - 1
+    count = len(prefix) + degree + 1 + STABLE_WINDOW + extra
+    ns = [a + j * h for j in range(count)]
+    values = prefix + [
+        sum(c * n**i for i, c in enumerate(coeffs)) for n in ns[len(prefix):]
+    ]
+    got = stabilized_difference(ns, values, 3)
+    assert got["degree"] == degree
+    assert got["normalized"] == factorial(degree) * coeffs[-1]
+    assert got["step"] == h
+    # the (D+1)-st difference at position k, straight from the binomial sum
+    diffs = [
+        sum((-1) ** (degree + 1 - i) * comb(degree + 1, i) * values[k + i]
+            for i in range(degree + 2))
+        for k in range(count - degree - 1)
+    ]
+    onset = next(k for k in range(len(diffs)) if not any(diffs[k:]))
+    assert got["onset_n"] == ns[onset]
+    assert stabilized_difference(ns[:STABLE_WINDOW], values[:STABLE_WINDOW], 3) is None
