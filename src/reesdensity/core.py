@@ -280,8 +280,7 @@ class TermModule:
         different modules may collide, so a key only names files; a cached
         file stores its module's payload, and a load compares it.
         """
-        blob = json.dumps(module_to_payload(self), sort_keys=True, separators=(",", ":"))
-        return f"{zlib.crc32(blob.encode('utf-8')):08x}"
+        return payload_crc(module_to_payload(self))
 
 
 # -- construction helpers ------------------------------------------------
@@ -443,6 +442,12 @@ def module_to_payload(m: TermModule) -> dict:
             for basis, gens in m.components
         ],
     }
+
+
+def payload_crc(payload) -> str:
+    """The CRC-32 of a payload's canonical JSON, as eight hex digits."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
 
 def module_from_payload(payload: dict) -> TermModule:

@@ -16,10 +16,11 @@ graded length is the difference of two neighbours.
 
 A module's Rees powers and length data are reached through its
 ``LengthLadder``, the one cache layer: it keeps each component's row, for
-M^n and for sat(M^n), and grows it on demand, so a length query is a list
-lookup; the length of sat(M^n)/M^n is read from the same rows.  It keeps
-the powers on disk when given a directory; ``ladder_for`` hands the
-engine's public functions the ladder they work on.
+M^n and for sat(M^n), built once and ending at the numerator's degree, so a
+length query is a list lookup or, past the table, a Hilbert polynomial; the
+length of sat(M^n)/M^n is read from the same rows.  It keeps the powers on
+disk when given a directory; ``ladder_for`` hands the engine's public
+functions the ladder they work on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -30,6 +31,8 @@ from __future__ import annotations
 import json
 import os
 import threading
+from itertools import accumulate
+from math import comb
 from pathlib import Path
 from typing import Optional
 
@@ -38,9 +41,9 @@ from .core import (
     InputError,
     InternalInvariantError,
     TermModule,
-    module_from_payload,
     module_to_payload,
     next_power,
+    payload_crc,
     saturate,
     unit_module,
 )
@@ -53,64 +56,66 @@ def _canonical_gens(gens) -> tuple:
 class _LengthRow:
     """The lengths of one monomial ideal I, from its canonical generators.
 
-    HS(I) = (1 - N_I(t)) / (1-t)^d, and one more factor 1/(1-t) sums over
-    degrees, so the coefficients of (1 - N_I) / (1-t)^(d+1) are the
-    cumulative lengths, computed by d+1 rounds of running prefix sums only as
-    far as asked: each round keeps its running sum, so the row grows without
-    starting over.  A graded length is the difference of two.  No monomial
-    of I lies below the least generator degree ``low``, so the row starts
-    there, and a query below it never computes the numerator.  ``lock``,
-    when given, guards the growth of a row shared between threads.
+    The coefficients of (1 - N_I) / (1-t)^(d+1) are the cumulative lengths
+    (HS(I) = (1 - N_I) / (1-t)^d, and 1/(1-t) sums over degrees); a graded
+    length is the difference of two.  The row starts at the least generator
+    degree ``low``, below which I is empty and no numerator is computed.  The
+    first query at or above it builds, by d+1 rounds of prefix sums, the
+    table up to index max(deg N_I - low, d), published as one attribute, so
+    threads that race build equal tables.  For t >= deg N_I - d the count
+    sum_k c_k C(t-k+d, d) is a polynomial of degree <= d in t, as C(m, d)
+    vanishes at m = 0..d-1: past the table, the Newton form on its last d+1
+    entries gives it exactly.
     """
 
-    __slots__ = ("gens", "low", "coeffs", "_memo", "_lock", "_poly", "_sums")
+    __slots__ = ("gens", "low", "_memo", "_table")
 
-    def __init__(self, gens: tuple, memo: Optional[dict], lock=None):
+    def __init__(self, gens: tuple, memo: dict):
         self.gens = gens
         # canonical order puts a minimal-degree generator first
         self.low = sum(gens[0])
-        self.coeffs: list[int] = []
         self._memo = memo
-        self._lock = lock
-        self._poly: Optional[list] = None
-        self._sums = [0] * (len(gens[0]) + 1)
+        self._table: Optional[tuple[list, list]] = None
 
     def cumulative(self, t: int) -> int:
         """Monomials of degree <= t in I."""
         k = t - self.low
         if k < 0:
             return 0
-        if k >= len(self.coeffs):
-            if self._lock is None:
-                self._grow(k)
-            else:
-                with self._lock:
-                    self._grow(k)
-        return self.coeffs[k]
+        coeffs, newton = self._table or self._build()
+        if k < len(coeffs):
+            return coeffs[k]
+        s = k - len(coeffs) + len(newton)
+        return sum(delta * comb(s, i) for i, delta in enumerate(newton))
 
     def graded(self, t: int) -> int:
         """Monomials of degree t in I."""
         return self.cumulative(t) - self.cumulative(t - 1)
 
-    def _grow(self, k: int) -> None:
-        if self._poly is None:
-            poly = [-c for c in k_polynomial(self.gens, self._memo)]
-            poly[0] += 1
-            self._poly = poly[self.low :]
-        coeffs, sums, poly = self.coeffs, self._sums, self._poly
-        rounds = range(len(sums))
-        for j in range(len(coeffs), k + 1):
-            v = poly[j] if j < len(poly) else 0
-            for r in rounds:
-                v += sums[r]
-                sums[r] = v
-            coeffs.append(v)
+    @property
+    def top(self) -> int:
+        """The last degree in the table; past it the row is a polynomial."""
+        return self.low + len((self._table or self._build())[0]) - 1
+
+    def _build(self) -> tuple[list, list]:
+        """(cumulative lengths from ``low`` on, forward differences of the last d+1)."""
+        d = len(self.gens[0])
+        # 1 - N_I from degree low on, padded to at least d+1 entries
+        coeffs = [int(k == 0) - c for k, c in enumerate(_numerator(self.gens, self._memo))]
+        coeffs = coeffs[self.low :] + [0] * (d + 1 + self.low - len(coeffs))
+        for _ in range(d + 1):
+            coeffs = list(accumulate(coeffs))
+        newton = coeffs[-(d + 1) :]
+        for i in range(d):
+            newton[i + 1 :] = [b - a for a, b in zip(newton[i:], newton[i + 1 :])]
+        self._table = (coeffs, newton)
+        return self._table
 
 
 def count_ideal_degree(gens, t: int) -> int:
     """Number of monomials of degree t in the ideal generated by ``gens``."""
     gens = _canonical_gens(gens)
-    return _LengthRow(gens, None).graded(t) if gens else 0
+    return _LengthRow(gens, {}).graded(t) if gens else 0
 
 
 def length_component(m: TermModule, degree: int) -> int:
@@ -212,17 +217,17 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     ``memo`` maps the canonical generator tuple of every node to its
     numerator and may be shared across calls.
     """
-    memo = {} if memo is None else memo
-    # components of a TermModule are already canonical, so a hit skips the
-    # minimalize pass
-    if isinstance(gens, tuple) and gens in memo:
-        return memo[gens]
-    return _node(gens, memo)[1]
+    return _numerator(_canonical_gens(gens), {} if memo is None else memo)
 
 
 def _node(points, memo: dict) -> tuple:
     """The canonical generators of the ideal of ``points`` and its N."""
     key = _canonical_gens(points)
+    return key, _numerator(key, memo)
+
+
+def _numerator(key: tuple, memo: dict) -> list[int]:
+    """N of the ideal with canonical generators ``key``, memoized in ``memo``."""
     poly = memo.get(key)
     if poly is None:
         poly = _leaf(key) if key else [1]
@@ -236,7 +241,7 @@ def _node(points, memo: dict) -> tuple:
                 levels.setdefault(g[s], []).append(g[:s] + g[s + 1 :])
             poly = _sliced(levels, lambda below: _node(below, memo))
         memo[key] = poly
-    return key, poly
+    return poly
 
 
 class LengthLadder:
@@ -244,17 +249,20 @@ class LengthLadder:
 
     Holds the powers, their saturations, the K-polynomials of every
     component ideal it meets, and per component of a power or saturation a
-    row of cumulative lengths, grown to the highest degree asked so far.  So
+    row of cumulative lengths that ends at its numerator's degree.  So
     all graded and cumulative lengths, and the lengths of the quotients
     sat(M^n)/M^n, come from one numerator per ideal, read from its rows.
 
     Given a ``directory`` (an empty path means none), each requested power
     is also stored there as ``{content_key}.{n}.json``, beside M's own
-    payload, so warm runs skip the multiplications.  A file that does not
-    parse, stores another module than M (the key may collide), or holds a
-    power that cannot be M^n (wrong level or ambient, zero for a nonzero M,
-    a generator degree outside [n*d_min, n*d_max], or none at n*d_min), is
-    a miss and is rewritten.  Insertions are idempotent and take one lock.
+    payload and the CRC-32 of the power's own payload, so warm runs skip the
+    multiplications and read the power as it was written, without
+    minimalizing it again.  A file that does not parse, stores another
+    module than M (the key may collide), fails its checksum or has none, or
+    holds a power that cannot be M^n (wrong level or ambient, zero for a
+    nonzero M, a generator degree outside [n*d_min, n*d_max], or none at
+    n*d_min), is a miss and is rewritten.  Insertions are idempotent and
+    take one lock.
     """
 
     def __init__(self, module: TermModule, directory: "str | Path | None" = None):
@@ -284,9 +292,15 @@ class LengthLadder:
         # a missing file raises FileNotFoundError, an OSError
         try:
             data = json.loads(self._path(n).read_text(encoding="utf-8"))
-            if data["module"] != self._payload:
+            power = data["power"]
+            if data["module"] != self._payload or data["checksum"] != payload_crc(power):
                 return None
-            mod = module_from_payload(data["power"])
+            level = power["level"]
+            ambient = [power["variables"], power["shifts"]]
+            comps = tuple(
+                (tuple(c["basis_exponents"]), tuple(map(tuple, c["generators"])))
+                for c in power["components"]
+            )
         except (ValueError, KeyError, TypeError, OSError):
             return None
         m = self.module
@@ -295,11 +309,13 @@ class LengthLadder:
         # whose generator degrees leave [n*d_min, n*d_max] or miss n*d_min,
         # the degree of g^n for a generator g of least degree
         if (
-            mod.level != n * m.level
-            or mod.ambient != m.ambient
-            or mod.is_zero != m.is_zero
+            level != n * m.level
+            or ambient != [self._payload["variables"], self._payload["shifts"]]
+            or (not comps) != m.is_zero
         ):
             return None
+        # the checksum matches what _store wrote, which was canonical
+        mod = TermModule._from_canonical(m.ambient, level, comps)
         if not m.is_zero:
             # canonical order sorts each component by total degree, so its
             # first and last generators carry its extreme degrees
@@ -315,8 +331,9 @@ class LengthLadder:
         if self.directory is None:
             return
         path = self._path(n)
+        power = module_to_payload(mod)
         blob = json.dumps(
-            {"module": self._payload, "power": module_to_payload(mod)},
+            {"module": self._payload, "power": power, "checksum": payload_crc(power)},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -370,7 +387,7 @@ class LengthLadder:
         n, sat = key
         mod = self.sat_power(n) if sat else self.power(n)
         return [
-            (mod.ambient.basis_degree(basis), _LengthRow(gens, self._kpoly, self._lock))
+            (mod.ambient.basis_degree(basis), _LengthRow(gens, self._kpoly))
             for basis, gens in mod.components
         ]
 
@@ -391,12 +408,13 @@ class LengthLadder:
         Per basis component, with ideals I inside J, HS(J/I) =
         (N_I - N_J) / (1-t)^d, whose coefficients are the differences of the
         rows' graded lengths; it is a polynomial exactly when J/I has finite
-        length.  Past top - d, with top = max(deg N_I, deg N_J), they follow
-        a polynomial of degree < d, so d zeros ending at top mean zero for
-        good, and the component adds the difference of the rows' cumulative
-        lengths at top.  Anything else, or components on other basis
-        exponents, means an infinite quotient, which a true saturation rules
-        out, so it raises ``InternalInvariantError``.
+        length.  Past top - d, with top the last degree of the two rows'
+        tables (at least max(deg N_I, deg N_J)), they follow a polynomial of
+        degree < d, so d zeros ending at top mean zero for good, and the
+        component adds the difference of the rows' cumulative lengths at top.
+        Anything else, or components on other basis exponents, means an
+        infinite quotient, which a true saturation rules out, so it raises
+        ``InternalInvariantError``.
         """
         bases = [basis for basis, _ in self.power(n).components]
         if bases != [basis for basis, _ in self.sat_power(n).components]:
@@ -410,7 +428,7 @@ class LengthLadder:
         ):
             if row.gens == sat.gens:
                 continue
-            top = max(len(k_polynomial(r.gens, self._kpoly)) for r in (row, sat)) - 1
+            top = max(row.top, sat.top)
             if any(sat.graded(k) != row.graded(k) for k in range(top - d + 1, top + 1)):
                 raise InternalInvariantError(
                     f"census of basis component {basis!r} is not of finite length"

@@ -149,13 +149,18 @@ def _extrapolate(
 def _normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
     """The n ladder sorted and deduplicated, or ``default`` when None.
 
-    Every ladder the engine samples on passes through here.
+    Every ladder the engine samples on passes through here, so no entry
+    above ``MAX_LADDER_N`` reaches a power.
     """
     if ladder is None:
         return default
     ladder = tuple(sorted(set(int(n) for n in ladder)))
     if not ladder or ladder[0] < 1:
         raise InputError("ladder must be positive integers")
+    if ladder[-1] > MAX_LADDER_N:
+        raise InputError(
+            f"ladder entries must be at most MAX_LADDER_N = {MAX_LADDER_N}, got {ladder[-1]}"
+        )
     return ladder
 
 

@@ -36,7 +36,7 @@ from .core import (
     product,
 )
 from .counting import LengthLadder, ladder_for
-from .density import _normalize_ladder
+from .density import MAX_LADDER_N, _normalize_ladder
 from .multiplicity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
@@ -146,8 +146,11 @@ def direct_reduction_search(
     verify_stability re-checks that many further steps and treats a failure
     as an internal invariant violation.
     """
-    if n_max < 0:
-        raise InputError(f"certificate search bound n_max must be >= 0, got {n_max}")
+    if not 0 <= n_max <= MAX_LADDER_N:
+        raise InputError(
+            f"certificate search bound n_max must lie in [0, MAX_LADDER_N = {MAX_LADDER_N}], "
+            f"got {n_max}"
+        )
     table = ladder_for(sup, table)
 
     def holds(n0: int) -> bool:

@@ -153,6 +153,7 @@ def parse_module(doc) -> TermModule:
     )
     _expect(len(set(variables)) == len(variables), "ring.variables",
             "variable names must be distinct")
+    _expect(len(variables) >= 2, "ring.variables", "needs at least two variables")
     _expect(len(variables) <= MAX_RING_VARIABLES, "ring.variables",
             f"has {len(variables)} variables; at most {MAX_RING_VARIABLES} are allowed")
     free = doc.get("free_module")
@@ -353,10 +354,17 @@ def chambers_payload(fit: ChamberDecomposition) -> dict:
 def write_density_csv(grid: DensityGrid, path) -> None:
     """One row per grid x: x, value at each ladder n, extrapolated, diagnostic.
 
-    Cells are floats for plotting convenience; the JSON payload keeps the
-    exact rationals.
+    Cells are floats for plotting convenience, except that a value beyond
+    the float range is written exactly, as the ``fraction_str`` p/q; the
+    JSON payload keeps the exact rationals.
     """
     import csv
+
+    def cell(value) -> "float | str":
+        try:
+            return float(value)
+        except OverflowError:
+            return fraction_str(value)
 
     with _open_output(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -364,9 +372,9 @@ def write_density_csv(grid: DensityGrid, path) -> None:
             ["x"] + [f"n={n}" for n in grid.ladder] + ["extrapolated", "diagnostic"]
         )
         for col, x in enumerate(grid.xs):
-            row = [float(x)]
-            row.extend(float(grid.samples[n][col]) for n in grid.ladder)
-            row.append(float(grid.extrapolated[col]))
+            row = [cell(x)]
+            row.extend(cell(grid.samples[n][col]) for n in grid.ladder)
+            row.append(cell(grid.extrapolated[col]))
             diag = grid.diagnostics[col]
-            row.append("" if diag is None else float(diag))
+            row.append("" if diag is None else cell(diag))
             writer.writerow(row)

@@ -35,7 +35,7 @@ from reesdensity.backend import (
     minimalize_exponents,
     product_exponents,
 )
-from reesdensity.core import _colon_gens, module_to_payload
+from reesdensity.core import _colon_gens, module_to_payload, payload_crc
 
 
 def gens_of(m):
@@ -464,15 +464,29 @@ def test_power_cache_writes_only_the_requested_power(tmp_path):
 
 
 def _cache_file(stored, power_module) -> str:
-    """The text of a cache file: the stored module's payload beside a power."""
+    """The text of a cache file: the stored module's payload beside a power
+    and that power's valid checksum."""
+    power_payload = module_to_payload(power_module)
     return json.dumps(
-        {"module": module_to_payload(stored), "power": module_to_payload(power_module)}
+        {
+            "module": module_to_payload(stored),
+            "power": power_payload,
+            "checksum": payload_crc(power_payload),
+        }
     )
 
 
+def _edit_file(good: str, edit) -> str:
+    """The good file with ``edit`` applied to its parsed object in place."""
+    data = json.loads(good)
+    edit(data)
+    return json.dumps(data)
+
+
 # M^3 of m = (x^2, xy) damaged on disk: each maps (m, the good file) to a bad
-# one.  The cases named for a check on the power store M's own payload, so
-# that check is what rejects them, not the stored-module comparison.
+# one.  The cases named for a check on the power store M's own payload and a
+# valid checksum, so that check is what rejects them, not the stored-module
+# comparison or the checksum.
 DAMAGED_POWER_FILES = {
     "wrong level": lambda m, good: _cache_file(m, power(m, 2)),
     "wrong ambient": lambda m, good: _cache_file(
@@ -496,16 +510,30 @@ DAMAGED_POWER_FILES = {
     "stored module not M": lambda m, good: _cache_file(
         ideal([(2, 0), (1, 1), (0, 2)]), power(m, 3)
     ),
+    # x^5 y dropped from x^3 (x, y)^3: the degrees still fit, so only the
+    # checksum, left as written, tells the file from M^3
+    "generator dropped": lambda m, good: _edit_file(
+        good, lambda data: data["power"]["components"][0]["generators"].pop(1)
+    ),
+    "checksum mismatch": lambda m, good: _edit_file(
+        good, lambda data: data.update(checksum="00000000")
+    ),
+    "no checksum": lambda m, good: _edit_file(good, lambda data: data.pop("checksum")),
 }
 STORED_MODULE_CASES = ("wrong shape", "truncated", "another module's file", "stored module not M")
+CHECKSUM_CASES = ("generator dropped", "checksum mismatch", "no checksum")
 
 
 def test_damaged_power_files_store_m_unless_named_for_it():
     m = ideal([(2, 0), (1, 1)])
     good = _cache_file(m, power(m, 3))
     for damage, make in DAMAGED_POWER_FILES.items():
-        if damage not in STORED_MODULE_CASES:
-            assert json.loads(make(m, good))["module"] == module_to_payload(m), damage
+        if damage in STORED_MODULE_CASES:
+            continue
+        data = json.loads(make(m, good))
+        assert data["module"] == module_to_payload(m), damage
+        valid = data.get("checksum") == payload_crc(data["power"])
+        assert valid == (damage not in CHECKSUM_CASES), damage
 
 
 @pytest.mark.parametrize("damage", list(DAMAGED_POWER_FILES))

@@ -1,6 +1,8 @@
 """Graded-piece length counting against enumeration and closed forms."""
 
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -25,6 +27,8 @@ from reesdensity import (
     power,
     saturate,
 )
+from reesdensity import counting
+from reesdensity.backend import minimalize_exponents
 from reesdensity.counting import count_ideal_degree, k_polynomial
 
 
@@ -383,9 +387,10 @@ def test_length_ladder_consistency():
         assert ladder.cumulative(n, 2 * n + 3) == LengthLadder(p).cumulative(1, 2 * n + 3)
 
 
-def test_length_ladder_rows_grow_on_demand():
+def test_length_ladder_rows_end_at_their_numerator():
     # a degree below the support computes no numerator; a low degree, then
-    # degrees far above every numerator's degree, make each row grow
+    # degrees far above every numerator's degree, are read from rows whose
+    # tables end at the numerator
     cases = [
         module({0: [(2, 0), (1, 1)], 1: [(0, 2), (1, 0)]}, (-1, 0)),
         ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ),
@@ -411,9 +416,146 @@ def test_length_ladder_rows_grow_on_demand():
                 assert ladder.cumulative(n, deg) == sum(
                     members(comps, j) for j in range(p.min_degree, deg + 1)
                 )
-            # each row holds exactly the degrees up to the highest asked
+            # each row holds at most max(deg N - low, d) + 1 entries, however
+            # far past the numerator it was asked
             for base, row in ladder._component_rows(n, False):
-                assert len(row.coeffs) == top + 20 - base - row.low + 1
+                deg_n = len(k_polynomial(row.gens)) - 1
+                assert len(row._table[0]) <= max(deg_n - row.low, m.ambient.ring.dim) + 1
+
+
+def _row_cases(rng):
+    """Random ideals in d = 2..4, then rank-2 modules with shifts -1..1, from
+    generators of degrees close enough that few of them divide another."""
+
+    def gens(d, count, low, high):
+        out = []
+        for _ in range(count):
+            g = [0] * d
+            for _ in range(rng.randint(low, high)):
+                g[rng.randrange(d)] += 1
+            out.append(tuple(g))
+        return out
+
+    for d in (2, 2, 2, 3, 3, 3, 4, 4, 4):
+        ring = RingSpec(tuple(f"x{i}" for i in range(d)))
+        yield ideal(gens(d, rng.randint(1, 4), 2, 5 - d // 2), ring=ring)
+    for d in (2, 2, 2, 3, 3, 3):
+        ring = RingSpec(tuple(f"x{i}" for i in range(d)))
+        comps = {i: gens(d, rng.randint(1, 3), 1, 3) for i in range(2)}
+        yield module(comps, tuple(rng.randint(-1, 1) for _ in range(2)), ring)
+
+
+def test_length_rows_are_exact_past_their_table():
+    # enumeration through each table and five degrees past it, where the rows
+    # answer from their Newton forms; far past it, where enumerating in
+    # d = 4 is too slow, the lcm inclusion-exclusion of the oracles (for the
+    # cumulative lengths, in one more variable that no generator uses)
+    rng = random.Random(53)
+    for m in _row_cases(rng):
+        d = m.ambient.ring.dim
+        shifts = m.ambient.shifts
+        ladder = LengthLadder(m)
+        for n in (1, 2):
+            p, sat = ladder.power(n), ladder.sat_power(n)
+            comps, sat_comps = components_of(p), components_of(sat)
+            top = max(
+                m.ambient.basis_degree(b) + len(oracles.taylor_numerator(g)) - 1
+                for mod in (p, sat)
+                for b, g in mod.components
+            )
+
+            def exclusion(components, deg, cumulative=False):
+                pad = (0,) if cumulative else ()
+                return sum(
+                    oracles.count_by_inclusion_exclusion(
+                        [g + pad for g in gens], d + len(pad), deg - m.ambient.basis_degree(b)
+                    )
+                    for b, gens in components.items()
+                )
+
+            running = 0
+            for deg in range(sat.min_degree - 1, top + 6):
+                want = len(oracles.module_members_at_degree(comps, shifts, deg))
+                running += want
+                assert ladder.length(n, deg) == want, (m, n, deg)
+                assert ladder.cumulative(n, deg) == running, (m, n, deg)
+                assert ladder.sat_length(n, deg) == len(
+                    oracles.module_members_at_degree(sat_comps, shifts, deg)
+                ), (m, n, deg)
+            for deg in (top + 17, top + 60, 10**6, 10**30):
+                assert ladder.length(n, deg) == exclusion(comps, deg), (m, n, deg)
+                assert ladder.sat_length(n, deg) == exclusion(sat_comps, deg), (m, n, deg)
+                assert ladder.cumulative(n, deg) == exclusion(comps, deg, True), (m, n, deg)
+            for is_sat in (False, True):
+                for _, row in ladder._component_rows(n, is_sat):
+                    deg_n = len(oracles.taylor_numerator(row.gens)) - 1
+                    assert len(row._table[0]) <= max(deg_n - row.low, d) + 1, (m, n, row.gens)
+
+
+def test_ladder_rows_never_minimalize_their_generators_again(monkeypatch):
+    # the components of a power are canonical already: a row hands them to
+    # the numerator as they are, and only the slices below the root are
+    # minimalized
+    ring = RingSpec(("x", "y", "z", "w"))
+    m = ideal([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 1, 1, 0)], ring=ring)
+    ladder = LengthLadder(m)
+    for n in (1, 2):
+        ladder.sat_power(n)
+    minimalized = []
+
+    def record(points):
+        points = tuple(points)
+        minimalized.append(points)
+        return minimalize_exponents(points)
+
+    monkeypatch.setattr(counting, "minimalize_exponents", record)
+    for n in (1, 2):
+        ladder.length(n, 2 * n + 3)
+        ladder.cumulative(n, 40)
+        ladder.sat_quotient_total(n)
+    roots = {
+        row.gens for n in (1, 2) for is_sat in (False, True)
+        for _, row in ladder._component_rows(n, is_sat)
+    }
+    assert minimalized and not roots & set(minimalized)
+
+
+def test_shared_ladder_answers_threads_as_one_thread():
+    # rows carry no lock: threads that race to build a row's table build
+    # equal tables, so four threads on one ladder, switching often, read
+    # what one thread reads; each thread starts at its own point of the list
+    m = module({0: [(2, 0, 1), (1, 1, 0)], 1: [(0, 2, 0), (1, 0, 2)]}, (0, -1), RING_XYZ)
+    queries = [
+        (kind, n, deg)
+        for n in (1, 2, 3)
+        for kind in ("length", "sat_length", "cumulative")
+        for deg in (-1, 1, 2 * n, 3 * n + 2, 6 * n + 9, 10**6)
+    ] + [("sat_quotient_total", n, None) for n in (1, 2, 3)]
+
+    def ask(ladder, kind, n, deg):
+        method = getattr(ladder, kind)
+        return method(n) if deg is None else method(n, deg)
+
+    want = {q: ask(LengthLadder(m), *q) for q in queries}
+    shared = LengthLadder(m)
+    got: dict = {}
+
+    def work(k):
+        cut = k * len(queries) // 4
+        got[k] = {q: ask(shared, *q) for q in queries[cut:] + queries[:cut]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: want for k in range(4)}
 
 
 def test_length_ladder_shares_power_cache():

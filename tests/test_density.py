@@ -6,14 +6,18 @@ import pytest
 
 from util import ideal, module
 
-from reesdensity import density
+from reesdensity import counting, density
 from reesdensity import (
     FitNotConvergedError,
     InputError,
     LengthLadder,
+    check_dependence,
     cumulative_identity,
     default_grid,
     detect_chambers,
+    diagonal_multiplicity,
+    direct_reduction_search,
+    epsilon_multiplicity,
     fit_piecewise,
     ray_extrapolate,
     sample_adic,
@@ -216,6 +220,33 @@ def test_ray_stops_before_sampling_past_the_power_bound(monkeypatch):
     with pytest.raises(FitNotConvergedError, match="n <= 30"):
         ray_extrapolate(ladder, F(2))
     assert max(ladder.asked) == 27
+
+
+_OVER = density.MAX_LADDER_N + 1
+POWER_BOUND_CALLS = {
+    "sample_adic": lambda: sample_adic(M_XY, [F(1)], (1, _OVER)),
+    "sample_saturated": lambda: sample_saturated(M_XY, [F(1)], (_OVER,)),
+    "sample_epsilon": lambda: sample_epsilon(M_XY, [F(1)], (2, _OVER)),
+    "cumulative_identity": lambda: cumulative_identity(M_XY, F(1), ladder=(8, _OVER)),
+    "epsilon_multiplicity": lambda: epsilon_multiplicity(
+        M_XY, (1, 2, 3, 5000), cross_check=False
+    ),
+    "diagonal_multiplicity": lambda: diagonal_multiplicity(M_XY, 2, ladder=(1, _OVER)),
+    "check_dependence ladder": lambda: check_dependence(M_XY, M_XY, ladder=(1, _OVER)),
+    "check_dependence n_max": lambda: check_dependence(M_XY, M_XY, n_max=_OVER),
+    "direct_reduction_search": lambda: direct_reduction_search(M_XY, M_XY, _OVER),
+}
+
+
+@pytest.mark.parametrize("call", list(POWER_BOUND_CALLS))
+def test_public_entry_points_refuse_powers_past_the_bound(call, monkeypatch):
+    # the bound is the engine's, not only the CLI's: every public function
+    # refuses a ladder entry or n_max above it before building any power
+    built = []
+    monkeypatch.setattr(counting, "next_power", lambda *args: built.append(args))
+    with pytest.raises(InputError, match=f"MAX_LADDER_N = {density.MAX_LADDER_N}"):
+        POWER_BOUND_CALLS[call]()
+    assert built == []
 
 
 # -- piecewise fits --------------------------------------------------------------------

@@ -20,11 +20,13 @@ from reesdensity import (
 )
 from reesdensity.cli import MAX_GRID_POINTS, MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
+from reesdensity.density import DensityGrid
 from reesdensity.io import (
     corpus_names,
     dump_json,
     fraction_str,
     parse_fraction,
+    write_density_csv,
 )
 
 GOOD_DOC = {
@@ -434,6 +436,46 @@ def test_cli_ring_with_too_many_variables_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ring.variables" in err and str(MAX_RING_VARIABLES) in err
     assert parse_module(_pure_squares(MAX_RING_VARIABLES)).ambient.ring.dim == MAX_RING_VARIABLES
+
+
+def test_cli_diagonal_at_a_slope_far_past_every_numerator(tmp_path):
+    # lengths at degree 10^8 n come from each row's Hilbert polynomial; a row
+    # grown out to that degree would not fit in memory
+    out = tmp_path / "diag.json"
+    argv = ["multiplicity", "--module", "corpus:ideal_x2_y3", "--diagonal",
+            "--c", "100000000", "--json-out", str(out)]
+    assert main(argv) == 0
+    values = json.loads(out.read_text())["reports"][0]["values"]
+    assert values["a_version"]["multiplicity"] == str(10**8)
+    assert values["s_version"]["multiplicity"] == str(10**16 - 6)
+
+
+def test_cli_one_variable_ring_exits_two_naming_the_field(tmp_path, capsys):
+    path = write_doc(tmp_path, _pure_squares(1))
+    assert main(["density", "--module", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ring.variables" in err and "two variables" in err
+
+
+def test_density_csv_writes_cells_beyond_the_float_range_exactly(tmp_path):
+    # 180! * 180 and the like overflow float(); such a cell is the exact p/q
+    big = F(10**400)
+    grid = DensityGrid(
+        kind="adic",
+        module=ideal([(1, 0), (0, 1)]),
+        xs=(F(2), F(5, 2)),
+        ladder=(1,),
+        samples={1: (big, F(3, 2))},
+        extrapolated=(big + F(1, 3), F(3, 2)),
+        diagnostics=(None, big),
+        support=(F(1), None),
+    )
+    out = tmp_path / "big.csv"
+    write_density_csv(grid, out)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["2.0", str(10**400), fraction_str(big + F(1, 3)), ""]
+    assert rows[2] == ["2.5", "1.5", "1.5", str(10**400)]
 
 
 @pytest.mark.parametrize("kinds", ["saturated", "saturated,epsilon"])

@@ -131,6 +131,18 @@ def test_diagonal_reduction_pair_agrees():
         assert (va["dimension"], va["multiplicity"]) == (vb["dimension"], vb["multiplicity"])
 
 
+@pytest.mark.parametrize("c", [4, 10**3, 10**8])
+def test_diagonal_closed_forms_of_x2_y3(c):
+    # M = (x^2, y^3) is m-primary, so len((M^n)_{cn}) = cn + 1 and the
+    # cumulative length is C(cn + 2, 2) - len(A/M^n) = (c^2 - 6) n^2 / 2 + O(n),
+    # as e(M) = 6; degrees cn = 10^8 n lie far past every numerator, where
+    # the rows answer from their Hilbert polynomials
+    rep = diagonal_multiplicity(ideal([(2, 0), (0, 3)]), c)
+    a, s = rep.values["a_version"], rep.values["s_version"]
+    assert (a["dimension"], a["multiplicity"]) == (2, c)
+    assert (s["dimension"], s["multiplicity"]) == (3, c * c - 6)
+
+
 def test_diagonal_requires_c_past_generator_degrees():
     with pytest.raises(InputError):
         diagonal_multiplicity(M_SQ, 2)
