@@ -14,15 +14,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "backend": ("BACKEND",),
     "core": (
-        "GradedFreeModule", "InputError", "InternalInvariantError", "NotSubmoduleError",
-        "RankMismatchError", "RingSpec", "Term", "TermModule", "ideal_module",
-        "is_submodule", "membership", "power", "product", "saturate", "term_module",
+        "FitNotConvergedError", "GradedFreeModule", "InputError", "InternalInvariantError",
+        "NotSubmoduleError", "RankMismatchError", "RingSpec", "Term", "TermModule",
+        "ideal_module", "is_submodule", "membership", "product", "saturate", "term_module",
         "unit_module", "zero_module",
     ),
-    "counting": ("LengthLadder", "count_ideal_degree", "length_component"),
+    "counting": ("LengthLadder", "count_ideal_degree", "length_component", "power"),
     "density": (
-        "ChamberDecomposition", "DensityGrid", "FitNotConvergedError", "cumulative_identity",
-        "default_grid", "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",
+        "ChamberDecomposition", "DensityGrid", "cumulative_identity", "default_grid",
+        "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",
         "sample_epsilon", "sample_saturated", "trapezoid",
     ),
     "dependence": (

@@ -12,17 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .core import InputError, InternalInvariantError, TermModule
-from .counting import LengthLadder
-from .density import (
-    MAX_LADDER_N,
-    FitNotConvergedError,
-    _arithmetic_grid,
-    fit_piecewise,
-    sample_adic,
-    sample_epsilon,
-    sample_saturated,
-)
+from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
+from .counting import MAX_LADDER_N, LengthLadder
 from .io import (
     chambers_payload,
     corpus_description,
@@ -86,6 +77,8 @@ def _parse_ladder_options(args, nmax_ladder=None):
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
+    from .density import arithmetic_grid
+
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"bad --grid {text!r}; expected LO:HI:STEP")
@@ -99,7 +92,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise InputError(
             f"--grid {text!r} has {points} points; at most {MAX_GRID_POINTS} are allowed"
         )
-    return _arithmetic_grid(lo, hi, step)
+    return arithmetic_grid(lo, hi, step)
 
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
@@ -137,6 +130,8 @@ def _check_outputs(*paths) -> None:
 
 
 def _cmd_density(args) -> int:
+    from .density import fit_piecewise, sample_adic, sample_epsilon, sample_saturated
+
     module = _load_module(args.module)
     samplers = {"adic": sample_adic, "saturated": sample_saturated, "epsilon": sample_epsilon}
     kinds = tuple(k.strip() for k in args.kind.split(",") if k.strip())

@@ -49,6 +49,10 @@ class InternalInvariantError(RuntimeError):
     """Two routes to the same fact disagreed; indicates a bug, not bad input."""
 
 
+class FitNotConvergedError(RuntimeError):
+    """A fit or limit extraction could not be validated at the given ladder."""
+
+
 class RingSpec:
     """Polynomial ring k[x_1..x_d] with the standard grading."""
 
@@ -344,21 +348,6 @@ def product(a: TermModule, b: TermModule) -> TermModule:
         for basis, parts in sorted(buckets.items())
     )
     return TermModule._from_canonical(a.ambient, a.level + b.level, comps)
-
-
-def power(m: TermModule, n: int) -> TermModule:
-    """n-th Rees power M^n (image of Sym^n M in Sym^n F).
-
-    Uncached; ``LengthLadder.power`` memoizes a module's powers.
-    """
-    if n < 0:
-        raise InputError("power exponent must be nonnegative")
-    if n == 0:
-        return unit_module(m.ambient)
-    cur = m
-    for _ in range(n - 1):
-        cur = next_power(cur, m)
-    return cur
 
 
 def next_power(cur: TermModule, m: TermModule) -> TermModule:

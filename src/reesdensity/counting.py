@@ -19,8 +19,12 @@ A module's Rees powers and length data are reached through its
 M^n and for sat(M^n), built once and ending at the numerator's degree, so a
 length query is a list lookup or, past the table, a Hilbert polynomial; the
 length of sat(M^n)/M^n is read from the same rows.  It keeps the powers on
-disk when given a directory; ``ladder_for`` hands the engine's public
-functions the ladder they work on.
+disk when given a directory; ``power`` reads one from a fresh ladder.
+
+The engine's public functions share the ladder plumbing here:
+``ladder_for`` hands each the ladder it works on, ``require_samplable``
+checks that a module has density functions, and ``normalize_ladder`` sorts
+the n ladder it samples on and refuses any entry above ``MAX_LADDER_N``.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -47,6 +51,11 @@ from .core import (
     saturate,
     unit_module,
 )
+
+
+# no power M^n above this is built: memory grows with n, so a --nmax or
+# --ladder entry above it is refused, and a ray stops before sampling past it
+MAX_LADDER_N = 1000
 
 
 def _canonical_gens(gens) -> tuple:
@@ -450,3 +459,38 @@ def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:
     if table.module is not m and table.module != m:
         raise InputError("table= is a LengthLadder of another module")
     return table
+
+
+def power(m: TermModule, n: int) -> TermModule:
+    """n-th Rees power M^n (image of Sym^n M in Sym^n F), from a fresh ladder."""
+    return LengthLadder(m).power(n)
+
+
+def require_samplable(m: TermModule) -> None:
+    if m.level != 1:
+        raise InputError("density functions are defined for level-1 modules")
+    if m.is_zero:
+        raise InputError("density functions need a nonzero module")
+    if m.rank != m.ambient.rank:
+        raise InputError(
+            f"module rank {m.rank} != ambient rank {m.ambient.rank}; "
+            "the engine requires equal ranks"
+        )
+
+
+def normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The n ladder sorted and deduplicated, or ``default`` when None.
+
+    Every ladder the engine samples on passes through here, so no entry
+    above ``MAX_LADDER_N`` reaches a power.
+    """
+    if ladder is None:
+        return default
+    ladder = tuple(sorted(set(int(n) for n in ladder)))
+    if not ladder or ladder[0] < 1:
+        raise InputError("ladder must be positive integers")
+    if ladder[-1] > MAX_LADDER_N:
+        raise InputError(
+            f"ladder entries must be at most MAX_LADDER_N = {MAX_LADDER_N}, got {ladder[-1]}"
+        )
+    return ladder

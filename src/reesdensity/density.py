@@ -16,23 +16,37 @@ Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
 cache through ``LengthLadder(m, dir)``; a ladder of another module raises
 ``InputError``.
+
+This module holds only the density work.  What the invariants in
+``multiplicity`` and ``dependence`` share with it lives with its owner:
+the ladder checks and ``MAX_LADDER_N`` in ``counting``, the finite-n
+estimate (``extrapolate``) in ``polyfit``, and ``FitNotConvergedError``
+beside the other errors in ``core``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional
+from typing import Optional
 
-from .core import InputError, TermModule
-from .counting import LengthLadder, ladder_for
+from .core import FitNotConvergedError, InputError, TermModule
+from .counting import (
+    MAX_LADDER_N,
+    LengthLadder,
+    ladder_for,
+    normalize_ladder,
+    require_samplable,
+)
 from .polyfit import (
     STABLE_WINDOW,
     Poly,
     difference_rows,
+    extrapolate,
     poly_degree,
     poly_eval,
-    poly_interpolate,
+    poly_trim,
+    solve_exact,
     stabilized_difference,
 )
 
@@ -42,17 +56,10 @@ DEFAULT_STEP = Fraction(1, 8)
 RAY_N_FLOOR = 8
 # ray steps H = h * (denominator of x) are tried for h = 1 .. RAY_H_MAX
 RAY_H_MAX = 12
-# no power M^n above this is built: memory grows with n, so a --nmax or
-# --ladder entry above it is refused, and a ray stops before sampling past it
-MAX_LADDER_N = 1000
 # chamber nodes beyond the d interpolation nodes, checked exactly
 HELD_OUT_NODES = 2
 # relative part of the cumulative-identity tolerance
 IDENTITY_REL_TOL = Fraction(1, 20)
-
-
-class FitNotConvergedError(RuntimeError):
-    """A fit or limit extraction could not be validated at the given ladder."""
 
 
 def floor_times(x: Fraction, n: int) -> int:
@@ -60,19 +67,7 @@ def floor_times(x: Fraction, n: int) -> int:
     return (x.numerator * n) // x.denominator
 
 
-def require_samplable(m: TermModule) -> None:
-    if m.level != 1:
-        raise InputError("density functions are defined for level-1 modules")
-    if m.is_zero:
-        raise InputError("density functions need a nonzero module")
-    if m.rank != m.ambient.rank:
-        raise InputError(
-            f"module rank {m.rank} != ambient rank {m.ambient.rank}; "
-            "the engine requires equal ranks"
-        )
-
-
-def _arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
+def arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
     """lo, lo + step, ... up to hi; ``step`` must be positive."""
     out = []
     x = lo
@@ -85,7 +80,7 @@ def _arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fracti
 def default_grid(m: TermModule) -> tuple[Fraction, ...]:
     """Arithmetic x grid on [-c0 - 1, d_M + 2] with step ``DEFAULT_STEP``."""
     require_samplable(m)
-    return _arithmetic_grid(
+    return arithmetic_grid(
         Fraction(-m.ambient.c0 - 1), Fraction(m.max_degree + 2), DEFAULT_STEP
     )
 
@@ -116,54 +111,6 @@ class DensityGrid:
         self.meta = {} if meta is None else meta
 
 
-def _reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
-    """Ladder entry used for the n_max/2 diagnostic: largest entry <= n_max/2."""
-    n_max = ladder[-1]
-    below = [n for n in ladder if n <= n_max // 2]
-    if below:
-        return below[-1]
-    return ladder[0] if len(ladder) > 1 else None
-
-
-def _extrapolate(
-    value: Callable[[int], Fraction], ladder: tuple[int, ...], richardson: bool
-) -> tuple[Fraction, Optional[Fraction]]:
-    """Limit estimate of ``value(n)`` on the ladder and its reference gap.
-
-    The estimate is the value at the top rung, or with ``richardson`` the
-    two-point Richardson extrapolation in 1/n from the top and reference
-    rungs; the gap is |value(top) - value(reference)|, None without a
-    reference rung (and then the estimate is the top value).
-    """
-    n_max = ladder[-1]
-    top = value(n_max)
-    ref = _reference_entry(ladder)
-    if ref is None:
-        return top, None
-    low = value(ref)
-    if richardson:
-        return Fraction(n_max * top - ref * low, n_max - ref), abs(top - low)
-    return top, abs(top - low)
-
-
-def _normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The n ladder sorted and deduplicated, or ``default`` when None.
-
-    Every ladder the engine samples on passes through here, so no entry
-    above ``MAX_LADDER_N`` reaches a power.
-    """
-    if ladder is None:
-        return default
-    ladder = tuple(sorted(set(int(n) for n in ladder)))
-    if not ladder or ladder[0] < 1:
-        raise InputError("ladder must be positive integers")
-    if ladder[-1] > MAX_LADDER_N:
-        raise InputError(
-            f"ladder entries must be at most MAX_LADDER_N = {MAX_LADDER_N}, got {ladder[-1]}"
-        )
-    return ladder
-
-
 def _sample_kind(
     m: TermModule,
     kind: str,
@@ -174,7 +121,7 @@ def _sample_kind(
 ) -> DensityGrid:
     require_samplable(m)
     xs = tuple(Fraction(x) for x in grid) if grid is not None else default_grid(m)
-    ladder = _normalize_ladder(ladder, DEFAULT_LADDER)
+    ladder = normalize_ladder(ladder, DEFAULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
@@ -191,7 +138,7 @@ def _sample_kind(
 
     samples = {n: tuple(raw(n, x) for x in xs) for n in ladder}
     limits = [
-        _extrapolate(lambda n: samples[n][i], ladder, richardson)
+        extrapolate(lambda n: samples[n][i], ladder, richardson)
         for i in range(len(xs))
     ]
 
@@ -447,7 +394,8 @@ def fit_piecewise(
             continue
         nodes = _chamber_nodes(ch, d + HELD_OUT_NODES)
         values = [ray_extrapolate(table, x) for x in nodes]
-        poly = poly_interpolate(list(zip(nodes[:d], values[:d])))
+        vandermonde = [[x**k for k in range(d)] for x in nodes[:d]]
+        poly = poly_trim(solve_exact(vandermonde, values[:d]))
         for x, v in zip(nodes[d:], values[d:]):
             if poly_eval(poly, x) != v:
                 raise FitNotConvergedError(
@@ -529,7 +477,7 @@ def cumulative_identity(
     require_samplable(m)
     x = Fraction(x)
     table = ladder_for(m, table)
-    ladder = _normalize_ladder(ladder, DEFAULT_LADDER)
+    ladder = normalize_ladder(ladder, DEFAULT_LADDER)
     d = m.ambient.ring.dim
     e = m.ambient.rank
 
@@ -539,11 +487,11 @@ def cumulative_identity(
             n ** (d + e - 1),
         )
 
-    xs = _arithmetic_grid(Fraction(-m.ambient.c0 - 1), x, DEFAULT_STEP)
+    xs = arithmetic_grid(Fraction(-m.ambient.c0 - 1), x, DEFAULT_STEP)
     if not xs or xs[-1] != x:
         raise InputError(f"x = {x} must lie on the density grid")
     vs = sample_adic(m, xs, ladder, table=table, richardson=True).extrapolated
-    lhs, _ = _extrapolate(lhs_at, ladder, richardson=True)
+    lhs, _ = extrapolate(lhs_at, ladder, richardson=True)
     integral = trapezoid(xs, vs)
     rhs = (d + e) * integral
     gap = abs(lhs - rhs)

@@ -35,8 +35,7 @@ from .core import (
     membership,
     product,
 )
-from .counting import LengthLadder, ladder_for
-from .density import MAX_LADDER_N, _normalize_ladder
+from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder
 from .multiplicity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
@@ -222,7 +221,7 @@ def check_dependence(
     c = int(c)
     if c <= bound:
         raise InputError(f"dependence check needs c > {bound}, got c = {c}")
-    ladder = _normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
+    ladder = normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
     same = sub == sup
     slopes = (c, c + 1) if robustness_c else (c,)
     table_sup = LengthLadder(sup, cache_dir)

@@ -19,21 +19,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .core import InputError, InternalInvariantError, TermModule
-from .counting import LengthLadder, ladder_for
-from .density import (
-    FitNotConvergedError,
-    _extrapolate,
-    _normalize_ladder,
-    _reference_entry,
-    require_samplable,
-    sample_epsilon,
-    trapezoid,
-)
+from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
+from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
     Poly2,
+    extrapolate,
     fit_poly2_triangular,
     poly2_eval,
+    reference_entry,
     stabilized_difference,
 )
 
@@ -130,7 +123,7 @@ def epsilon_multiplicity(
     of the epsilon density cross-checks the estimate.
     """
     require_samplable(m)
-    ladder = _normalize_ladder(ladder, DEFAULT_MULT_LADDER)
+    ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
@@ -141,15 +134,19 @@ def epsilon_multiplicity(
     def estimate_at(n: int) -> Fraction:
         return Fraction(factorial(big_d) * totals[n], n**big_d)
 
-    estimate, halfway_gap = _extrapolate(estimate_at, ladder, richardson=False)
+    estimate, halfway_gap = extrapolate(estimate_at, ladder, richardson=False)
     exact, ext = _exact_epsilon(totals, big_d)
     diagnostics: dict = {
         "halfway_gap": halfway_gap,
-        "reference_n": _reference_entry(ladder),
+        "reference_n": reference_entry(ladder),
         "extraction": ext,
     }
     if cross_check:
-        grid_ladder = tuple(sorted({max(2, n_max // 2), n_max}))
+        # the epsilon density is density work: only this branch loads it
+        from .density import sample_epsilon, trapezoid
+
+        # the n_max/2 rung, never above the ladder's top
+        grid_ladder = tuple(sorted({min(max(2, n_max // 2), n_max), n_max}))
         grid = sample_epsilon(m, None, grid_ladder, table=table, richardson=True)
         integral = trapezoid(list(grid.xs), list(grid.extrapolated))
         gap = abs(integral - estimate)
@@ -233,7 +230,7 @@ def diagonal_multiplicity(
         raise InputError(
             f"diagonal multiplicity needs c > d_M = {m.max_degree}, got {c}"
         )
-    ladder = _normalize_ladder(ladder, DEFAULT_MULT_LADDER)
+    ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
@@ -422,7 +419,6 @@ def mixed_multiplicities(
     recovers e_0..e_d the same way.  Each e_i must come out an integer; a
     violation is reported as a too-shallow fit region.
     """
-    require_samplable(m)
     d = m.ambient.ring.dim
     e = m.ambient.rank
     try:

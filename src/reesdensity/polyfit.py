@@ -1,5 +1,10 @@
-"""Exact rational polynomial utilities: interpolation, finite differences,
-and bivariate fits by Gaussian elimination over Fraction.
+"""Exact rational polynomial utilities: finite differences, limits of
+sampled sequences, and exact fits by Gaussian elimination over Fraction.
+
+Every limit the engine reads off an n ladder comes from here: the exact one
+from a stabilized difference table (``stabilized_difference``), the
+finite-n estimate from the top rung and its n_max/2 reference rung
+(``extrapolate``, ``reference_entry``).
 
 Univariate polynomials are coefficient tuples in ascending order; bivariate
 polynomials are {(i, j): coefficient} maps for X^i * Y^j.
@@ -8,7 +13,7 @@ polynomials are {(i, j): coefficient} maps for X^i * Y^j.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 Poly = tuple[Fraction, ...]
 Poly2 = dict[tuple[int, int], Fraction]
@@ -37,29 +42,6 @@ def poly_eval(p: Sequence[Fraction], x) -> Fraction:
     for c in reversed(list(p)):
         acc = acc * x + c
     return acc
-
-
-def poly_interpolate(points: Sequence[tuple]) -> Poly:
-    """Exact Lagrange interpolation through distinct nodes."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (x - x_j), times y_i / denom
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= Fraction(xi) - Fraction(xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] += c * (-Fraction(xj))
-                nxt[k + 1] += c
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    return poly_trim(coeffs)
 
 
 # -- finite differences ----------------------------------------------------
@@ -106,6 +88,36 @@ def stabilized_difference(
             "stabilized_difference": lead,
         }
     return None
+
+
+def reference_entry(ladder: tuple[int, ...]) -> Optional[int]:
+    """Ladder entry used for the n_max/2 diagnostic: largest entry <= n_max/2."""
+    n_max = ladder[-1]
+    below = [n for n in ladder if n <= n_max // 2]
+    if below:
+        return below[-1]
+    return ladder[0] if len(ladder) > 1 else None
+
+
+def extrapolate(
+    value: Callable[[int], Fraction], ladder: tuple[int, ...], richardson: bool
+) -> tuple[Fraction, Optional[Fraction]]:
+    """Limit estimate of ``value(n)`` on the ladder and its reference gap.
+
+    The estimate is the value at the top rung, or with ``richardson`` the
+    two-point Richardson extrapolation in 1/n from the top and reference
+    rungs; the gap is |value(top) - value(reference)|, None without a
+    reference rung (and then the estimate is the top value).
+    """
+    n_max = ladder[-1]
+    top = value(n_max)
+    ref = reference_entry(ladder)
+    if ref is None:
+        return top, None
+    low = value(ref)
+    if richardson:
+        return Fraction(n_max * top - ref * low, n_max - ref), abs(top - low)
+    return top, abs(top - low)
 
 
 # -- linear algebra over Fraction -------------------------------------------

@@ -222,7 +222,7 @@ def test_ray_stops_before_sampling_past_the_power_bound(monkeypatch):
     assert max(ladder.asked) == 27
 
 
-_OVER = density.MAX_LADDER_N + 1
+_OVER = counting.MAX_LADDER_N + 1
 POWER_BOUND_CALLS = {
     "sample_adic": lambda: sample_adic(M_XY, [F(1)], (1, _OVER)),
     "sample_saturated": lambda: sample_saturated(M_XY, [F(1)], (_OVER,)),
@@ -244,7 +244,7 @@ def test_public_entry_points_refuse_powers_past_the_bound(call, monkeypatch):
     # refuses a ladder entry or n_max above it before building any power
     built = []
     monkeypatch.setattr(counting, "next_power", lambda *args: built.append(args))
-    with pytest.raises(InputError, match=f"MAX_LADDER_N = {density.MAX_LADDER_N}"):
+    with pytest.raises(InputError, match=f"MAX_LADDER_N = {counting.MAX_LADDER_N}"):
         POWER_BOUND_CALLS[call]()
     assert built == []
 

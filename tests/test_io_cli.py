@@ -1,6 +1,7 @@
 """Module documents, JSON/CSV emission, CLI subcommands and exit codes."""
 
 import argparse
+import ast
 import csv
 import json
 import shlex
@@ -540,6 +541,51 @@ print(json.dumps(jobs))
         "multiplicity-cached": [0, engines],
     }
     assert any(Path(cache_dir).iterdir())
+
+
+DENSITY_LOADS = {
+    "check": (["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+               "--ladder=1,2,3"], False),
+    "multiplicity --mixed --extended": (
+        ["multiplicity", "--module", "corpus:maximal_ideal", "--mixed", "--extended"], False),
+    "density": (["density", "--module", "corpus:ideal_x2_xy", "--ladder=1,2,3"], True),
+    "multiplicity --epsilon": (
+        ["multiplicity", "--module", "corpus:maximal_ideal", "--epsilon"], True),
+}
+
+
+@pytest.mark.parametrize("job", list(DENSITY_LOADS))
+def test_cli_loads_density_only_for_density_work(job, tmp_path):
+    # the invariants decide without the density engine: a check or mixed job
+    # never loads it, while a density job and the epsilon cross-check do;
+    # each job runs in a fresh interpreter
+    argv, wanted = DENSITY_LOADS[job]
+    loaded = fresh_python(f"""
+import contextlib, io, json, os, sys
+os.chdir({str(tmp_path)!r})
+import reesdensity.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = reesdensity.cli.main({argv!r})
+print(json.dumps([code, "reesdensity.density" in sys.modules]))
+""")
+    assert loaded == [0, wanted]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public and lives with its owner, so no
+    # `from .<module> import _<name>`, at top level or inside a function
+    package = Path(__file__).parents[1] / "src" / "reesdensity"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level == 0 and not source.startswith("reesdensity"):
+                continue
+            offenders += [f"{path.name}: from {'.' * node.level}{source} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
 
 
 def _readme_commands() -> list[list[str]]:

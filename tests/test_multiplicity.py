@@ -6,6 +6,7 @@ import pytest
 
 from util import ideal, module
 
+from reesdensity import counting
 from reesdensity import (
     InputError,
     LengthLadder,
@@ -100,6 +101,23 @@ def test_epsilon_estimate_only_on_tiny_ladder():
     rep = epsilon_multiplicity(M_X2_XY, (1, 2), cross_check=False)
     assert rep.status == "estimate-only"
     assert rep.values["exact"] is None
+
+
+@pytest.mark.parametrize("ladder", [(1,), (1, 2), (3,), (1, 2, 3, 4, 5)])
+def test_epsilon_cross_check_builds_no_power_above_the_ladder(ladder, monkeypatch):
+    # the cross-check samples the epsilon density at the n_max/2 rung and at
+    # n_max; a ladder topping at 1 has no rung 2 to sample
+    built = []
+    real = counting.next_power
+
+    def recording(cur, m):
+        built.append(cur.level + 1)
+        return real(cur, m)
+
+    monkeypatch.setattr(counting, "next_power", recording)
+    rep = epsilon_multiplicity(M_X2_XY, ladder)
+    assert "integral" in rep.diagnostics
+    assert max(built, default=1) == ladder[-1]
 
 
 # -- diagonal ------------------------------------------------------------------------
