@@ -15,7 +15,7 @@ _EXPORTS = {
     "backend": ("BACKEND",),
     "core": (
         "FitNotConvergedError", "GradedFreeModule", "InputError", "InternalInvariantError",
-        "NotSubmoduleError", "RankMismatchError", "RingSpec", "Term", "TermModule",
+        "NotSubmoduleError", "RankMismatchError", "RingSpec", "TermModule",
         "ideal_module", "is_submodule", "membership", "product", "saturate", "term_module",
         "unit_module", "zero_module",
     ),

@@ -45,14 +45,18 @@ def _parse_ladder_options(args, nmax_ladder=None):
     Returns the n ladder and the tolerance, each None when not given (the
     engine default).  ``nmax_ladder`` builds the ladder from ``--nmax`` for
     subcommands whose ``--nmax`` tops the ladder; ``--ladder`` wins over it.
-    Without it (``check``), ``--nmax`` bounds the certificate search and may
-    be 0.  No entry may pass ``MAX_LADDER_N``: memory grows with the power.
+    Without it (``check``), ``--nmax`` bounds the certificate search, which
+    builds M^(nmax+1), and may be 0.  No power past ``MAX_LADDER_N`` may be
+    asked for: memory grows with the power.
     """
-    least = 0 if nmax_ladder is None else 1
+    least, most = (0, MAX_LADDER_N - 1) if nmax_ladder is None else (1, MAX_LADDER_N)
     if args.nmax is not None and args.nmax < least:
         raise InputError(f"--nmax must be at least {least}, got {args.nmax}")
-    if args.nmax is not None and args.nmax > MAX_LADDER_N:
-        raise InputError(f"--nmax must be at most {MAX_LADDER_N}, got {args.nmax}")
+    if args.nmax is not None and args.nmax > most:
+        raise InputError(
+            f"--nmax must be at most {most} (powers stop at MAX_LADDER_N = {MAX_LADDER_N}), "
+            f"got {args.nmax}"
+        )
     ladder = None
     if args.ladder:
         try:
@@ -97,10 +101,8 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
     """Rungs evenly spaced up to n_max, mirroring the 8..40 default shape."""
-    ladder = sorted({max(1, round(j * n_max / rungs)) for j in range(1, rungs + 1)})
-    if ladder[-1] != n_max:
-        ladder.append(n_max)
-    return tuple(ladder)
+    # j = rungs gives n_max itself, so the ladder tops at n_max
+    return tuple(sorted({max(1, round(j * n_max / rungs)) for j in range(1, rungs + 1)}))
 
 
 def _load_module(spec: str) -> TermModule:

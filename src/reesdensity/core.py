@@ -2,9 +2,11 @@
 
 The objects here are submodules of symmetric powers of a shifted free module
 F = A(f_1) + ... + A(f_e) over A = k[x_1..x_d], generated by *terms*: a
-monomial times a symmetric basis monomial e^a with |a| = n.  Every operation
-is exact integer combinatorics on exponent vectors; no Groebner bases and no
-field arithmetic anywhere.
+monomial times a symmetric basis monomial e^a with |a| = n.  A term is the
+plain pair (exponents, basis_exponents) of exponent tuples; ``generators``
+yields these pairs and ``membership`` and ``term_module`` take them.  Every
+operation is exact integer combinatorics on exponent vectors; no Groebner
+bases and no field arithmetic anywhere.
 
 Degree conventions: ``shifts[i]`` is the degree of the basis vector e_i (it
 may be negative), and the degree of x^alpha * e^a is |alpha| + sum(a_i *
@@ -120,37 +122,6 @@ class GradedFreeModule:
         return sum(a * f for a, f in zip(basis_exponents, self.shifts))
 
 
-class Term:
-    """x^exponents * e^basis_exponents inside some symmetric power of F."""
-
-    __slots__ = ("exponents", "basis_exponents")
-
-    def __init__(self, exponents: tuple[int, ...], basis_exponents: tuple[int, ...]) -> None:
-        self.exponents = exponents
-        self.basis_exponents = basis_exponents
-
-    def __eq__(self, other):
-        if type(other) is not Term:
-            return NotImplemented
-        return (self.exponents, self.basis_exponents) == (
-            other.exponents,
-            other.basis_exponents,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.exponents, self.basis_exponents))
-
-    def __repr__(self) -> str:
-        return f"Term({self.exponents!r}, {self.basis_exponents!r})"
-
-    @property
-    def level(self) -> int:
-        return sum(self.basis_exponents)
-
-    def degree(self, ambient: GradedFreeModule) -> int:
-        return sum(self.exponents) + ambient.basis_degree(self.basis_exponents)
-
-
 Component = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
@@ -239,10 +210,11 @@ class TermModule:
     def is_zero(self) -> bool:
         return not self.components
 
-    def generators(self) -> Iterator[Term]:
+    def generators(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Every generator as an (exponents, basis_exponents) pair."""
         for basis, gens in self.components:
             for g in gens:
-                yield Term(g, basis)
+                yield g, basis
 
     @property
     def num_generators(self) -> int:
@@ -251,7 +223,7 @@ class TermModule:
     @cached_property
     def generator_degrees(self) -> tuple[int, ...]:
         """Distinct generator degrees, ascending (d_1 < ... < d_l)."""
-        degs = {t.degree(self.ambient) for t in self.generators()}
+        degs = {sum(g) + self.ambient.basis_degree(basis) for g, basis in self.generators()}
         return tuple(sorted(degs))
 
     @property
@@ -293,13 +265,9 @@ class TermModule:
 def term_module(
     ambient: GradedFreeModule, level: int, terms
 ) -> TermModule:
-    """Build a module from (exponents, basis_exponents) pairs or Terms."""
+    """Build a module from (exponents, basis_exponents) pairs."""
     buckets: dict[tuple[int, ...], list] = {}
-    for t in terms:
-        if isinstance(t, Term):
-            exp, basis = t.exponents, t.basis_exponents
-        else:
-            exp, basis = t
+    for exp, basis in terms:
         buckets.setdefault(tuple(basis), []).append(tuple(exp))
     comps = tuple((b, tuple(g)) for b, g in buckets.items())
     return TermModule(ambient, level, comps)
@@ -373,16 +341,16 @@ def next_power(cur: TermModule, m: TermModule) -> TermModule:
     return TermModule._from_canonical(cur.ambient, cur.level + 1, comps)
 
 
-def membership(term: Term, m: TermModule) -> bool:
-    """A term lies in M iff a generator with the same basis exponent divides it."""
-    if term.level != m.level:
-        raise InputError(
-            f"term has level {term.level}, module has level {m.level}"
-        )
-    gens = m.component(term.basis_exponents)
+def membership(term: tuple, m: TermModule) -> bool:
+    """A term, an (exponents, basis_exponents) pair, lies in M iff a generator
+    with the same basis exponent divides it."""
+    exponents, basis = term
+    if sum(basis) != m.level:
+        raise InputError(f"term has level {sum(basis)}, module has level {m.level}")
+    gens = m.component(basis)
     if not gens:
         return False
-    return divides_any(term.exponents, gens)
+    return divides_any(exponents, gens)
 
 
 def is_submodule(a: TermModule, b: TermModule) -> bool:

@@ -248,7 +248,6 @@ class ChamberDecomposition:
         polynomials: Optional[tuple[Poly, ...]] = None,
         continuity: Optional[tuple[bool, ...]] = None,
         top_degree: Optional[int] = None,
-        residual_max: Optional[Fraction] = None,
         diagnostics: Optional[dict] = None,
     ) -> None:
         self.breakpoints = breakpoints
@@ -256,7 +255,6 @@ class ChamberDecomposition:
         self.polynomials = polynomials
         self.continuity = continuity
         self.top_degree = top_degree
-        self.residual_max = residual_max
         self.diagnostics = {} if diagnostics is None else diagnostics
 
     def evaluate(self, x: Fraction) -> Fraction:
@@ -405,11 +403,9 @@ def fit_piecewise(
         polys.append(poly)
 
     # validate against the sampled grid
-    residual_max = Fraction(0)
     d1 = chambers.breakpoints[0]
     for x, v in zip(grid.xs, grid.extrapolated):
         if x < d1:
-            residual = abs(v)
             expected = Fraction(0)
         else:
             matched = None
@@ -420,13 +416,12 @@ def fit_piecewise(
             if matched is None:
                 continue  # x equals d_1 with several breakpoints: no chamber
             expected = poly_eval(matched, x)
-            residual = abs(v - expected)
+        residual = abs(v - expected)
         if residual > tol * (1 + abs(expected)):
             raise FitNotConvergedError(
                 f"not converged; increase n ladder (grid value at x = {x} "
                 f"off the fit by {residual})"
             )
-        residual_max = max(residual_max, residual)
 
     bps = chambers.breakpoints
     continuity = tuple(
@@ -439,7 +434,6 @@ def fit_piecewise(
         polynomials=tuple(polys),
         continuity=continuity,
         top_degree=poly_degree(polys[-1]),
-        residual_max=residual_max,
         diagnostics={
             "tol": tol,
             "ladder": grid.ladder,

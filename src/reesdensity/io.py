@@ -13,14 +13,18 @@ The on-disk module format is a small JSON document:
 
 Validation failures carry the offending field path.  All emitted JSON is
 deterministic (sorted keys, exact rationals as "p/q" strings, no timestamps)
-so cached and fresh runs produce byte-identical files.
+so cached and fresh runs produce byte-identical files.  The payload builders
+hand exact values to ``dump_json``, whose one ``jsonable`` pass converts them.
+
+The bundled corpus is the directory ``corpus/`` next to this file: one module
+document per ``<name>.json``, read as plain files.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
@@ -215,10 +219,10 @@ def serialize_module(
 ) -> dict:
     if m.level != 1:
         raise InputError("only level-1 modules serialize to module documents")
-    gens = []
-    for term in m.generators():
-        basis = term.basis_exponents.index(1)
-        gens.append({"exponents": list(term.exponents), "basis": basis})
+    gens = [
+        {"exponents": list(exponents), "basis": basis.index(1)}
+        for exponents, basis in m.generators()
+    ]
     gens.sort(key=lambda g: (g["basis"], g["exponents"]))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -245,18 +249,17 @@ def load_module_file(path) -> TermModule:
 # -- corpus --------------------------------------------------------------------
 
 
+def _corpus_dir() -> Path:
+    """The bundled module documents, package data in ``corpus/`` beside this file."""
+    return Path(__file__).with_name("corpus")
+
+
 def corpus_names() -> list[str]:
-    root = resources.files("reesdensity.corpus")
-    return sorted(
-        entry.name[: -len(".json")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".json")
-    )
+    return sorted(entry.stem for entry in _corpus_dir().glob("*.json"))
 
 
 def load_corpus_module(name: str) -> TermModule:
-    root = resources.files("reesdensity.corpus")
-    entry = root / f"{name}.json"
+    entry = _corpus_dir() / f"{name}.json"
     if not entry.is_file():
         raise InputError(
             f"unknown corpus module {name!r}; available: {', '.join(corpus_names())}"
@@ -265,8 +268,7 @@ def load_corpus_module(name: str) -> TermModule:
 
 
 def corpus_description(name: str) -> str:
-    root = resources.files("reesdensity.corpus")
-    entry = root / f"{name}.json"
+    entry = _corpus_dir() / f"{name}.json"
     if not entry.is_file():
         return ""
     return json.loads(entry.read_text(encoding="utf-8")).get("description", "")
@@ -279,17 +281,13 @@ def grid_payload(grid: DensityGrid) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": grid.kind,
-        "xs": [fraction_str(x) for x in grid.xs],
-        "ladder": list(grid.ladder),
-        "samples": {
-            str(n): [fraction_str(v) for v in grid.samples[n]] for n in grid.ladder
-        },
-        "extrapolated": [fraction_str(v) for v in grid.extrapolated],
-        "diagnostics": [
-            None if v is None else fraction_str(v) for v in grid.diagnostics
-        ],
-        "support": jsonable(grid.support),
-        "meta": jsonable(grid.meta),
+        "xs": grid.xs,
+        "ladder": grid.ladder,
+        "samples": grid.samples,
+        "extrapolated": grid.extrapolated,
+        "diagnostics": grid.diagnostics,
+        "support": grid.support,
+        "meta": grid.meta,
     }
 
 
@@ -298,9 +296,9 @@ def report_payload(report: MultiplicityReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": report.kind,
         "status": report.status,
-        "values": jsonable(report.values),
-        "ladder": list(report.ladder),
-        "diagnostics": jsonable(report.diagnostics),
+        "values": report.values,
+        "ladder": report.ladder,
+        "diagnostics": report.diagnostics,
     }
 
 
@@ -318,33 +316,32 @@ def verdict_payload(verdict: DependenceVerdict) -> dict:
             {
                 "name": cr.name,
                 "label": cr.label,
-                "left": jsonable(cr.left),
-                "right": jsonable(cr.right),
+                "left": cr.left,
+                "right": cr.right,
                 "usable": cr.usable,
                 "match": cr.match,
                 "stand_in": cr.stand_in,
-                "detail": jsonable(cr.detail),
+                "detail": cr.detail,
             }
             for cr in verdict.criteria
         ],
-        "diagnostics": jsonable(verdict.diagnostics),
+        "diagnostics": verdict.diagnostics,
     }
 
 
 def chambers_payload(fit: ChamberDecomposition) -> dict:
+    # breakpoints are ints, written as strings like every other rational of
+    # the fit; jsonable would keep them JSON numbers
     return {
         "schema_version": SCHEMA_VERSION,
         "breakpoints": [fraction_str(b) for b in fit.breakpoints],
         "chambers": [
-            {
-                "interval": str(ch),
-                "polynomial": [fraction_str(c) for c in poly],
-            }
+            {"interval": str(ch), "polynomial": poly}
             for ch, poly in zip(fit.chambers, fit.polynomials)
         ],
         "top_degree": fit.top_degree,
-        "continuity": jsonable(fit.continuity),
-        "diagnostics": jsonable(fit.diagnostics),
+        "continuity": fit.continuity,
+        "diagnostics": fit.diagnostics,
     }
 
 

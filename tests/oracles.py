@@ -5,14 +5,14 @@ fixpoint iteration.  Nothing is shared with the package internals, so an
 agreement failure always implicates the fast path.  ``degree_truncation``
 wraps its enumerated generators in a ``TermModule`` so they can be handed to
 the engine's ladders, and ``quotient_monomials`` reads ``TermModule``
-components and returns ``Term``s.
+components and returns (exponents, basis_exponents) pairs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from reesdensity import InternalInvariantError, Term, TermModule
+from reesdensity import InternalInvariantError, TermModule
 
 
 class CensusOverflowError(InternalInvariantError):
@@ -251,8 +251,15 @@ def degree_truncation(m, c):
     return TermModule(m.ambient, m.level, tuple(comps))
 
 
+def term_degree(m, term):
+    """Degree of an (exponents, basis_exponents) pair in the ambient of ``m``."""
+    exp, basis = term
+    return sum(exp) + m.ambient.basis_degree(basis)
+
+
 def quotient_monomials(m, msat, max_nodes=2_000_000):
-    """The finite set of terms lying in ``msat`` but not in ``m``, one by one.
+    """The finite set of terms lying in ``msat`` but not in ``m``, as
+    (exponents, basis_exponents) pairs sorted by degree, basis, exponents.
 
     Searches from the generators of ``msat`` outside ``m``, multiplying by
     variables and pruning branches that enter ``m``.  The pruning is complete
@@ -279,12 +286,10 @@ def quotient_monomials(m, msat, max_nodes=2_000_000):
             )
         frontier.append(node)
 
-    for t in msat.generators():
-        visit(t.exponents, t.basis_exponents)
+    for exp, basis in msat.generators():
+        visit(exp, basis)
     while frontier:
         exp, basis = frontier.pop()
         for i in range(d):
             visit(exp[:i] + (exp[i] + 1,) + exp[i + 1 :], basis)
-    terms = [Term(exp, basis) for exp, basis in seen]
-    terms.sort(key=lambda t: (t.degree(m.ambient), t.basis_exponents, t.exponents))
-    return terms
+    return sorted(seen, key=lambda t: (term_degree(m, t), t[1], t[0]))

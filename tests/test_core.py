@@ -18,7 +18,6 @@ from reesdensity import (
     InternalInvariantError,
     LengthLadder,
     RingSpec,
-    Term,
     TermModule,
     is_submodule,
     membership,
@@ -166,8 +165,18 @@ def test_two_variable_kernels_match_oracles_on_random_sets():
 
 def test_generators_all_at_module_level():
     m = ideal([(2, 0), (1, 1)])
-    for t in m.generators():
-        assert sum(t.basis_exponents) == m.level == 1
+    for exponents, basis in m.generators():
+        assert sum(basis) == m.level == 1
+
+
+def test_generators_are_plain_pairs():
+    m = module({0: [(2, 0), (1, 1)], 1: [(0, 1)]}, (0, 0))
+    gens = list(m.generators())
+    # components in basis order, each generator an (exponents, basis) pair
+    assert gens == [((0, 1), (0, 1)), ((1, 1), (1, 0)), ((2, 0), (1, 0))]
+    assert all(type(t) is tuple for t in gens)
+    assert "Term" not in dir(reesdensity)
+    assert not hasattr(reesdensity, "Term")
 
 
 # -- product and power -----------------------------------------------------------
@@ -288,17 +297,17 @@ def test_power_rejects_negative():
 
 def test_membership_true_case():
     m = ideal([(4, 0), (3, 1), (2, 2)])
-    assert membership(Term((3, 1), (1,)), m)
+    assert membership(((3, 1), (1,)), m)
 
 
 def test_membership_false_case():
     m = ideal([(4, 0), (3, 1), (2, 2)])
-    assert not membership(Term((1, 3), (1,)), m)
+    assert not membership(((1, 3), (1,)), m)
 
 
 def test_membership_in_computed_power():
     sq = power(ideal([(2, 0), (1, 1)]), 2)
-    assert membership(Term((2, 3), (2,)), sq)
+    assert membership(((2, 3), (2,)), sq)
 
 
 def test_is_submodule_via_generators():
@@ -375,7 +384,7 @@ def test_saturate_matches_oracle_with_and_without_pure_powers(d, pure):
 def test_quotient_monomials_single_term():
     m = ideal([(2, 0), (1, 1)])
     terms = oracles.quotient_monomials(m, saturate(m))
-    assert [(t.exponents, t.basis_exponents) for t in terms] == [((1, 0), (1,))]
+    assert terms == [((1, 0), (1,))]
 
 
 def test_quotient_monomials_empty_for_saturated():
@@ -386,7 +395,7 @@ def test_quotient_monomials_empty_for_saturated():
 def test_quotient_monomials_square_maximal():
     m = power(ideal([(1, 0), (0, 1)]), 2)
     terms = oracles.quotient_monomials(m, saturate(m))
-    assert sorted(t.exponents for t in terms) == [(0, 0), (0, 1), (1, 0)]
+    assert sorted(exponents for exponents, _ in terms) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_quotient_census_overflow_is_internal_error():
@@ -431,7 +440,7 @@ def test_degree_truncation_respects_shift():
     m = ideal([(2, 0), (1, 1)], shift=-2)
     t = oracles.degree_truncation(m, 1)
     assert all(
-        sum(term.exponents) + m.ambient.shifts[0] == 1 for term in t.generators()
+        sum(exponents) + m.ambient.shifts[0] == 1 for exponents, _ in t.generators()
     )
 
 

@@ -235,6 +235,13 @@ POWER_BOUND_CALLS = {
     "check_dependence ladder": lambda: check_dependence(M_XY, M_XY, ladder=(1, _OVER)),
     "check_dependence n_max": lambda: check_dependence(M_XY, M_XY, n_max=_OVER),
     "direct_reduction_search": lambda: direct_reduction_search(M_XY, M_XY, _OVER),
+    # the certificate search builds M^(n_max+1), so n_max at the bound is refused
+    "check_dependence n_max at the bound": lambda: check_dependence(
+        M_XY, M_XY, n_max=counting.MAX_LADDER_N
+    ),
+    "direct_reduction_search at the bound": lambda: direct_reduction_search(
+        M_XY, M_XY, counting.MAX_LADDER_N
+    ),
 }
 
 
@@ -246,6 +253,29 @@ def test_public_entry_points_refuse_powers_past_the_bound(call, monkeypatch):
     monkeypatch.setattr(counting, "next_power", lambda *args: built.append(args))
     with pytest.raises(InputError, match=f"MAX_LADDER_N = {counting.MAX_LADDER_N}"):
         POWER_BOUND_CALLS[call]()
+    assert built == []
+
+
+def test_certificate_search_builds_no_power_past_a_small_bound(monkeypatch):
+    # (x^2, xy) is no reduction of (x, y)^2, so the search runs to n_max and
+    # builds M^(n_max+1); under a bound of 3 it stops at M^3
+    from reesdensity import dependence
+
+    built = []
+    real = counting.next_power
+
+    def recording(cur, m):
+        built.append(cur.level // m.level + 1)  # the power being built
+        return real(cur, m)
+
+    monkeypatch.setattr(counting, "next_power", recording)
+    monkeypatch.setattr(dependence, "MAX_LADDER_N", 3)
+    sq = counting.power(M_XY, 2)
+    assert direct_reduction_search(M_X2_XY, sq, 2) is None
+    assert max(built) == 3
+    built.clear()
+    with pytest.raises(InputError, match="MAX_LADDER_N = 3"):
+        direct_reduction_search(M_X2_XY, sq, 3)
     assert built == []
 
 

@@ -69,10 +69,6 @@ def test_no_certificate_for_x2_xy():
     assert direct_reduction_search(N_X2_XY, M_SQ, 12) is None
 
 
-def test_certificate_stability_verification():
-    assert direct_reduction_search(N_CI, M_SQ, verify_stability=3) == 1
-
-
 # -- verdicts ----------------------------------------------------------------------
 
 

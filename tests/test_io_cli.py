@@ -386,9 +386,13 @@ def test_cli_oversized_grid_fails_before_computing(grid, tmp_path, monkeypatch, 
     ["multiplicity", "--module", "corpus:maximal_ideal", "--nmax", f"{MAX_LADDER_N + 1}"],
     ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
      "--nmax", f"{MAX_LADDER_N + 1}"],
+    # the certificate search builds M^(nmax+1)
+    ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
+     "--nmax", f"{MAX_LADDER_N}"],
     ["check", "--sub", "corpus:maximal_ideal", "--sup", "corpus:maximal_ideal",
      f"--ladder={10 * MAX_LADDER_N}"],
-], ids=["density-nmax", "density-ladder", "multiplicity-nmax", "check-nmax", "check-ladder"])
+], ids=["density-nmax", "density-ladder", "multiplicity-nmax", "check-nmax",
+        "check-nmax-at-the-bound", "check-ladder"])
 def test_cli_oversized_ladder_fails_before_computing(argv, tmp_path, monkeypatch, capsys):
     # memory grows with the power, and --nmax 10^8 multiplies toward the
     # rung 2*10^7; the cap refuses it before any power is built
@@ -403,8 +407,10 @@ def test_cli_oversized_ladder_fails_before_computing(argv, tmp_path, monkeypatch
 
 
 def test_cli_ladder_at_the_cap_is_accepted():
+    # check: --nmax bounds the certificate search, which builds M^(nmax+1)
+    below_cap = argparse.Namespace(nmax=MAX_LADDER_N - 1, ladder=None)
+    assert _parse_ladder_options(below_cap)[0] is None
     at_cap = argparse.Namespace(nmax=MAX_LADDER_N, ladder=None)
-    assert _parse_ladder_options(at_cap)[0] is None  # check: --nmax bounds the search
     top = tuple(range(1, MAX_LADDER_N + 1))
     assert _parse_ladder_options(at_cap, lambda n: tuple(range(1, n + 1)))[0] == top
     explicit = argparse.Namespace(nmax=None, ladder=f"1,{MAX_LADDER_N}")
@@ -569,6 +575,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, "reesdensity.density" in sys.modules]))
 """)
     assert loaded == [0, wanted]
+
+
+def test_corpus_job_reads_the_corpus_as_plain_files(tmp_path):
+    # the bundled corpus is a directory beside io.py, so a corpus job needs no
+    # importlib.resources; -S keeps site from preloading it
+    loaded = fresh_python(f"""
+import contextlib, io, json, os, sys
+os.chdir({str(tmp_path)!r})
+import reesdensity.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = reesdensity.cli.main(["multiplicity", "--module", "corpus:maximal_ideal", "--mixed"])
+print(json.dumps([code, "importlib.resources" in sys.modules]))
+""", "-S")
+    assert loaded == [0, False]
 
 
 def test_no_module_imports_a_private_name_of_another():

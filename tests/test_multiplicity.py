@@ -1,9 +1,11 @@
 """Epsilon, diagonal, and mixed multiplicities with exact expectations."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+import oracles
 from util import ideal, module
 
 from reesdensity import counting
@@ -275,3 +277,23 @@ def test_mixed_values_are_integers():
     for m in (M_XY, M_X2_XY, M_SQ, M_CI):
         rep = mixed_multiplicities(m, extended=True, c=m.max_degree + 1)
         assert all(isinstance(v, int) for v in rep.values["e"])
+
+
+def test_mixed_fit_doubles_its_margin_past_the_regularity():
+    # (A/I^n)_X of I = (x^20, y^21) vanishes from X = 21n + 19 on, past the
+    # first fit region X >= 22n + 2 at n0 = 4; the margin doubles to 16
+    m = ideal([(20, 0), (0, 21)])
+    table = LengthLadder(m)
+    rep = mixed_multiplicities(m, table=table)
+    assert rep.values["e"] == (0, 1)
+    assert rep.diagnostics["fit"]["margin"] == 16
+    ext = mixed_multiplicities(m, extended=True, table=table)
+    assert ext.values["e"] == (-20 * 21, 0, 1)  # (-e(I), 0, 1)
+    assert ext.diagnostics["fit"]["margin"] == 16
+    fit = fit_bigraded_polynomial(m, table=table)
+    cumulative = fit_bigraded_polynomial(m, cumulative=True, table=table)
+    for x, n in ((22 * 7 + 16, 7), (22 * 9 + 17, 9), (22 * 10 + 40, 10)):
+        gens = oracles.power_oracle([(20, 0), (0, 21)], n)
+        assert fit.evaluate(x, n) == len(oracles.ideal_members_at_degree(gens, 2, x))
+        # cumulative length C(X+2, 2) - e(I) n(n+1)/2 past the regularity
+        assert cumulative.evaluate(x, n) == comb(x + 2, 2) - 420 * n * (n + 1) // 2

@@ -69,7 +69,7 @@ def census_by_enumeration(m: TermModule, msat: TermModule) -> tuple[int, dict]:
     table: dict[int, int] = {}
     terms = oracles.quotient_monomials(m, msat)
     for t in terms:
-        deg = t.degree(m.ambient)
+        deg = oracles.term_degree(m, t)
         table[deg] = table.get(deg, 0) + 1
     return len(terms), table
 
@@ -86,11 +86,12 @@ def census_by_lengths(ladder, n: int, top: int) -> dict:
     return by_degree
 
 
-def fresh_python(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter with ``PYTHONPATH=src``; return the
-    JSON object on the last line it prints."""
+def fresh_python(code: str, *flags: str) -> dict:
+    """Run ``code`` in a fresh interpreter with ``PYTHONPATH=src`` and the
+    interpreter ``flags``; return the JSON object on the last line it prints."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
