@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
-# a --grid with more points is refused before any is built
-MAX_GRID_POINTS = 10**5
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
@@ -91,12 +89,10 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise InputError("--grid step must be positive")
     if hi < lo:
         raise InputError("--grid upper bound must be >= lower bound")
-    points = (hi - lo) // step + 1
-    if points > MAX_GRID_POINTS:
-        raise InputError(
-            f"--grid {text!r} has {points} points; at most {MAX_GRID_POINTS} are allowed"
-        )
-    return arithmetic_grid(lo, hi, step)
+    try:
+        return arithmetic_grid(lo, hi, step)
+    except InputError as exc:
+        raise InputError(f"--grid {text!r}: {exc}") from exc
 
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
@@ -132,7 +128,8 @@ def _check_outputs(*paths) -> None:
 
 
 def _cmd_density(args) -> int:
-    from .density import fit_piecewise, sample_adic, sample_epsilon, sample_saturated
+    from .density import default_grid, fit_piecewise
+    from .density import sample_adic, sample_epsilon, sample_saturated
 
     module = _load_module(args.module)
     samplers = {"adic": sample_adic, "saturated": sample_saturated, "epsilon": sample_epsilon}
@@ -145,7 +142,8 @@ def _cmd_density(args) -> int:
     if args.fit and "adic" not in kinds:
         raise InputError(f"--fit fits the adic density only; add adic to --kind {args.kind!r}")
     ladder, tol = _parse_ladder_options(args, _scaled_ladder)
-    grid = _parse_grid(args.grid) if args.grid else None
+    # either grid is refused here when oversized, before anything is written
+    grid = _parse_grid(args.grid) if args.grid else default_grid(module)
     many = len(kinds) > 1
     csv_paths = {k: _out_path(args.csv_out, args.module, k, many, ".csv") for k in kinds}
     json_paths = {k: args.json_out and _out_path(args.json_out, args.module, k, many, ".json")

@@ -310,7 +310,7 @@ class LengthLadder:
                 (tuple(c["basis_exponents"]), tuple(map(tuple, c["generators"])))
                 for c in power["components"]
             )
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, OSError, RecursionError):
             return None
         m = self.module
         # the file stores M, so a power of another level or ambient, or a

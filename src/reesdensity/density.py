@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 from typing import Optional
 
 from .core import FitNotConvergedError, InputError, TermModule
@@ -60,6 +61,8 @@ RAY_H_MAX = 12
 HELD_OUT_NODES = 2
 # relative part of the cumulative-identity tolerance
 IDENTITY_REL_TOL = Fraction(1, 20)
+# an x grid with more points is refused before any is built
+MAX_GRID_POINTS = 10**5
 
 
 def floor_times(x: Fraction, n: int) -> int:
@@ -68,7 +71,17 @@ def floor_times(x: Fraction, n: int) -> int:
 
 
 def arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
-    """lo, lo + step, ... up to hi; ``step`` must be positive."""
+    """lo, lo + step, ... up to hi; ``step`` must be positive.
+
+    A grid of more than ``MAX_GRID_POINTS`` points is refused before any is
+    built.
+    """
+    points = (hi - lo) // step + 1
+    if points > MAX_GRID_POINTS:
+        raise InputError(
+            f"the x grid from {lo} to {hi} by {step} has {points} points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
     out = []
     x = lo
     while x <= hi:
@@ -85,30 +98,14 @@ def default_grid(m: TermModule) -> tuple[Fraction, ...]:
     )
 
 
-class DensityGrid:
-    """Exact density samples on an x grid over an n ladder."""
+class DensityGrid(SimpleNamespace):
+    """Exact density samples on an x grid over an n ladder.
 
-    def __init__(
-        self,
-        kind: str,
-        module: TermModule,
-        xs: tuple[Fraction, ...],
-        ladder: tuple[int, ...],
-        samples: dict[int, tuple[Fraction, ...]],
-        extrapolated: tuple[Fraction, ...],
-        diagnostics: tuple[Optional[Fraction], ...],
-        support: tuple[Optional[Fraction], Optional[Fraction]],
-        meta: Optional[dict] = None,
-    ) -> None:
-        self.kind = kind
-        self.module = module
-        self.xs = xs
-        self.ladder = ladder
-        self.samples = samples
-        self.extrapolated = extrapolated
-        self.diagnostics = diagnostics
-        self.support = support
-        self.meta = {} if meta is None else meta
+    Fields: ``kind``, ``module``, ``xs``, ``ladder``, ``samples`` (n to the
+    values at each x), ``extrapolated`` and ``diagnostics`` (the limit and
+    its gap at each x), ``support`` (a ``(lower, upper)`` pair, None where
+    unbounded) and ``meta``.
+    """
 
 
 def _sample_kind(
@@ -205,22 +202,11 @@ def sample_epsilon(
 # -- chambers ----------------------------------------------------------------
 
 
-class Chamber:
-    """Interval between consecutive breakpoints; None bound means unbounded."""
+class Chamber(SimpleNamespace):
+    """Interval between consecutive breakpoints; None bound means unbounded.
 
-    __slots__ = ("lower", "upper", "lower_closed", "upper_closed")
-
-    def __init__(
-        self,
-        lower: Optional[Fraction],
-        upper: Optional[Fraction],
-        lower_closed: bool,
-        upper_closed: bool,
-    ) -> None:
-        self.lower = lower
-        self.upper = upper
-        self.lower_closed = lower_closed
-        self.upper_closed = upper_closed
+    Fields: ``lower``, ``upper``, ``lower_closed``, ``upper_closed``.
+    """
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
@@ -238,24 +224,13 @@ class Chamber:
         return f"{'[' if self.lower_closed else '('}{lo}, {hi}{']' if self.upper_closed else ')'}"
 
 
-class ChamberDecomposition:
-    """Breakpoints, chamber intervals, and (after fitting) exact polynomials."""
+class ChamberDecomposition(SimpleNamespace):
+    """Breakpoints, chamber intervals, and (after fitting) exact polynomials.
 
-    def __init__(
-        self,
-        breakpoints: tuple[int, ...],
-        chambers: tuple[Chamber, ...],
-        polynomials: Optional[tuple[Poly, ...]] = None,
-        continuity: Optional[tuple[bool, ...]] = None,
-        top_degree: Optional[int] = None,
-        diagnostics: Optional[dict] = None,
-    ) -> None:
-        self.breakpoints = breakpoints
-        self.chambers = chambers
-        self.polynomials = polynomials
-        self.continuity = continuity
-        self.top_degree = top_degree
-        self.diagnostics = {} if diagnostics is None else diagnostics
+    Fields: ``breakpoints``, ``chambers``, and the fit's ``polynomials``,
+    ``continuity`` (one flag per breakpoint past the first), ``top_degree``
+    and ``diagnostics``; all four are None or empty before fitting.
+    """
 
     def evaluate(self, x: Fraction) -> Fraction:
         if self.polynomials is None:
@@ -280,11 +255,20 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
     if not m.is_nonneg_graded:
         raise InputError("chamber detection requires a module graded in degrees >= 0")
     bps = m.generator_degrees
-    chambers = [Chamber(None, Fraction(bps[0]), False, False)]
-    for lo, hi in zip(bps, bps[1:]):
-        chambers.append(Chamber(Fraction(lo), Fraction(hi), False, True))
-    chambers.append(Chamber(Fraction(bps[-1]), None, True, False))
-    return ChamberDecomposition(breakpoints=bps, chambers=tuple(chambers))
+    # (-inf, d_1), then (d_i, d_{i+1}], then [d_l, inf)
+    bounds = [None, *map(Fraction, bps), None]
+    chambers = tuple(
+        Chamber(lower=lo, upper=hi, lower_closed=hi is None, upper_closed=None not in (lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return ChamberDecomposition(
+        breakpoints=bps,
+        chambers=chambers,
+        polynomials=None,
+        continuity=None,
+        top_degree=None,
+        diagnostics={},
+    )
 
 
 # -- exact limits along rays --------------------------------------------------

@@ -24,6 +24,7 @@ the criteria use, so both share one set of powers.
 from __future__ import annotations
 
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .core import (
@@ -46,59 +47,19 @@ from .multiplicity import (
 DEFAULT_CHECK_LADDER: tuple[int, ...] = tuple(range(1, 17))
 
 
-class CriterionEvidence:
-    """One criterion's invariants of N (``left``) and of M (``right``)."""
+class CriterionEvidence(SimpleNamespace):
+    """One criterion's invariants of N (``left``) and of M (``right``).
 
-    def __init__(
-        self,
-        name: str,
-        label: str,
-        left: object,
-        right: object,
-        usable: bool,
-        match: Optional[bool],
-        stand_in: bool = False,
-        detail: Optional[dict] = None,
-    ) -> None:
-        self.name = name
-        self.label = label
-        self.left = left
-        self.right = right
-        self.usable = usable
-        self.match = match
-        self.stand_in = stand_in
-        self.detail = {} if detail is None else detail
-
-    def __eq__(self, other):
-        if type(other) is not CriterionEvidence:
-            return NotImplemented
-        return vars(self) == vars(other)
+    Fields: ``name``, ``label``, ``left``, ``right``, ``usable`` (both
+    known), ``match`` (None unless usable), ``stand_in`` (never drives the
+    verdict) and ``detail``.
+    """
 
 
-class DependenceVerdict:
-    """``verdict`` is reduction, not-reduction or undetermined; a
-    ``certificate`` n0 has M^(n0+1) = N * M^n0."""
-
-    def __init__(
-        self,
-        verdict: str,
-        certificate: Optional[int],
-        c: int,
-        n_max: int,
-        criteria: tuple[CriterionEvidence, ...],
-        diagnostics: Optional[dict] = None,
-    ) -> None:
-        self.verdict = verdict
-        self.certificate = certificate
-        self.c = c
-        self.n_max = n_max
-        self.criteria = criteria
-        self.diagnostics = {} if diagnostics is None else diagnostics
-
-    def __eq__(self, other):
-        if type(other) is not DependenceVerdict:
-            return NotImplemented
-        return vars(self) == vars(other)
+class DependenceVerdict(SimpleNamespace):
+    """Fields: ``verdict`` (reduction, not-reduction or undetermined), the
+    ``certificate`` n0 with M^(n0+1) = N * M^n0 or None, the slope ``c``,
+    ``n_max``, the ``criteria`` rows and ``diagnostics``."""
 
 
 def validate_pair(sub: TermModule, sup: TermModule) -> int:

@@ -13,8 +13,9 @@ The on-disk module format is a small JSON document:
 
 Validation failures carry the offending field path.  All emitted JSON is
 deterministic (sorted keys, exact rationals as "p/q" strings, no timestamps)
-so cached and fresh runs produce byte-identical files.  The payload builders
-hand exact values to ``dump_json``, whose one ``jsonable`` pass converts them.
+so cached and fresh runs produce byte-identical files.  A payload is its
+result record's fields and the schema version: the builders hand the exact
+values to ``dump_json``, whose one ``jsonable`` pass converts them.
 
 The bundled corpus is the directory ``corpus/`` next to this file: one module
 document per ``<name>.json``, read as plain files.
@@ -137,9 +138,11 @@ def parse_module(doc) -> TermModule:
     rejected rather than silently accepted.
     """
     if isinstance(doc, (str, bytes)):
+        # ValueError: not JSON, or bytes that do not decode; RecursionError:
+        # arrays or objects nested past the interpreter's stack
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"document: invalid JSON ({exc})") from exc
     _expect(isinstance(doc, dict), "document", "must be a JSON object")
     version = doc.get("schema_version")
@@ -241,7 +244,7 @@ def load_module_file(path) -> TermModule:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read module file {path}: {exc}") from exc
     return parse_module(text)
 
@@ -278,54 +281,23 @@ def corpus_description(name: str) -> str:
 
 
 def grid_payload(grid: DensityGrid) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": grid.kind,
-        "xs": grid.xs,
-        "ladder": grid.ladder,
-        "samples": grid.samples,
-        "extrapolated": grid.extrapolated,
-        "diagnostics": grid.diagnostics,
-        "support": grid.support,
-        "meta": grid.meta,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, **vars(grid)}
+    del payload["module"]
+    return payload
 
 
 def report_payload(report: MultiplicityReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": report.kind,
-        "status": report.status,
-        "values": report.values,
-        "ladder": report.ladder,
-        "diagnostics": report.diagnostics,
-    }
+    return {"schema_version": SCHEMA_VERSION, **vars(report)}
 
 
 def verdict_payload(verdict: DependenceVerdict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "verdict": verdict.verdict,
-        "certificate": verdict.certificate,
-        "c": verdict.c,
-        "n_max": verdict.n_max,
+        **vars(verdict),
         # always true: a certificate that contradicts a mismatch raises
         # InternalInvariantError before any verdict exists
         "consistent": True,
-        "criteria": [
-            {
-                "name": cr.name,
-                "label": cr.label,
-                "left": cr.left,
-                "right": cr.right,
-                "usable": cr.usable,
-                "match": cr.match,
-                "stand_in": cr.stand_in,
-                "detail": cr.detail,
-            }
-            for cr in verdict.criteria
-        ],
-        "diagnostics": verdict.diagnostics,
+        "criteria": [vars(cr) for cr in verdict.criteria],
     }
 
 

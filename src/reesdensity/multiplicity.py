@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 from typing import Optional
 
 from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
@@ -40,23 +41,10 @@ FIT_MARGIN_CAP = 64
 FIT_H_MAX = 4
 
 
-class MultiplicityReport:
-    """``kind`` is epsilon, diagonal or mixed; ``status`` is ok,
-    estimate-only, undetermined or suspect."""
-
-    def __init__(
-        self,
-        kind: str,
-        status: str,
-        values: dict,
-        ladder: tuple[int, ...],
-        diagnostics: Optional[dict] = None,
-    ) -> None:
-        self.kind = kind
-        self.status = status
-        self.values = values
-        self.ladder = ladder
-        self.diagnostics = {} if diagnostics is None else diagnostics
+class MultiplicityReport(SimpleNamespace):
+    """Fields: ``kind`` (epsilon, diagonal or mixed), ``status`` (ok,
+    estimate-only, undetermined or suspect), the exact ``values``, the
+    ``ladder`` used and ``diagnostics``."""
 
 
 def _arithmetic_tail(ladder: tuple[int, ...]) -> list[int]:
@@ -123,6 +111,12 @@ def epsilon_multiplicity(
     of the epsilon density cross-checks the estimate.
     """
     require_samplable(m)
+    if cross_check:
+        # the epsilon density is density work: only the cross-check loads it;
+        # an oversized grid is refused here, before any census
+        from .density import default_grid, sample_epsilon, trapezoid
+
+        xs = default_grid(m)
     ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
@@ -142,12 +136,9 @@ def epsilon_multiplicity(
         "extraction": ext,
     }
     if cross_check:
-        # the epsilon density is density work: only this branch loads it
-        from .density import sample_epsilon, trapezoid
-
         # the n_max/2 rung, never above the ladder's top
         grid_ladder = tuple(sorted({min(max(2, n_max // 2), n_max), n_max}))
-        grid = sample_epsilon(m, None, grid_ladder, table=table, richardson=True)
+        grid = sample_epsilon(m, xs, grid_ladder, table=table, richardson=True)
         integral = trapezoid(list(grid.xs), list(grid.extrapolated))
         gap = abs(integral - estimate)
         # combined tolerance: relative term for the 1/n error plus a grid-
@@ -267,26 +258,12 @@ def diagonal_multiplicity(
 # -- bigraded fits -------------------------------------------------------------
 
 
-class BigradedFit:
-    """Validated bivariate Hilbert polynomial P(X, Y) with fit metadata."""
+class BigradedFit(SimpleNamespace):
+    """Validated bivariate Hilbert polynomial P(X, Y) with fit metadata.
 
-    def __init__(
-        self,
-        poly: Poly2,
-        c: int,
-        margin: int,
-        h: int,
-        n_base: int,
-        total_degree_bound: int,
-        cumulative: bool,
-    ) -> None:
-        self.poly = poly
-        self.c = c
-        self.margin = margin
-        self.h = h
-        self.n_base = n_base
-        self.total_degree_bound = total_degree_bound
-        self.cumulative = cumulative
+    Fields: ``poly``, the slope ``c``, ``margin``, the residue-class step
+    ``h``, ``n_base``, ``total_degree_bound`` and ``cumulative``.
+    """
 
     def evaluate(self, m_deg: int, n: int) -> Fraction:
         return poly2_eval(self.poly, m_deg, n)

@@ -511,6 +511,8 @@ DAMAGED_POWER_FILES = {
     ),
     "wrong shape": lambda m, good: "[1, 2, 3]",
     "truncated": lambda m, good: good[: len(good) // 2],
+    # json.loads raises RecursionError, not a ValueError
+    "nested past the stack": lambda m, good: "[" * 100000,
     # (x^2, y^2)^3 has the degrees of (x^2, xy)^3, so only the stored module
     # tells the two apart: what a key collision leaves under M's name
     "another module's file": lambda m, good: _cache_file(
@@ -529,7 +531,10 @@ DAMAGED_POWER_FILES = {
     ),
     "no checksum": lambda m, good: _edit_file(good, lambda data: data.pop("checksum")),
 }
-STORED_MODULE_CASES = ("wrong shape", "truncated", "another module's file", "stored module not M")
+STORED_MODULE_CASES = (
+    "wrong shape", "truncated", "nested past the stack", "another module's file",
+    "stored module not M",
+)
 CHECKSUM_CASES = ("generator dropped", "checksum mismatch", "no checksum")
 
 

@@ -335,6 +335,16 @@ def test_cumulative_identity_linear_case():
     assert abs(res["rhs"] - 9) < F(1, 2)
 
 
+def test_oversized_grids_are_refused_before_any_point_is_built():
+    # from -1 by 1/8: 100025 points up to d_M + 2 = 12502, 100009 up to 12500,
+    # 99993 up to 12498
+    with pytest.raises(InputError, match="100025 points"):
+        default_grid(ideal([(12500, 0), (0, 1)]))
+    with pytest.raises(InputError, match="100009 points"):
+        cumulative_identity(M_XY, F(12500), ladder=(1,))
+    assert len(default_grid(ideal([(12496, 0), (0, 1)]))) == 99993
+
+
 def test_cumulative_identity_off_grid_x_rejected():
     with pytest.raises(InputError):
         cumulative_identity(M_XY, F(1, 3), ladder=(8, 16))

@@ -7,6 +7,7 @@ import json
 import shlex
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,18 +16,30 @@ from util import fresh_python, ideal, module
 from reesdensity import (
     InputError,
     RankMismatchError,
+    check_dependence,
+    detect_chambers,
+    diagonal_multiplicity,
+    epsilon_multiplicity,
+    fit_bigraded_polynomial,
+    fit_piecewise,
     load_corpus_module,
+    load_module_file,
+    mixed_multiplicities,
     parse_module,
+    sample_adic,
     serialize_module,
 )
-from reesdensity.cli import MAX_GRID_POINTS, MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
+from reesdensity.cli import MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
-from reesdensity.density import DensityGrid
+from reesdensity.density import MAX_GRID_POINTS, DensityGrid
 from reesdensity.io import (
     corpus_names,
     dump_json,
     fraction_str,
+    grid_payload,
     parse_fraction,
+    report_payload,
+    verdict_payload,
     write_density_csv,
 )
 
@@ -129,6 +142,22 @@ def test_parse_rejects_invalid_json_text():
         parse_module("{not json")
 
 
+@pytest.mark.parametrize("content, named", [
+    # UTF-16 byte-order mark and a lone byte: not UTF-8
+    (b"\xff\xfe\x00", "m.json"),
+    # json.loads recurses once per open bracket
+    (b"[" * 100000, "document"),
+], ids=["not-utf8", "nested-past-the-stack"])
+def test_cli_malformed_module_file_exits_two(content, named, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match=named):
+        load_module_file(path)
+    assert main(["density", "--module", str(path), "--csv-out", str(tmp_path / "x.csv")]) == 2
+    assert named in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
+
+
 # -- corpus ------------------------------------------------------------------------
 
 
@@ -158,6 +187,49 @@ def test_dump_json_sorted_and_exact():
     blob = dump_json({"b": F(1, 3), "a": [F(2), None]})
     assert blob.index('"a"') < blob.index('"b"')
     assert '"1/3"' in blob
+
+
+# -- result records ----------------------------------------------------------------
+
+M_X2_XY = ideal([(2, 0), (1, 1)])
+RECORDS = {
+    "density grid": lambda: sample_adic(M_X2_XY, ladder=(8, 16)),
+    "chambers": lambda: detect_chambers(M_X2_XY),
+    "chamber fit": lambda: fit_piecewise(sample_adic(M_X2_XY, ladder=(8, 16))),
+    "epsilon report": lambda: epsilon_multiplicity(M_X2_XY, (1, 2, 3, 4, 5, 6, 7, 8)),
+    "diagonal report": lambda: diagonal_multiplicity(M_X2_XY, 3),
+    "mixed report": lambda: mixed_multiplicities(M_X2_XY, extended=True),
+    "bigraded fit": lambda: fit_bigraded_polynomial(M_X2_XY),
+    "verdict": lambda: check_dependence(M_X2_XY, M_X2_XY, ladder=(1, 2, 3, 4, 5, 6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("build", list(RECORDS.values()), ids=list(RECORDS))
+def test_records_compare_by_value_and_list_their_fields(build):
+    first, second = build(), build()
+    assert first is not second and first == second
+    assert first == SimpleNamespace(**vars(first))
+    with pytest.raises(TypeError):
+        hash(first)
+    for name in vars(first):
+        assert f"``{name}``" in type(first).__doc__, name
+    assert repr(first).startswith(f"{type(first).__name__}(")
+
+
+@pytest.mark.parametrize("build, to_payload, dropped, added", [
+    (RECORDS["density grid"], grid_payload, {"module"}, set()),
+    (RECORDS["epsilon report"], report_payload, set(), set()),
+    (RECORDS["verdict"], verdict_payload, set(), {"consistent"}),
+], ids=["grid", "report", "verdict"])
+def test_each_payload_is_its_record_fields(build, to_payload, dropped, added):
+    record = build()
+    payload = to_payload(record)
+    assert set(payload) == (set(vars(record)) - dropped) | added | {"schema_version"}
+    for key in set(vars(record)) - dropped - {"criteria"}:
+        assert payload[key] is vars(record)[key], key
+    if added:
+        assert payload["consistent"] is True
+        assert payload["criteria"] == [vars(cr) for cr in record.criteria]
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -417,6 +489,27 @@ def test_cli_ladder_at_the_cap_is_accepted():
     assert _parse_ladder_options(explicit)[0] == (1, MAX_LADDER_N)
 
 
+@pytest.mark.parametrize("job", [
+    ["density", "--csv-out", "x.csv"],
+    ["multiplicity", "--epsilon"],
+], ids=["density", "epsilon-cross-check"])
+def test_cli_oversized_default_grid_fails_before_computing(job, tmp_path, monkeypatch, capsys):
+    # the default grid runs from -1 to d_M + 2 by 1/8: 100025 points for
+    # (x^12500, y); --ladder 1 keeps a job that builds it short
+    path = write_doc(tmp_path, {**GOOD_DOC, "generators": [
+        {"exponents": [12500, 0], "basis": 0}, {"exponents": [0, 1], "basis": 0},
+    ]})
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    argv = [job[0], "--module", str(path), *job[1:], "--ladder", "1", "--json-out", "x.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "100025 points" in captured.err and str(MAX_GRID_POINTS) in captured.err
+    assert not any(out.iterdir())
+
+
 def test_cli_grid_at_the_point_limit_is_accepted():
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
@@ -476,6 +569,7 @@ def test_density_csv_writes_cells_beyond_the_float_range_exactly(tmp_path):
         extrapolated=(big + F(1, 3), F(3, 2)),
         diagnostics=(None, big),
         support=(F(1), None),
+        meta={},
     )
     out = tmp_path / "big.csv"
     write_density_csv(grid, out)

@@ -71,6 +71,12 @@ def test_epsilon_x2_xy_exact_one():
     assert rep.diagnostics["integral_ok"]
 
 
+def test_equal_epsilon_calls_give_equal_reports():
+    first, second = epsilon_multiplicity(M_X2_XY), epsilon_multiplicity(M_X2_XY)
+    assert first is not second and first == second
+    assert first != epsilon_multiplicity(M_SQ)
+
+
 def test_epsilon_maximal_ideal_exact_one():
     rep = epsilon_multiplicity(M_XY)
     assert rep.values["exact"] == 1
