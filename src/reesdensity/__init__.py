@@ -16,10 +16,10 @@ _EXPORTS = {
     "core": (
         "FitNotConvergedError", "GradedFreeModule", "InputError", "InternalInvariantError",
         "NotSubmoduleError", "RankMismatchError", "RingSpec", "TermModule",
-        "ideal_module", "is_submodule", "membership", "product", "saturate", "term_module",
-        "unit_module", "zero_module",
+        "ideal_module", "is_submodule", "membership", "product", "term_module", "unit_module",
+        "zero_module",
     ),
-    "counting": ("LengthLadder", "count_ideal_degree", "length_component", "power"),
+    "counting": ("LengthLadder", "count_ideal_degree", "length_component", "power", "saturate"),
     "density": (
         "ChamberDecomposition", "DensityGrid", "cumulative_identity", "default_grid",
         "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",

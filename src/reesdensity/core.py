@@ -22,12 +22,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
 
-from .backend import (
-    divides_any,
-    intersect_exponents,
-    minimalize_exponents,
-    product_exponents,
-)
+from .backend import divides_any, minimalize_exponents, product_exponents
 
 
 # rings with more variables are refused: the K-polynomial recursion slices one
@@ -359,31 +354,6 @@ def is_submodule(a: TermModule, b: TermModule) -> bool:
     if a.level != b.level:
         return False
     return all(membership(t, b) for t in a.generators())
-
-
-def _colon_gens(gens: tuple, i: int) -> tuple:
-    """Minimal generators of (I : x_i^inf): the i-th exponents zeroed."""
-    return tuple(minimalize_exponents({g[:i] + (0,) + g[i + 1 :] for g in gens}))
-
-
-def saturate(m: TermModule) -> TermModule:
-    """Saturation (M :_F m^inf) = intersection of the per-variable saturations.
-
-    Componentwise.  A pure power of x_i among a component's generators makes
-    its colon by x_i^inf the unit ideal, which leaves the intersection as it
-    is, so that variable is skipped; with none left the component is A.
-    """
-    d = m.ambient.ring.dim
-    comps = []
-    for basis, gens in m.components:
-        sat = None
-        for i in range(d):
-            if any(g[i] == sum(g) for g in gens):
-                continue
-            colon = _colon_gens(gens, i)
-            sat = colon if sat is None else tuple(intersect_exponents(sat, colon))
-        comps.append((basis, sat or ((0,) * d,)))
-    return TermModule._from_canonical(m.ambient, m.level, tuple(comps))
 
 
 # -- serialization (internal payload, any level) --------------------------

@@ -19,7 +19,10 @@ A module's Rees powers and length data are reached through its
 M^n and for sat(M^n), built once and ending at the numerator's degree, so a
 length query is a list lookup or, past the table, a Hilbert polynomial; the
 length of sat(M^n)/M^n is read from the same rows.  It keeps the powers on
-disk when given a directory; ``power`` reads one from a fresh ladder.
+disk when given a directory; ``power`` reads one from a fresh ladder.  It
+intersects the n-th powers of the colon modules M : x_i^inf, each on a
+ladder of its own, into sat(M^n) without building M^n; ``saturate`` reads
+sat(M) from a fresh ladder.
 
 The engine's public functions share the ladder plumbing here:
 ``ladder_for`` hands each the ladder it works on, ``require_samplable``
@@ -35,12 +38,13 @@ from __future__ import annotations
 import json
 import os
 import threading
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from pathlib import Path
 from typing import Optional
 
-from .backend import minimal_staircase, minimalize_exponents
+from .backend import intersect_exponents, minimal_staircase, minimalize_exponents
 from .core import (
     InputError,
     InternalInvariantError,
@@ -48,7 +52,6 @@ from .core import (
     module_to_payload,
     next_power,
     payload_crc,
-    saturate,
     unit_module,
 )
 
@@ -256,34 +259,29 @@ def _numerator(key: tuple, memo: dict) -> list[int]:
 class LengthLadder:
     """Everything cached about the Rees powers M^n of one module.
 
-    Holds the powers, their saturations, the K-polynomials of every
-    component ideal it meets, and per component of a power or saturation a
-    row of cumulative lengths that ends at its numerator's degree.  So
-    all graded and cumulative lengths, and the lengths of the quotients
-    sat(M^n)/M^n, come from one numerator per ideal, read from its rows.
+    Holds the powers, their saturations, an in-memory ladder per colon
+    module M : x_i^inf, the K-polynomials of every component ideal it
+    meets, and per component of a power or saturation a row of cumulative
+    lengths that ends at its numerator's degree.  So all graded and
+    cumulative lengths, and the lengths of the quotients sat(M^n)/M^n, come
+    from one numerator per ideal, read from its rows.
 
-    Given a ``directory`` (an empty path means none), each requested power
-    is also stored there as ``{content_key}.{n}.json``, beside M's own
-    payload and the CRC-32 of the power's own payload, so warm runs skip the
-    multiplications and read the power as it was written, without
-    minimalizing it again.  A file that does not parse, stores another
-    module than M (the key may collide), fails its checksum or has none, or
-    holds a power that cannot be M^n (wrong level or ambient, zero for a
-    nonzero M, a generator degree outside [n*d_min, n*d_max], or none at
-    n*d_min), is a miss and is rewritten.  Insertions are idempotent and
-    take one lock.
+    Given a ``directory`` (an empty path means none; the first write makes
+    it), each requested power is also stored there as
+    ``{content_key}.{n}.json``, beside M's own payload and the CRC-32 of
+    the power's own payload, so warm runs skip the multiplications and read
+    the power as it was written, without minimalizing it again.  A file
+    that does not parse, stores another module than M (the key may
+    collide), fails its checksum or has none, or holds a power that cannot
+    be M^n (wrong level or ambient, zero for a nonzero M, a generator degree
+    outside [n*d_min, n*d_max], or none at n*d_min), is a miss and is
+    rewritten.  Insertions are idempotent and take one lock.
     """
 
     def __init__(self, module: TermModule, directory: "str | Path | None" = None):
         self.module = module
         self.directory = Path(directory) if directory else None
         if self.directory is not None:
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise InputError(
-                    f"cannot use cache directory {self.directory}: {exc}"
-                ) from exc
             self._payload = module_to_payload(module)
         self._powers: dict[int, TermModule] = {0: unit_module(module.ambient), 1: module}
         self._sat: dict[int, TermModule] = {}
@@ -339,6 +337,10 @@ class LengthLadder:
         """Write M^n, replacing a file that failed to load."""
         if self.directory is None:
             return
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot use cache directory {self.directory}: {exc}") from exc
         path = self._path(n)
         power = module_to_payload(mod)
         blob = json.dumps(
@@ -385,8 +387,34 @@ class LengthLadder:
         self._store(n, cur)
         return cur
 
+    @cached_property
+    def _colons(self) -> list:
+        """A ladder of M : x_i^inf per variable: its n-th power is M^n : x_i^inf."""
+        m = self.module
+        return [
+            LengthLadder(TermModule(m.ambient, m.level, tuple(
+                (basis, [g[:i] + (0,) + g[i + 1 :] for g in gens]) for basis, gens in m.components
+            )))
+            for i in range(m.ambient.ring.dim)
+        ]
+
     def sat_power(self, n: int) -> TermModule:
-        return self._memo(self._sat, n, lambda n: saturate(self.power(n)))
+        return self._memo(self._sat, n, self._saturate)
+
+    def _saturate(self, n: int) -> TermModule:
+        """sat(M^n) = (M^n :_F m^inf), the intersection of the (M : x_i^inf)^n,
+        whose components sit on M^n's basis exponents in the same order.  A
+        colon component is the unit ideal where M^n has a pure power of x_i; it
+        is skipped, and with none left the component is A (the last colon's)."""
+        colons = [ladder.power(n) for ladder in self._colons]
+        comps = []
+        for parts in zip(*(colon.components for colon in colons)):
+            sat = None
+            for _, gens in parts:
+                if sum(gens[0]):
+                    sat = gens if sat is None else tuple(intersect_exponents(sat, gens))
+            comps.append((parts[0][0], sat or gens))
+        return TermModule._from_canonical(colons[0].ambient, colons[0].level, tuple(comps))
 
     def _component_rows(self, n: int, sat: bool) -> list:
         """(basis degree, length row) per component of M^n, or of its saturation."""
@@ -464,6 +492,11 @@ def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:
 def power(m: TermModule, n: int) -> TermModule:
     """n-th Rees power M^n (image of Sym^n M in Sym^n F), from a fresh ladder."""
     return LengthLadder(m).power(n)
+
+
+def saturate(m: TermModule) -> TermModule:
+    """Saturation (M :_F m^inf) = intersection of the M : x_i^inf, from a fresh ladder."""
+    return LengthLadder(m).sat_power(1)
 
 
 def require_samplable(m: TermModule) -> None:

@@ -104,7 +104,7 @@ def epsilon_multiplicity(
 ) -> MultiplicityReport:
     """Epsilon multiplicity from exact saturation-quotient totals.
 
-    t_n = total length of saturate(M^n)/M^n; the reported estimate is
+    t_n = total length of sat(M^n)/M^n; the reported estimate is
     (d+e-1)! * t_n / n^{d+e-1} at the top of the ladder with an n_max/2
     diagnostic, the exact value comes from stabilized finite differences when
     they certify a polynomial tail, and (optionally) the trapezoidal integral

@@ -34,7 +34,7 @@ from reesdensity.backend import (
     minimalize_exponents,
     product_exponents,
 )
-from reesdensity.core import _colon_gens, module_to_payload, payload_crc
+from reesdensity.core import module_to_payload, payload_crc
 
 
 def gens_of(m):
@@ -340,6 +340,9 @@ def test_saturate_matches_oracle_components():
         }
 
 
+RINGS = {2: RING_XY, 3: RING_XYZ, 4: RingSpec(("x", "y", "z", "w"))}
+
+
 def _random_saturation_module(rng, d, pure):
     """Random level-1 module of rank 1-3 with shifts; with ``pure``, each
     component gets pure powers of a random nonempty set of variables (all of
@@ -358,24 +361,30 @@ def _random_saturation_module(rng, d, pure):
                 gens.append(tuple(rng.randint(1, 5) if k == s else 0 for k in range(d)))
         comps[i] = gens
     shifts = tuple(rng.randint(-1, 1) for _ in range(e))
-    return module(comps, shifts, RING_XY if d == 2 else RING_XYZ)
+    return module(comps, shifts, RINGS[d])
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("pure", [False, True], ids=["no-pure-powers", "pure-powers"])
 def test_saturate_matches_oracle_with_and_without_pure_powers(d, pure):
+    # sat(M^n) is read from the colon ladders, never from M^n, so the oracle
+    # saturates the power the ladder builds for it
     rng = random.Random(2000 + 10 * d + pure)
     for _ in range(15):
         m = _random_saturation_module(rng, d, pure)
-        for mod in (m, power(m, 2)):
-            got = saturate(mod)
-            assert components_of(got) == oracles.saturation_oracle_components(
-                components_of(mod)
-            )
+        ladder = LengthLadder(m)
+        for n in (1, 2, 3):
+            mn = components_of(ladder.power(n))
+            # M^n : x_i^inf = (M : x_i^inf)^n
+            for i, colon in enumerate(ladder._colons):
+                assert components_of(colon.power(n)) == {
+                    basis: oracles.colon_saturation_oracle(gens, i) for basis, gens in mn.items()
+                }
+            got = ladder.sat_power(n)
+            assert components_of(got) == oracles.saturation_oracle_components(mn)
             assert got == TermModule(got.ambient, got.level, got.components)
-            for i in range(d):
-                for _, gens in mod.components:
-                    assert list(_colon_gens(gens, i)) == oracles.colon_saturation_oracle(gens, i)
+        assert saturate(m) == ladder.sat_power(1)
+        assert saturate(ladder.power(2)) == ladder.sat_power(2)
 
 
 # -- quotient enumeration -----------------------------------------------------------

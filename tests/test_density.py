@@ -7,6 +7,7 @@ import pytest
 from util import ideal, module
 
 from reesdensity import counting, density
+from reesdensity.io import corpus_names
 from reesdensity import (
     FitNotConvergedError,
     InputError,
@@ -19,6 +20,7 @@ from reesdensity import (
     direct_reduction_search,
     epsilon_multiplicity,
     fit_piecewise,
+    load_corpus_module,
     ray_extrapolate,
     sample_adic,
     sample_epsilon,
@@ -277,6 +279,23 @@ def test_certificate_search_builds_no_power_past_a_small_bound(monkeypatch):
     with pytest.raises(InputError, match="MAX_LADDER_N = 3"):
         direct_reduction_search(M_X2_XY, sq, 3)
     assert built == []
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_saturated_density_builds_no_power_of_the_module(name, monkeypatch):
+    # sat(M^n) is the intersection of the powers of the colon modules
+    # M : x_i^inf, so sampling it multiplies powers of those, never of M
+    m = load_corpus_module(name)
+    asked = []
+    real = counting.LengthLadder._load_or_multiply
+
+    def recording(ladder, n):
+        asked.append((ladder.module, n))
+        return real(ladder, n)
+
+    monkeypatch.setattr(counting.LengthLadder, "_load_or_multiply", recording)
+    sample_saturated(m, [F(0), F(1)], (4, 8))
+    assert asked and all(module is not m for module, _ in asked)
 
 
 # -- piecewise fits --------------------------------------------------------------------

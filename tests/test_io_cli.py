@@ -495,14 +495,16 @@ def test_cli_ladder_at_the_cap_is_accepted():
 ], ids=["density", "epsilon-cross-check"])
 def test_cli_oversized_default_grid_fails_before_computing(job, tmp_path, monkeypatch, capsys):
     # the default grid runs from -1 to d_M + 2 by 1/8: 100025 points for
-    # (x^12500, y); --ladder 1 keeps a job that builds it short
+    # (x^12500, y); --ladder 1 keeps a job that builds it short, and the
+    # refusal comes before the cache directory exists
     path = write_doc(tmp_path, {**GOOD_DOC, "generators": [
         {"exponents": [12500, 0], "basis": 0}, {"exponents": [0, 1], "basis": 0},
     ]})
     out = tmp_path / "out"
     out.mkdir()
     monkeypatch.chdir(out)
-    argv = [job[0], "--module", str(path), *job[1:], "--ladder", "1", "--json-out", "x.json"]
+    argv = [job[0], "--module", str(path), *job[1:], "--ladder", "1", "--json-out", "x.json",
+            "--cache-dir", "cache"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
