@@ -85,8 +85,6 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     if len(parts) != 3:
         raise InputError(f"bad --grid {text!r}; expected LO:HI:STEP")
     lo, hi, step = (parse_fraction(p) for p in parts)
-    if step <= 0:
-        raise InputError("--grid step must be positive")
     if hi < lo:
         raise InputError("--grid upper bound must be >= lower bound")
     try:
@@ -186,7 +184,6 @@ def _cmd_multiplicity(args) -> int:
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
     _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)
-    c = args.c if args.c is not None else module.max_degree + 1
     reports = []
     status_worst = EXIT_OK
     for name in wants:
@@ -199,7 +196,7 @@ def _cmd_multiplicity(args) -> int:
                   f"estimate {fraction_str(report.values['estimate'])}"
                   + (f", exact {fraction_str(exact)}" if exact is not None else ""))
         elif name == "diagonal":
-            report = diagonal_multiplicity(module, c, ladder=ladder, table=table)
+            report = diagonal_multiplicity(module, args.c, ladder=ladder, table=table)
             for version in ("a_version", "s_version"):
                 v = report.values[version]
                 label = "base ring" if version == "a_version" else "extension"
@@ -210,7 +207,7 @@ def _cmd_multiplicity(args) -> int:
                           f"multiplicity {fraction_str(v['multiplicity'])}")
         else:
             report = mixed_multiplicities(
-                module, extended=args.extended, c=c, table=table
+                module, extended=args.extended, c=args.c, table=table
             )
             if report.values["e"] is None:
                 print(f"mixed: {report.status} ({report.diagnostics.get('reason')})")

@@ -4,10 +4,10 @@ Every count comes from one recursion, ``k_polynomial``: the numerator N_I(t)
 of the Hilbert series HS(A/I) = N_I(t) / (1-t)^d of a monomial ideal, by
 slicing on a variable z: A/I is the sum over c of z^c k[x']/I_c, where I_c
 is the ideal, in the other variables, of the generators with z-exponent at
-most c (``_sliced``).  Its leaves (``_leaf``) are ideals whose generators
-use at most three variables: a staircase in two (closed form), one
-staircase per level of the third in three.  Any other ideal is sliced on a
-variable it uses with the fewest distinct exponents into ideals in one
+most c (``_sliced``).  One rule closes every node (``_numerator``): the
+variables no generator uses are dropped, a node in at most two used
+variables is a staircase (closed form), and any other is sliced on a used
+variable with the fewest distinct exponents into nodes in one used
 variable fewer.  One numerator per component ideal yields every degree at
 once, by running prefix sums (``_LengthRow``): the ideal has
 HS(I) = (1 - N_I(t)) / (1-t)^d, and one more division by (1-t) sums over
@@ -39,7 +39,7 @@ import json
 import os
 import threading
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb
 from pathlib import Path
 from typing import Optional
@@ -135,32 +135,6 @@ def length_component(m: TermModule, degree: int) -> int:
     return LengthLadder(m).length(1, degree)
 
 
-def _leaf(key: tuple) -> Optional[list]:
-    """N for a node whose generators use at most three variables, else None.
-
-    In a ring of two variables x and y the minimal generators x^a_i y^b_i
-    sorted so that a_1 < ... < a_m (hence b_1 > ... > b_m) form a staircase,
-    whose inner corners are the lcms of neighbours, so
-    N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i).  In more
-    variables one scan finds the variables the generators use (the others
-    leave N unchanged); at most three of them, padded to three, are sliced
-    on the third (``_slice_numerator``).
-    """
-    if len(key[0]) == 2:
-        return _staircase_numerator(sorted(key))
-    if len(key[0]) == 3:
-        return _slice_numerator(key)
-    used: list[int] = []
-    for g in key:
-        for s, v in enumerate(g):
-            if v and s not in used:
-                used.append(s)
-        if len(used) > 3:
-            return None
-    pad = (0,) * (3 - len(used))
-    return _slice_numerator([tuple(g[s] for s in used) + pad for g in key])
-
-
 def _sliced(levels: dict, below) -> list:
     """N of an ideal I sliced on a variable z, from ``levels``: z-exponent ->
     the generators on that level, with z dropped.
@@ -176,20 +150,13 @@ def _sliced(levels: dict, below) -> list:
     poly, prev, gens = [1], [1], []
     for c in sorted(levels):
         gens, cur = below([*gens, *levels[c]])
-        poly = _poly_add_shifted(_poly_add_shifted(poly, cur, c), [-v for v in prev], c)
+        poly += [0] * (c + max(len(cur), len(prev)) - len(poly))
+        for k, (a, b) in enumerate(zip_longest(cur, prev, fillvalue=0), c):
+            poly[k] += a - b
         prev = cur
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     return poly
-
-
-def _slice_numerator(points) -> list:
-    """N of a three-variable ideal, from its generators' (a, b, c) exponents:
-    sliced on c, each I_c is a staircase, grown level by level by one sweep."""
-    levels: dict[int, list] = {}
-    for a, b, c in points:
-        levels.setdefault(c, []).append((a, b))
-    return _sliced(levels, _staircase_level)
 
 
 def _staircase_level(points: list) -> tuple:
@@ -198,36 +165,31 @@ def _staircase_level(points: list) -> tuple:
 
 
 def _staircase_numerator(points: list) -> list:
-    """N of a two-variable ideal, from its minimal generators sorted by first exponent."""
-    top = max(
-        (a + b for (_, b), (a, _) in zip(points, points[1:])), default=sum(points[0])
-    )
-    poly = [1] + [0] * top
+    """N of a two-variable ideal, from its minimal generators sorted by first exponent.
+
+    Sorted so that a_1 < ... < a_m (hence b_1 > ... > b_m), the generators
+    x^a_i y^b_i form a staircase whose inner corners are the lcms of
+    neighbours, so N = 1 - sum_i t^(a_i+b_i) + sum_(i<m) t^(a_(i+1)+b_i).
+    """
+    corners = [a + b for (_, b), (a, _) in zip(points, points[1:])]
+    poly = [1] + [0] * max(corners, default=sum(points[0]))
     for a, b in points:
         poly[a + b] -= 1
-    for (_, b), (a, _) in zip(points, points[1:]):
-        poly[a + b] += 1
+    for k in corners:
+        poly[k] += 1
     return poly
-
-
-def _poly_add_shifted(a: list, b: list, shift: int) -> list:
-    """a(t) + t^shift * b(t) on coefficient lists."""
-    out = a + [0] * max(0, shift + len(b) - len(a))
-    for k, v in enumerate(b):
-        out[k + shift] += v
-    return out
 
 
 def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     """Coefficients of N_I(t), where HS(A/I) = N_I(t) / (1-t)^d.
 
-    One recursion for every d: a node whose generators use at most three
-    variables is a leaf (``_leaf``); any other is sliced (``_sliced``) on a
-    variable it uses with the fewest distinct exponents, into nodes I_c in
-    one variable fewer, so the depth is below the number of variables used.
-    The list has no trailing zeros, except that the unit ideal gives [0].
-    ``memo`` maps the canonical generator tuple of every node to its
-    numerator and may be shared across calls.
+    One rule closes every node (``_numerator``): a staircase in at most two
+    used variables by its formula, any other node by slicing (``_sliced``)
+    on a used variable into nodes in one used variable fewer, so the depth
+    is below the number of variables used.  The list has no trailing zeros,
+    except that the unit ideal gives [0].  ``memo`` maps the canonical
+    generator tuple of every node to its numerator and may be shared across
+    calls.
     """
     return _numerator(_canonical_gens(gens), {} if memo is None else memo)
 
@@ -239,19 +201,30 @@ def _node(points, memo: dict) -> tuple:
 
 
 def _numerator(key: tuple, memo: dict) -> list[int]:
-    """N of the ideal with canonical generators ``key``, memoized in ``memo``."""
+    """N of the ideal with canonical generators ``key``, memoized in ``memo``.
+
+    No generators give [1].  The variables no generator uses leave N
+    unchanged and are dropped.  In at most two used variables the node is a
+    staircase, closed by its formula.  Otherwise it is sliced on a used
+    variable with the fewest distinct exponents, each level restricted to
+    the other used variables: a staircase when two remain, a memoized node
+    when more do.
+    """
+    if not key:
+        return [1]
     poly = memo.get(key)
     if poly is None:
-        poly = _leaf(key) if key else [1]
-        if poly is None:
-            # an unused variable is never sliced: that would only drop it,
-            # one node deeper
-            used = [s for s in range(len(key[0])) if any(g[s] for g in key)]
-            s = min(used, key=lambda s: len({g[s] for g in key}))
+        used = [s for s in range(len(key[0])) if any(g[s] for g in key)]
+        gens = key if len(used) == len(key[0]) else [tuple(g[s] for s in used) for g in key]
+        if len(used) <= 2:
+            # below two used variables, key is one generator or the unit ideal
+            poly = _staircase_numerator(sorted(gens) if len(used) == 2 else [(sum(key[0]), 0)])
+        else:
+            s = min(range(len(used)), key=lambda s: len({g[s] for g in gens}))
             levels: dict[int, list] = {}
-            for g in key:
+            for g in gens:
                 levels.setdefault(g[s], []).append(g[:s] + g[s + 1 :])
-            poly = _sliced(levels, lambda below: _node(below, memo))
+            poly = _sliced(levels, _staircase_level if len(used) == 3 else lambda p: _node(p, memo))
         memo[key] = poly
     return poly
 

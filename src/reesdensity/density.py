@@ -71,11 +71,13 @@ def floor_times(x: Fraction, n: int) -> int:
 
 
 def arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
-    """lo, lo + step, ... up to hi; ``step`` must be positive.
+    """lo, lo + step, ... up to hi.
 
-    A grid of more than ``MAX_GRID_POINTS`` points is refused before any is
-    built.
+    A step that is not positive, or a grid of more than ``MAX_GRID_POINTS``
+    points, is refused before any point is built.
     """
+    if step <= 0:
+        raise InputError(f"the x grid step must be positive, got {step}")
     points = (hi - lo) // step + 1
     if points > MAX_GRID_POINTS:
         raise InputError(
@@ -355,7 +357,7 @@ def fit_piecewise(
     tol: Fraction = Fraction(1, 10),
 ) -> ChamberDecomposition:
     """Fit exact polynomials of degree <= d-1 to the adic density on the
-    chambers of ``detect_chambers``.
+    chambers of ``detect_chambers``, filled into the decomposition it returns.
 
     Each nontrivial chamber polynomial is interpolated through d points whose
     values are exact ray extrapolations (stabilized finite differences,
@@ -385,45 +387,27 @@ def fit_piecewise(
                     f"disagrees with the chamber fit)"
                 )
         polys.append(poly)
+    bps = chambers.breakpoints
+    chambers.polynomials = tuple(polys)
+    chambers.continuity = tuple(
+        poly_eval(polys[j], Fraction(bps[j])) == poly_eval(polys[j + 1], Fraction(bps[j]))
+        for j in range(1, len(bps))
+    )
+    chambers.top_degree = poly_degree(polys[-1])
+    chambers.diagnostics = {"tol": tol, "ladder": grid.ladder, "top_degree_expected": d - 1}
 
     # validate against the sampled grid
-    d1 = chambers.breakpoints[0]
     for x, v in zip(grid.xs, grid.extrapolated):
-        if x < d1:
-            expected = Fraction(0)
-        else:
-            matched = None
-            for ch, poly in zip(chambers.chambers[1:], polys[1:]):
-                if ch.contains(x):
-                    matched = poly
-                    break
-            if matched is None:
-                continue  # x equals d_1 with several breakpoints: no chamber
-            expected = poly_eval(matched, x)
+        if x == bps[0] and len(bps) > 1:
+            continue  # no chamber holds d_1 when there are several breakpoints
+        expected = chambers.evaluate(x)
         residual = abs(v - expected)
         if residual > tol * (1 + abs(expected)):
             raise FitNotConvergedError(
                 f"not converged; increase n ladder (grid value at x = {x} "
                 f"off the fit by {residual})"
             )
-
-    bps = chambers.breakpoints
-    continuity = tuple(
-        poly_eval(polys[j], Fraction(bps[j])) == poly_eval(polys[j + 1], Fraction(bps[j]))
-        for j in range(1, len(bps))
-    )
-    return ChamberDecomposition(
-        breakpoints=bps,
-        chambers=chambers.chambers,
-        polynomials=tuple(polys),
-        continuity=continuity,
-        top_degree=poly_degree(polys[-1]),
-        diagnostics={
-            "tol": tol,
-            "ladder": grid.ladder,
-            "top_degree_expected": d - 1,
-        },
-    )
+    return chambers
 
 
 # -- cumulative identity -------------------------------------------------------

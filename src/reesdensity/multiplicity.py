@@ -200,9 +200,20 @@ def truncation_epsilon(
 # -- diagonal ----------------------------------------------------------------
 
 
+def _slope(m: TermModule, c: Optional[int]) -> int:
+    """The diagonal slope c of a samplable ``m``: d_M + 1 by default, and
+    refused unless it exceeds d_M."""
+    if c is None:
+        return m.max_degree + 1
+    c = int(c)
+    if c <= m.max_degree:
+        raise InputError(f"the slope c must exceed d_M = {m.max_degree}, got {c}")
+    return c
+
+
 def diagonal_multiplicity(
     m: TermModule,
-    c: int,
+    c: Optional[int] = None,
     *,
     ladder=None,
     table: Optional[LengthLadder] = None,
@@ -213,14 +224,11 @@ def diagonal_multiplicity(
     the cumulative lengths (the same module over a one-variable polynomial
     extension).  Dimension is detected from the difference table and the
     multiplicity is (dim-1)! times the leading coefficient; a ladder on which
-    the differences never stabilize yields status "undetermined".
+    the differences never stabilize yields status "undetermined".  The slope
+    ``c`` defaults to d_M + 1 and must exceed d_M.
     """
     require_samplable(m)
-    c = int(c)
-    if m.max_degree is None or c <= m.max_degree:
-        raise InputError(
-            f"diagonal multiplicity needs c > d_M = {m.max_degree}, got {c}"
-        )
+    c = _slope(m, c)
     ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
@@ -287,11 +295,7 @@ def fit_bigraded_polynomial(
     with the fit on the next residue class.
     """
     require_samplable(m)
-    if c is None:
-        c = m.max_degree + 1
-    c = int(c)
-    if c <= m.max_degree:
-        raise InputError(f"bigraded fit needs c > d_M = {m.max_degree}, got {c}")
+    c = _slope(m, c)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank

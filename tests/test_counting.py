@@ -211,9 +211,9 @@ def _two_variable_gens(rng, d):
     return gens
 
 
-def _staircase_leaf(gens):
-    """Generators in exactly two variables, two of them sharing one: the
-    leaf that only the two-variable closed form takes."""
+def _staircase_node(gens):
+    """Generators in exactly two variables, two of them sharing one: a node
+    that only the two-variable closed form closes."""
     supports = [{s for s, v in enumerate(g) if v} for g in gens]
     return len(set().union(*supports)) == 2 and any(
         a & b for a, b in combinations(supports, 2)
@@ -237,10 +237,11 @@ def test_k_polynomial_matches_taylor_numerator():
         # one convention: no trailing zeros, and the unit ideal gives [0]
         assert got[-1] != 0 or got == [0]
     assert k_polynomial([(0, 0)]) == k_polynomial([(0, 0, 0)]) == [0]
-    # mixed supports in d = 4, where a node in three variables is a leaf and
-    # one in four is split: every node of the recursion, the two-variable leaves
-    # among them, matches the oracle; a node in exactly two variables is
-    # rarer here than in d = 3, hence 200 ideals
+    # mixed supports in d = 4, where a node in four used variables is sliced
+    # into memoized nodes and one in three into staircases: every memoized
+    # node, those closed as two-variable staircases among them, matches the
+    # oracle; a node in exactly two variables is rarer here than in d = 3,
+    # hence 200 ideals
     reaching = 0
     for _ in range(200):
         gens = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(3, 8))]
@@ -249,7 +250,7 @@ def test_k_polynomial_matches_taylor_numerator():
         for key, poly in memo.items():
             assert poly == oracles.taylor_numerator(key)
             assert poly[-1] != 0 or poly == [0]
-        reaching += any(map(_staircase_leaf, memo))
+        reaching += any(map(_staircase_node, memo))
     assert reaching >= 10
 
 
@@ -267,7 +268,7 @@ def _three_of_d_variables(rng, d):
             return gens
 
 
-def test_three_variable_leaf_matches_taylor_numerator():
+def test_node_in_three_used_variables_matches_taylor_numerator():
     rng = random.Random(43)
     ideals = [
         [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(1, 9))]
@@ -289,7 +290,8 @@ def test_three_variable_leaf_matches_taylor_numerator():
     for gens in ideals:
         memo = {}
         assert k_polynomial(gens, memo) == oracles.taylor_numerator(gens), gens
-        # the root is a leaf: the recursion never splits it
+        # the root's levels are staircases in the two other used variables,
+        # closed by their formula, so the root is the only memoized node
         assert len(memo) == 1, gens
     # four variables with disjoint supports are sliced like any other ideal
     # in four variables
@@ -328,8 +330,8 @@ def test_k_polynomial_matches_pivot_oracle_in_four_to_six_variables(gens):
 
 def test_k_polynomial_slices_only_used_variables():
     # four generators that use four of 400 variables: one slice on a used
-    # variable gives two nodes in three used variables, both leaves, and no
-    # node is spent on an unused variable
+    # variable gives two nodes in three used variables, each sliced into
+    # staircases, and no node is spent on an unused variable
     gens = [tuple(int(k in (i, (i + 1) % 4)) for k in range(400)) for i in range(4)]
     memo = {}
     assert k_polynomial(gens, memo) == oracles.taylor_numerator(gens) == [1, 0, -4, 4, -1]

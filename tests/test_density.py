@@ -364,6 +364,13 @@ def test_oversized_grids_are_refused_before_any_point_is_built():
     assert len(default_grid(ideal([(12496, 0), (0, 1)]))) == 99993
 
 
+@pytest.mark.parametrize("step", [F(0), F(-1)])
+def test_grid_step_must_be_positive(step):
+    # a negative step never passed hi, and a zero one divided by zero
+    with pytest.raises(InputError, match="step must be positive"):
+        density.arithmetic_grid(F(0), F(1), step)
+
+
 def test_cumulative_identity_off_grid_x_rejected():
     with pytest.raises(InputError):
         cumulative_identity(M_XY, F(1, 3), ladder=(8, 16))

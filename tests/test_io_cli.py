@@ -452,6 +452,15 @@ def test_cli_oversized_grid_fails_before_computing(grid, tmp_path, monkeypatch, 
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_zero_grid_step_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["density", "--module", "corpus:maximal_ideal", "--grid=0:1:0", "--csv-out", "x.csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--grid" in captured.err and "step must be positive" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--module", "corpus:maximal_ideal", "--nmax", "100000000"],
     ["density", "--module", "corpus:maximal_ideal", f"--ladder=1,2,{MAX_LADDER_N + 1}"],

@@ -174,6 +174,13 @@ def test_diagonal_requires_c_past_generator_degrees():
         diagonal_multiplicity(M_SQ, 2)
 
 
+@pytest.mark.parametrize("m", [M_XY, M_SQ, M_X2_XY])
+def test_diagonal_slope_defaults_to_one_past_generator_degrees(m):
+    # the same default as the bigraded fit: c = d_M + 1
+    assert vars(diagonal_multiplicity(m)) == vars(diagonal_multiplicity(m, m.max_degree + 1))
+    assert diagonal_multiplicity(m).values["c"] == fit_bigraded_polynomial(m).c
+
+
 def test_diagonal_undetermined_on_tiny_ladder():
     rep = diagonal_multiplicity(M_XY, 2, ladder=(1, 2))
     assert rep.status == "undetermined"
