@@ -139,6 +139,8 @@ def _cmd_density(args) -> int:
         )
     if args.fit and "adic" not in kinds:
         raise InputError(f"--fit fits the adic density only; add adic to --kind {args.kind!r}")
+    if args.tol is not None and not args.fit:
+        raise InputError("--tol is the fit validation tolerance; add --fit")
     ladder, tol = _parse_ladder_options(args, _scaled_ladder)
     # either grid is refused here when oversized, before anything is written
     grid = _parse_grid(args.grid) if args.grid else default_grid(module)
@@ -173,14 +175,18 @@ def _cmd_density(args) -> int:
 def _cmd_multiplicity(args) -> int:
     from .multiplicity import diagonal_multiplicity, epsilon_multiplicity, mixed_multiplicities
 
-    if args.extended and not args.mixed:
-        raise InputError("--extended applies to the mixed multiplicities only; add --mixed")
-    module = _load_module(args.module)
     wants = [name for name, on in (
         ("epsilon", args.epsilon), ("diagonal", args.diagonal), ("mixed", args.mixed)
-    ) if on]
-    if not wants:
-        wants = ["epsilon"]
+    ) if on] or ["epsilon"]
+    # an option no requested report reads is refused, never ignored
+    if args.extended and "mixed" not in wants:
+        raise InputError("--extended applies to the mixed multiplicities only; add --mixed")
+    if args.c is not None and "diagonal" not in wants and "mixed" not in wants:
+        raise InputError("--c is the slope of the diagonal and mixed multiplicities; "
+                         "add --diagonal or --mixed")
+    if args.tol is not None and "epsilon" not in wants:
+        raise InputError("--tol is the epsilon cross-check tolerance; add --epsilon")
+    module = _load_module(args.module)
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
     _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)

@@ -50,6 +50,17 @@ class FitNotConvergedError(RuntimeError):
     """A fit or limit extraction could not be validated at the given ladder."""
 
 
+def require_int(value, name: str) -> int:
+    """``value`` if it is an int, never a bool; else ``InputError`` naming it.
+
+    Nothing is rounded: 2.9, Fraction(5, 2) and True are refused, as
+    ``io.parse_module`` refuses them in documents.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class RingSpec:
     """Polynomial ring k[x_1..x_d] with the standard grading."""
 
@@ -89,7 +100,7 @@ class GradedFreeModule:
 
     def __init__(self, ring: RingSpec, shifts: tuple[int, ...]) -> None:
         self.ring = ring
-        self.shifts = tuple(int(s) for s in shifts)
+        self.shifts = tuple(require_int(s, "a shift") for s in shifts)
         if not self.shifts:
             raise InputError("free module must have positive rank")
 
@@ -137,12 +148,12 @@ class TermModule:
         self.level = level
         d = ambient.ring.dim
         e = ambient.rank
-        if level < 0:
+        if require_int(level, "the level") < 0:
             raise InputError("level must be nonnegative")
         canon: list[Component] = []
         seen: dict[tuple[int, ...], set] = {}
         for basis, gens in components:
-            basis = tuple(int(a) for a in basis)
+            basis = tuple(require_int(a, "a basis exponent") for a in basis)
             if len(basis) != e or any(a < 0 for a in basis):
                 raise InputError(f"bad basis exponent {basis!r}")
             if sum(basis) != level:
@@ -151,7 +162,7 @@ class TermModule:
                 )
             bucket = seen.setdefault(basis, set())
             for g in gens:
-                g = tuple(int(v) for v in g)
+                g = tuple(require_int(v, "an exponent") for v in g)
                 if len(g) != d or any(v < 0 for v in g):
                     raise InputError(f"bad monomial exponent vector {g!r}")
                 bucket.add(g)

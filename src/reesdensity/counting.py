@@ -52,6 +52,7 @@ from .core import (
     module_to_payload,
     next_power,
     payload_crc,
+    require_int,
     unit_module,
 )
 
@@ -492,7 +493,7 @@ def normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
     """
     if ladder is None:
         return default
-    ladder = tuple(sorted(set(int(n) for n in ladder)))
+    ladder = tuple(sorted({require_int(n, "a ladder entry") for n in ladder}))
     if not ladder or ladder[0] < 1:
         raise InputError("ladder must be positive integers")
     if ladder[-1] > MAX_LADDER_N:

@@ -26,8 +26,9 @@ beside the other errors in ``core``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from types import SimpleNamespace
 from typing import Optional
 
@@ -204,48 +205,32 @@ def sample_epsilon(
 # -- chambers ----------------------------------------------------------------
 
 
-class Chamber(SimpleNamespace):
-    """Interval between consecutive breakpoints; None bound means unbounded.
-
-    Fields: ``lower``, ``upper``, ``lower_closed``, ``upper_closed``.
-    """
-
-    def contains(self, x: Fraction) -> bool:
-        x = Fraction(x)
-        if self.lower is not None:
-            if x < self.lower or (x == self.lower and not self.lower_closed):
-                return False
-        if self.upper is not None:
-            if x > self.upper or (x == self.upper and not self.upper_closed):
-                return False
-        return True
-
-    def __str__(self) -> str:
-        lo = "-inf" if self.lower is None else str(self.lower)
-        hi = "inf" if self.upper is None else str(self.upper)
-        return f"{'[' if self.lower_closed else '('}{lo}, {hi}{']' if self.upper_closed else ')'}"
-
-
 class ChamberDecomposition(SimpleNamespace):
     """Breakpoints, chamber intervals, and (after fitting) exact polynomials.
 
-    Fields: ``breakpoints``, ``chambers``, and the fit's ``polynomials``,
+    Fields: ``breakpoints`` (d_1 < ... < d_l), ``chambers`` (one interval
+    string per chamber: ``(-inf, d_1)``, then ``(d_i, d_(i+1)]``, then
+    ``[d_l, inf)``), and the fit's ``polynomials`` (one per chamber),
     ``continuity`` (one flag per breakpoint past the first), ``top_degree``
     and ``diagnostics``; all four are None or empty before fitting.
     """
 
     def evaluate(self, x: Fraction) -> Fraction:
+        """0 below d_1, else the polynomial of the first chamber that holds x,
+        and chamber 1's at x = d_1."""
         if self.polynomials is None:
             raise InputError("decomposition has no fitted polynomials")
         x = Fraction(x)
         if x < self.breakpoints[0]:
             return Fraction(0)
-        for ch, poly in zip(self.chambers[1:], self.polynomials[1:]):
-            if ch.contains(x):
-                return poly_eval(poly, x)
-        # x equals the first breakpoint with l >= 2 chambers: use the first
-        # nontrivial chamber polynomial (right-continuous extension)
-        return poly_eval(self.polynomials[1], x)
+        return poly_eval(self.polynomials[max(1, bisect_left(self.breakpoints, x))], x)
+
+
+def _interval(lo: Optional[int], hi: Optional[int]) -> str:
+    """The chamber between two breakpoints, None meaning unbounded."""
+    if lo is None:
+        return f"(-inf, {hi})"
+    return f"[{lo}, inf)" if hi is None else f"({lo}, {hi}]"
 
 
 def detect_chambers(m: TermModule) -> ChamberDecomposition:
@@ -257,15 +242,10 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
     if not m.is_nonneg_graded:
         raise InputError("chamber detection requires a module graded in degrees >= 0")
     bps = m.generator_degrees
-    # (-inf, d_1), then (d_i, d_{i+1}], then [d_l, inf)
-    bounds = [None, *map(Fraction, bps), None]
-    chambers = tuple(
-        Chamber(lower=lo, upper=hi, lower_closed=hi is None, upper_closed=None not in (lo, hi))
-        for lo, hi in zip(bounds, bounds[1:])
-    )
+    bounds = [None, *bps, None]
     return ChamberDecomposition(
         breakpoints=bps,
-        chambers=chambers,
+        chambers=tuple(map(_interval, bounds, bounds[1:])),
         polynomials=None,
         continuity=None,
         top_degree=None,
@@ -320,34 +300,23 @@ def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
     )
 
 
-def _chamber_nodes(ch: Chamber, count: int) -> list[Fraction]:
-    """Low-denominator sample points inside a chamber, cheapest first."""
+def _chamber_nodes(lo: int, hi: Optional[int], count: int) -> list[Fraction]:
+    """Low-denominator sample points in the chamber (lo, hi], cheapest first:
+    the p/q in lowest terms for q = 1, 2, ...; in the last chamber
+    [lo, inf) (``hi`` None) they are lo, lo + 1/2, lo + 1, ....  Breakpoints
+    are integers, so each q adds lo + 1/q at least and the loop ends."""
+    if hi is None:
+        return [lo + Fraction(k, 2) for k in range(count)]
     nodes: list[Fraction] = []
-    if ch.upper is None:
-        lo = ch.lower
-        k = 0 if ch.lower_closed else 1
-        while len(nodes) < count:
-            nodes.append(lo + Fraction(k, 2))
-            k += 1
-        return nodes
-    seen = set()
     q = 1
     while len(nodes) < count:
-        lo_p = floor_times(ch.lower, q) + 1
-        hi_p = floor_times(ch.upper, q)
-        if not ch.upper_closed and Fraction(hi_p, q) == ch.upper:
-            hi_p -= 1
-        for p in range(lo_p, hi_p + 1):
-            val = Fraction(p, q)
-            if val not in seen:
-                seen.add(val)
-                nodes.append(val)
-                if len(nodes) == count:
-                    break
+        nodes.extend(
+            Fraction(p, q)
+            for p in range(floor_times(lo, q) + 1, floor_times(hi, q) + 1)
+            if gcd(p, q) == 1
+        )
         q += 1
-        if q > 64:
-            raise FitNotConvergedError("chamber too narrow to place fit nodes")
-    return nodes
+    return nodes[:count]
 
 
 def fit_piecewise(
@@ -371,12 +340,10 @@ def fit_piecewise(
     chambers = detect_chambers(m)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
-    polys: list[Poly] = []
-    for idx, ch in enumerate(chambers.chambers):
-        if idx == 0:
-            polys.append(())
-            continue
-        nodes = _chamber_nodes(ch, d + HELD_OUT_NODES)
+    bps = chambers.breakpoints
+    polys: list[Poly] = [()]
+    for lo, hi in zip(bps, [*bps[1:], None]):
+        nodes = _chamber_nodes(lo, hi, d + HELD_OUT_NODES)
         values = [ray_extrapolate(table, x) for x in nodes]
         vandermonde = [[x**k for k in range(d)] for x in nodes[:d]]
         poly = poly_trim(solve_exact(vandermonde, values[:d]))
@@ -387,10 +354,9 @@ def fit_piecewise(
                     f"disagrees with the chamber fit)"
                 )
         polys.append(poly)
-    bps = chambers.breakpoints
     chambers.polynomials = tuple(polys)
     chambers.continuity = tuple(
-        poly_eval(polys[j], Fraction(bps[j])) == poly_eval(polys[j + 1], Fraction(bps[j]))
+        poly_eval(polys[j], bps[j]) == poly_eval(polys[j + 1], bps[j])
         for j in range(1, len(bps))
     )
     chambers.top_degree = poly_degree(polys[-1])

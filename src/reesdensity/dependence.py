@@ -35,6 +35,7 @@ from .core import (
     TermModule,
     membership,
     product,
+    require_int,
 )
 from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder
 from .multiplicity import (
@@ -104,7 +105,7 @@ def direct_reduction_search(
     one by default).  Once the equality holds it persists for all larger n0.
     The search builds M^{n_max+1}, so n_max stays below ``MAX_LADDER_N``.
     """
-    if not 0 <= n_max < MAX_LADDER_N:
+    if not 0 <= require_int(n_max, "n_max") < MAX_LADDER_N:
         raise InputError(
             f"certificate search bound n_max must lie in [0, MAX_LADDER_N = {MAX_LADDER_N}), "
             f"since the search builds M^(n_max+1); got {n_max}"
@@ -167,7 +168,7 @@ def check_dependence(
     bound = validate_pair(sub, sup)
     if c is None:
         c = bound + 1
-    c = int(c)
+    c = require_int(c, "the slope c")
     if c <= bound:
         raise InputError(f"dependence check needs c > {bound}, got c = {c}")
     ladder = normalize_ladder(ladder, DEFAULT_CHECK_LADDER)

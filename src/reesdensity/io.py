@@ -308,7 +308,7 @@ def chambers_payload(fit: ChamberDecomposition) -> dict:
         "schema_version": SCHEMA_VERSION,
         "breakpoints": [fraction_str(b) for b in fit.breakpoints],
         "chambers": [
-            {"interval": str(ch), "polynomial": poly}
+            {"interval": ch, "polynomial": poly}
             for ch, poly in zip(fit.chambers, fit.polynomials)
         ],
         "top_degree": fit.top_degree,

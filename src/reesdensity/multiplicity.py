@@ -20,7 +20,7 @@ from math import factorial
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
+from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule, require_int
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
     Poly2,
@@ -205,7 +205,7 @@ def _slope(m: TermModule, c: Optional[int]) -> int:
     refused unless it exceeds d_M."""
     if c is None:
         return m.max_degree + 1
-    c = int(c)
+    c = require_int(c, "the slope c")
     if c <= m.max_degree:
         raise InputError(f"the slope c must exceed d_M = {m.max_degree}, got {c}")
     return c

@@ -251,6 +251,21 @@ def degree_truncation(m, c):
     return TermModule(m.ambient, m.level, tuple(comps))
 
 
+def chamber_index(breakpoints, x):
+    """Index of the first chamber that holds x, by the closedness of each end:
+    (-inf, d_1) is open, (d_i, d_(i+1)] closed above, [d_l, inf) closed
+    below.  At x = d_1 with l >= 2 none holds x, and chamber 1 is taken."""
+    bounds = [None, *breakpoints, None]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        lower_closed = hi is None
+        upper_closed = lo is not None and hi is not None
+        above = lo is None or x > lo or (x == lo and lower_closed)
+        below = hi is None or x < hi or (x == hi and upper_closed)
+        if above and below:
+            return k
+    return 1
+
+
 def term_degree(m, term):
     """Degree of an (exponents, basis_exponents) pair in the ambient of ``m``."""
     exp, basis = term

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -290,6 +291,34 @@ def test_power_zero_is_unit():
 def test_power_rejects_negative():
     with pytest.raises(InputError):
         power(ideal([(1, 0)]), -1)
+
+
+M_XY_INT = ideal([(1, 0), (0, 1)])
+# id: (the name the error gives the argument, the call)
+_NOT_INTEGERS = {
+    "slope c of a check": ("the slope c", lambda: reesdensity.check_dependence(
+        M_XY_INT, M_XY_INT, c=Fraction(5, 2))),
+    "n_max of a check": ("n_max", lambda: reesdensity.check_dependence(
+        M_XY_INT, M_XY_INT, n_max=2.5)),
+    "n_max of a search": ("n_max", lambda: reesdensity.direct_reduction_search(
+        M_XY_INT, M_XY_INT, 2.5)),
+    "diagonal slope": ("the slope c", lambda: reesdensity.diagonal_multiplicity(M_XY_INT, 2.9)),
+    "mixed slope": ("the slope c", lambda: reesdensity.mixed_multiplicities(M_XY_INT, c=True)),
+    "ladder entry": ("a ladder entry", lambda: reesdensity.epsilon_multiplicity(
+        M_XY_INT, ladder=(1.5, 3))),
+    "exponent": ("an exponent", lambda: ideal([(1.7, 0), (0, 2)])),
+    "bool exponent": ("an exponent", lambda: ideal([(True, 0), (0, 2)])),
+    "shift": ("a shift", lambda: ideal([(1, 0), (0, 1)], shift=Fraction(1, 2))),
+    "basis exponent": ("a basis exponent", lambda: term_module(
+        GradedFreeModule(RING_XY, (0,)), 1, [((1, 0), (True,))])),
+    "level": ("the level", lambda: TermModule(GradedFreeModule(RING_XY, (0,)), True, ())),
+}
+
+
+@pytest.mark.parametrize("name, call", list(_NOT_INTEGERS.values()), ids=list(_NOT_INTEGERS))
+def test_integer_arguments_are_refused_never_rounded(name, call):
+    with pytest.raises(InputError, match=f"^{name} must be an integer, got"):
+        call()
 
 
 # -- membership ------------------------------------------------------------------

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from util import ideal, module
 
 from reesdensity import counting, density
 from reesdensity.io import corpus_names
 from reesdensity import (
+    ChamberDecomposition,
     FitNotConvergedError,
     InputError,
     LengthLadder,
@@ -152,6 +154,22 @@ def test_chambers_read_shifted_degrees():
 def test_chambers_reject_negative_grading():
     with pytest.raises(InputError):
         detect_chambers(ideal([(1, 0)], shift=-2))
+
+
+@pytest.mark.parametrize("bps", [(2,), (0, 3), (2, 3), (1, 2, 4)], ids=str)
+def test_evaluate_bisects_to_the_chamber_of_the_closedness_rule(bps):
+    # chamber k holds the constant k, so a value names the chamber evaluated
+    dec = ChamberDecomposition(
+        breakpoints=bps,
+        chambers=None,
+        polynomials=tuple((F(k),) for k in range(len(bps) + 1)),
+        continuity=None,
+        top_degree=0,
+        diagnostics={},
+    )
+    midpoints = [F(a + b, 2) for a, b in zip(bps, bps[1:])]
+    for x in [F(bps[0] - 1), *bps, *midpoints, F(bps[-1] + 1)]:
+        assert dec.evaluate(x) == oracles.chamber_index(bps, x), x
 
 
 # -- exact limits along rays ---------------------------------------------------------
@@ -326,7 +344,7 @@ def test_fit_shifted_module():
     grid = sample_adic(M_SHIFTED, None, None, table=table)
     fit = fit_piecewise(grid, table=table)
     assert fit.polynomials == ((), (F(2), F(2)))
-    assert fit.chambers[1].lower == 0
+    assert fit.chambers[1] == "[0, inf)"
 
 
 def test_fit_not_converged_error_message(monkeypatch):

@@ -380,9 +380,11 @@ _SUBCOMMANDS = {
 def test_cli_validates_ladder_nmax_and_tol_alike(
     command, option, tmp_path, monkeypatch, capsys
 ):
-    # every subcommand rejects the same bad values, naming the flag
+    # every subcommand rejects the same bad values, naming the flag; density
+    # runs with --fit, without which its --tol is refused before any value check
     monkeypatch.chdir(tmp_path)
-    assert main(_SUBCOMMANDS[command] + [option]) == 2
+    fit = ["--fit"] if command == "density" else []
+    assert main(_SUBCOMMANDS[command] + fit + [option]) == 2
     assert option.split("=")[0] in capsys.readouterr().err
 
 
@@ -613,6 +615,25 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--extended" in captured.err and "--mixed" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flags, flag, remedy", [
+    ("multiplicity", ["--c", "7", "--nmax", "6"], "--c", "--diagonal or --mixed"),
+    ("multiplicity", ["--epsilon", "--c", "7"], "--c", "--diagonal or --mixed"),
+    ("multiplicity", ["--diagonal", "--tol", "1/2"], "--tol", "--epsilon"),
+    ("density", ["--tol", "1/2"], "--tol", "--fit"),
+])
+def test_cli_options_no_report_reads_fail_before_computing(
+    command, flags, flag, remedy, tmp_path, monkeypatch, capsys
+):
+    # an option the job never reads would be silently ignored
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--module", "corpus:maximal_ideal", *flags, "--json-out", "x.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and remedy in captured.err
     assert not any(tmp_path.iterdir())
 
 
