@@ -31,9 +31,8 @@ _EXPORTS = {
     ),
     "io": ("load_corpus_module", "load_module_file", "parse_module", "serialize_module"),
     "multiplicity": (
-        "BigradedFit", "MultiplicityReport", "density_polynomial_from_fit",
-        "diagonal_from_fit", "diagonal_multiplicity", "epsilon_multiplicity",
-        "fit_bigraded_polynomial", "mixed_multiplicities",
+        "BigradedFit", "MultiplicityReport", "diagonal_multiplicity",
+        "epsilon_multiplicity", "fit_bigraded_polynomial", "mixed_multiplicities",
     ),
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional
@@ -61,21 +62,30 @@ def require_int(value, name: str) -> int:
     return value
 
 
+def require_rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction if it is an int or a Fraction, never a bool or
+    a float (Fraction(1.7) is 1.6999...); else ``InputError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 class RingSpec:
-    """Polynomial ring k[x_1..x_d] with the standard grading."""
+    """Polynomial ring k[x_1..x_d] with the standard grading: 2 to
+    ``MAX_RING_VARIABLES`` distinct nonempty variable names."""
 
     __slots__ = ("variables",)
 
     def __init__(self, variables: tuple[str, ...]) -> None:
         self.variables = tuple(variables)
+        if not all(isinstance(v, str) and v for v in self.variables):
+            raise InputError("ring variables must be nonempty strings")
+        if len(set(self.variables)) != len(self.variables):
+            raise InputError("ring variables must be distinct")
         if len(self.variables) < 2:
             raise InputError("ring needs at least two variables")
         if len(self.variables) > MAX_RING_VARIABLES:
             raise InputError(f"ring has more than {MAX_RING_VARIABLES} variables")
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError("ring variables must be distinct")
-        if not all(isinstance(v, str) and v for v in self.variables):
-            raise InputError("ring variables must be nonempty strings")
 
     def __eq__(self, other):
         if type(other) is not RingSpec:

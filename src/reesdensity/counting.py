@@ -26,7 +26,7 @@ sat(M) from a fresh ladder.
 
 The engine's public functions share the ladder plumbing here:
 ``ladder_for`` hands each the ladder it works on, ``require_samplable``
-checks that a module has density functions, and ``normalize_ladder`` sorts
+checks that the engine can work on a module, and ``normalize_ladder`` sorts
 the n ladder it samples on and refuses any entry above ``MAX_LADDER_N``.
 
 All counts are plain Python integers, so they never overflow; lengths grow
@@ -48,6 +48,7 @@ from .backend import intersect_exponents, minimal_staircase, minimalize_exponent
 from .core import (
     InputError,
     InternalInvariantError,
+    RankMismatchError,
     TermModule,
     module_to_payload,
     next_power,
@@ -343,7 +344,7 @@ class LengthLadder:
     def power(self, n: int) -> TermModule:
         """M^n from memory, else from disk, else multiplied up from the
         largest power held below n; only M^n itself is written to disk."""
-        if n < 0:
+        if require_int(n, "the power exponent") < 0:
             raise InputError("power exponent must be nonnegative")
         return self._memo(self._powers, n, self._load_or_multiply)
 
@@ -474,14 +475,16 @@ def saturate(m: TermModule) -> TermModule:
 
 
 def require_samplable(m: TermModule) -> None:
+    """The one admissibility check: level 1, nonzero, and of full rank
+    (else ``RankMismatchError``)."""
     if m.level != 1:
-        raise InputError("density functions are defined for level-1 modules")
+        raise InputError(f"the engine works on level-1 modules, got level {m.level}")
     if m.is_zero:
-        raise InputError("density functions need a nonzero module")
+        raise InputError("the engine needs a nonzero module")
     if m.rank != m.ambient.rank:
-        raise InputError(
+        raise RankMismatchError(
             f"module rank {m.rank} != ambient rank {m.ambient.rank}; "
-            "the engine requires equal ranks"
+            "the engine requires full rank"
         )
 
 

@@ -32,7 +32,7 @@ from math import factorial, gcd
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import FitNotConvergedError, InputError, TermModule
+from .core import FitNotConvergedError, InputError, TermModule, require_rational
 from .counting import (
     MAX_LADDER_N,
     LengthLadder,
@@ -120,7 +120,8 @@ def _sample_kind(
     richardson: bool,
 ) -> DensityGrid:
     require_samplable(m)
-    xs = tuple(Fraction(x) for x in grid) if grid is not None else default_grid(m)
+    grid = default_grid(m) if grid is None else grid
+    xs = tuple(require_rational(x, "a grid point") for x in grid)
     ladder = normalize_ladder(ladder, DEFAULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
@@ -220,7 +221,7 @@ class ChamberDecomposition(SimpleNamespace):
         and chamber 1's at x = d_1."""
         if self.polynomials is None:
             raise InputError("decomposition has no fitted polynomials")
-        x = Fraction(x)
+        x = require_rational(x, "x")
         if x < self.breakpoints[0]:
             return Fraction(0)
         return poly_eval(self.polynomials[max(1, bisect_left(self.breakpoints, x))], x)
@@ -235,10 +236,7 @@ def _interval(lo: Optional[int], hi: Optional[int]) -> str:
 
 def detect_chambers(m: TermModule) -> ChamberDecomposition:
     """Breakpoints are the distinct generator degrees d_1 < ... < d_l."""
-    if m.is_zero:
-        raise InputError("chamber detection needs a nonzero module")
-    if m.level != 1:
-        raise InputError("chamber detection is defined for level-1 modules")
+    require_samplable(m)
     if not m.is_nonneg_graded:
         raise InputError("chamber detection requires a module graded in degrees >= 0")
     bps = m.generator_degrees
@@ -272,7 +270,7 @@ def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
     """
     m = table.module
     require_samplable(m)
-    x = Fraction(x)
+    x = require_rational(x, "x")
     d = m.ambient.ring.dim
     e = m.ambient.rank
     r = d + e - 2
@@ -403,7 +401,7 @@ def cumulative_identity(
     and 1/n.
     """
     require_samplable(m)
-    x = Fraction(x)
+    x = require_rational(x, "x")
     table = ladder_for(m, table)
     ladder = normalize_ladder(ladder, DEFAULT_LADDER)
     d = m.ambient.ring.dim

@@ -31,17 +31,17 @@ from .core import (
     InputError,
     InternalInvariantError,
     NotSubmoduleError,
-    RankMismatchError,
     TermModule,
     membership,
     product,
     require_int,
 )
-from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder
+from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .multiplicity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
     mixed_multiplicities,
+    require_slope,
     truncation_epsilon,
 )
 
@@ -66,23 +66,14 @@ class DependenceVerdict(SimpleNamespace):
 def validate_pair(sub: TermModule, sup: TermModule) -> int:
     """Check the pair is admissible and return d = max generator degree.
 
-    Both modules must be level-1, nonzero, over the same ambient free module,
-    with N contained in M, and both of full rank (every component populated);
-    the invariants used here are only transparent for versally embedded full-
-    rank submodules, so anything else is rejected up front.
+    Both modules must share one ambient free module and pass
+    ``require_samplable`` (the invariants used here are only transparent for
+    versally embedded full-rank submodules), and N must lie in M.
     """
     if sub.ambient != sup.ambient:
         raise InputError("pair must share one ambient graded free module")
-    if sub.level != 1 or sup.level != 1:
-        raise InputError("dependence checks operate on level-1 modules")
-    if sub.is_zero or sup.is_zero:
-        raise InputError("dependence checks need nonzero modules")
-    rank = sub.ambient.rank
-    if sub.rank != rank or sup.rank != rank:
-        raise RankMismatchError(
-            "dependence checks need full-rank submodules "
-            f"(ambient rank {rank}, got {sub.rank} and {sup.rank})"
-        )
+    require_samplable(sub)
+    require_samplable(sup)
     for exponents, basis in sub.generators():
         if not membership((exponents, basis), sup):
             raise NotSubmoduleError(
@@ -165,12 +156,7 @@ def check_dependence(
     the extra rows are full verdict inputs.  ``cache_dir``, a path, keeps the
     Rees powers of both modules on disk, as ``--cache-dir`` does.
     """
-    bound = validate_pair(sub, sup)
-    if c is None:
-        c = bound + 1
-    c = require_int(c, "the slope c")
-    if c <= bound:
-        raise InputError(f"dependence check needs c > {bound}, got c = {c}")
+    c = require_slope(validate_pair(sub, sup), c)
     ladder = normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
     same = sub == sup
     slopes = (c, c + 1) if robustness_c else (c,)

@@ -34,10 +34,9 @@ from .polyfit import (
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
 # thinnings of a ladder's arithmetic tail tried for quasi-polynomial growth
 GROWTH_SUBSTEPS = (1, 2, 3)
-# bigraded fits: first margin past c*n (doubled up to the cap) and the
-# largest residue-class step in n
-FIT_MARGIN = 2
-FIT_MARGIN_CAP = 64
+# bigraded fits: the margins past c*n tried in turn, and the largest
+# residue-class step in n
+FIT_MARGINS = (2, 4, 8, 16, 32, 64)
 FIT_H_MAX = 4
 
 
@@ -200,14 +199,14 @@ def truncation_epsilon(
 # -- diagonal ----------------------------------------------------------------
 
 
-def _slope(m: TermModule, c: Optional[int]) -> int:
-    """The diagonal slope c of a samplable ``m``: d_M + 1 by default, and
-    refused unless it exceeds d_M."""
+def require_slope(bound: int, c: Optional[int]) -> int:
+    """The diagonal slope c past generator degrees <= ``bound``: ``bound + 1``
+    by default, and refused unless it exceeds ``bound``."""
     if c is None:
-        return m.max_degree + 1
+        return bound + 1
     c = require_int(c, "the slope c")
-    if c <= m.max_degree:
-        raise InputError(f"the slope c must exceed d_M = {m.max_degree}, got {c}")
+    if c <= bound:
+        raise InputError(f"the slope c must exceed the top generator degree {bound}, got {c}")
     return c
 
 
@@ -228,7 +227,7 @@ def diagonal_multiplicity(
     ``c`` defaults to d_M + 1 and must exceed d_M.
     """
     require_samplable(m)
-    c = _slope(m, c)
+    c = require_slope(m.max_degree, c)
     ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
@@ -277,6 +276,11 @@ class BigradedFit(SimpleNamespace):
         return poly2_eval(self.poly, m_deg, n)
 
 
+def _leading(poly: Poly2, t: int) -> Poly2:
+    """The degree-t form of a bigraded polynomial, its leading form at t = the total degree."""
+    return {key: coeff for key, coeff in poly.items() if sum(key) == t}
+
+
 def fit_bigraded_polynomial(
     m: TermModule,
     c: Optional[int] = None,
@@ -295,7 +299,7 @@ def fit_bigraded_polynomial(
     with the fit on the next residue class.
     """
     require_samplable(m)
-    c = _slope(m, c)
+    c = require_slope(m.max_degree, c)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
@@ -328,61 +332,28 @@ def fit_bigraded_polynomial(
             return None
         return poly
 
-    def leading(poly: Poly2) -> Poly2:
-        return {key: coeff for key, coeff in poly.items() if sum(key) == total_degree}
-
     for h in range(1, FIT_H_MAX + 1):
-        marg = FIT_MARGIN
-        while marg <= FIT_MARGIN_CAP:
+        for marg in FIT_MARGINS:
             poly = fit_once(h, marg, n0)
-            if poly is not None:
-                if h > 1:
-                    other = fit_once(h, marg, n0 + 1)
-                    if other is None or leading(poly) != leading(other):
-                        marg *= 2
-                        continue
-                return BigradedFit(
-                    poly=poly,
-                    c=c,
-                    margin=marg,
-                    h=h,
-                    n_base=n0,
-                    total_degree_bound=total_degree,
-                    cumulative=cumulative,
-                )
-            marg *= 2
+            if poly is None:
+                continue
+            if h > 1:
+                other = fit_once(h, marg, n0 + 1)
+                if other is None or _leading(poly, total_degree) != _leading(other, total_degree):
+                    continue
+            return BigradedFit(
+                poly=poly,
+                c=c,
+                margin=marg,
+                h=h,
+                n_base=n0,
+                total_degree_bound=total_degree,
+                cumulative=cumulative,
+            )
     raise FitNotConvergedError(
         f"quasi-period undetected (no residue class h <= {FIT_H_MAX} validates; "
-        f"margin cap {FIT_MARGIN_CAP})"
+        f"margin cap {FIT_MARGINS[-1]})"
     )
-
-
-def density_polynomial_from_fit(fit: BigradedFit, d: int, e: int) -> tuple:
-    """Top-chamber density polynomial implied by the fitted P.
-
-    P(xn, n)/n^T tends to the degree-T form evaluated at (x, 1); multiplying
-    by (d+e-1)! gives the adic density on [d_M, infinity).
-    """
-    t = fit.total_degree_bound
-    coeffs = [Fraction(0)] * (t + 1)
-    for (i, j), coeff in fit.poly.items():
-        if i + j == t:
-            coeffs[i] += coeff * factorial(d + e - 1)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def diagonal_from_fit(fit: BigradedFit) -> dict:
-    """(dimension, multiplicity) of the diagonal read off the fitted P."""
-    c = fit.c
-    by_degree: dict[int, Fraction] = {}
-    for (i, j), coeff in fit.poly.items():
-        k = i + j
-        by_degree[k] = by_degree.get(k, Fraction(0)) + coeff * Fraction(c) ** i
-    degree = max((k for k, v in by_degree.items() if v != 0), default=0)
-    lead = by_degree.get(degree, Fraction(0))
-    return {"dimension": degree + 1, "multiplicity": lead * factorial(degree)}
 
 
 def mixed_multiplicities(
@@ -413,7 +384,7 @@ def mixed_multiplicities(
             diagnostics={"reason": str(exc)},
         )
     t = fit.total_degree_bound
-    top = {key: coeff for key, coeff in fit.poly.items() if key[0] + key[1] == t}
+    top = _leading(fit.poly, t)
     i_max = d - 1 + (1 if extended else 0)
     es = []
     for i in range(i_max + 1):

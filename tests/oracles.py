@@ -4,13 +4,16 @@ Everything here is deliberately naive: direct enumeration, pairwise scans,
 fixpoint iteration.  Nothing is shared with the package internals, so an
 agreement failure always implicates the fast path.  ``degree_truncation``
 wraps its enumerated generators in a ``TermModule`` so they can be handed to
-the engine's ladders, and ``quotient_monomials`` reads ``TermModule``
-components and returns (exponents, basis_exponents) pairs.
+the engine's ladders, ``quotient_monomials`` reads ``TermModule``
+components and returns (exponents, basis_exponents) pairs, and the two
+``*_from_fit`` readers read a ``BigradedFit``'s polynomial.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from reesdensity import InternalInvariantError, TermModule
 
@@ -308,3 +311,31 @@ def quotient_monomials(m, msat, max_nodes=2_000_000):
         for i in range(d):
             visit(exp[:i] + (exp[i] + 1,) + exp[i + 1 :], basis)
     return sorted(seen, key=lambda t: (term_degree(m, t), t[1], t[0]))
+
+
+def density_polynomial_from_fit(fit, d, e):
+    """Top-chamber density polynomial implied by a bigraded fit's P.
+
+    P(xn, n)/n^T tends to the degree-T form evaluated at (x, 1); multiplying
+    by (d+e-1)! gives the adic density on [d_M, infinity).
+    """
+    t = fit.total_degree_bound
+    coeffs = [Fraction(0)] * (t + 1)
+    for (i, j), coeff in fit.poly.items():
+        if i + j == t:
+            coeffs[i] += coeff * factorial(d + e - 1)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def diagonal_from_fit(fit):
+    """(dimension, multiplicity) of the diagonal m = c*n read off a bigraded
+    fit's P, as a dict like ``diagonal_multiplicity``'s versions."""
+    by_degree = {}
+    for (i, j), coeff in fit.poly.items():
+        k = i + j
+        by_degree[k] = by_degree.get(k, Fraction(0)) + coeff * Fraction(fit.c) ** i
+    degree = max((k for k, v in by_degree.items() if v != 0), default=0)
+    lead = by_degree.get(degree, Fraction(0))
+    return {"dimension": degree + 1, "multiplicity": lead * factorial(degree)}

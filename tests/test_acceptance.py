@@ -8,13 +8,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from oracles import density_polynomial_from_fit
 from util import components_of, ideal, random_module
 
 from reesdensity import (
     LengthLadder,
     check_dependence,
     detect_chambers,
-    density_polynomial_from_fit,
     epsilon_multiplicity,
     fit_bigraded_polynomial,
     fit_piecewise,

@@ -288,6 +288,11 @@ def test_power_zero_is_unit():
     assert power(m, 0) == unit_module(m.ambient)
 
 
+def test_ring_refuses_names_that_are_not_strings_before_hashing_them():
+    with pytest.raises(InputError, match="nonempty strings"):
+        RingSpec((["x"], "y"))
+
+
 def test_power_rejects_negative():
     with pytest.raises(InputError):
         power(ideal([(1, 0)]), -1)
@@ -312,6 +317,8 @@ _NOT_INTEGERS = {
     "basis exponent": ("a basis exponent", lambda: term_module(
         GradedFreeModule(RING_XY, (0,)), 1, [((1, 0), (True,))])),
     "level": ("the level", lambda: TermModule(GradedFreeModule(RING_XY, (0,)), True, ())),
+    "power exponent": ("the power exponent", lambda: LengthLadder(M_XY_INT).power(2.0)),
+    "bool power exponent": ("the power exponent", lambda: LengthLadder(M_XY_INT).power(True)),
 }
 
 

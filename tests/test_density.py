@@ -14,6 +14,7 @@ from reesdensity import (
     FitNotConvergedError,
     InputError,
     LengthLadder,
+    RankMismatchError,
     check_dependence,
     cumulative_identity,
     default_grid,
@@ -111,6 +112,40 @@ def test_sampler_rejects_level_2():
 
     with pytest.raises(InputError):
         sample_adic(power(M_XY, 2), None, None)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: sample_adic(m, [F(1)], (8,)),
+    lambda m: epsilon_multiplicity(m, (1, 2)),
+], ids=["sample_adic", "epsilon_multiplicity"])
+def test_rank_deficient_module_is_a_rank_mismatch(call):
+    # e_1 has generators and e_2 none: rank 1 in a free module of rank 2
+    with pytest.raises(RankMismatchError, match="full rank"):
+        call(module({0: [(1, 0), (0, 1)]}, (0, 0)))
+
+
+def _fitted_xy():
+    dec = detect_chambers(M_XY)
+    dec.polynomials = ((), (F(0), F(2)))
+    return dec
+
+
+@pytest.mark.parametrize("name, call", [
+    ("a grid point", lambda: sample_adic(M_XY, [1.7], (10,))),
+    ("a grid point", lambda: sample_adic(M_XY, [True], (10,))),
+    ("x", lambda: ray_extrapolate(LengthLadder(M_XY), 1.5)),
+    ("x", lambda: cumulative_identity(M_XY, 2.0, ladder=(4, 8))),
+    ("x", lambda: _fitted_xy().evaluate(1.5)),
+], ids=["float grid point", "bool grid point", "ray", "cumulative identity", "evaluate"])
+def test_float_abscissae_are_refused_never_read_at_their_binary_value(name, call):
+    with pytest.raises(InputError, match=f"^{name} must be an int or a Fraction, got"):
+        call()
+
+
+def test_a_decimal_abscissa_is_read_as_its_exact_fraction():
+    # Fraction(1.7) is 1.6999..., whose floor(10 x) is 16, not 17
+    assert sample_adic(M_XY, [F(17, 10)], (10,)).samples[10] == (F(18, 5),)
+    assert _fitted_xy().evaluate(F(17, 10)) == F(17, 5)
 
 
 def test_sampler_rejects_ladder_of_another_module():

@@ -14,6 +14,7 @@ from reesdensity import (
     NotSubmoduleError,
     RankMismatchError,
     check_dependence,
+    diagonal_multiplicity,
     direct_reduction_search,
     epsilon_multiplicity,
     load_corpus_module,
@@ -52,6 +53,15 @@ def test_validate_pair_rejects_level_mismatch():
 
     with pytest.raises(InputError):
         validate_pair(power(N_CI, 2), power(M_SQ, 2))
+
+
+def test_slope_at_the_bound_is_refused_alike_by_diagonal_and_check():
+    # d_M = 2 for M_SQ, and a check's bound is the larger of d_N and d_M = 2
+    refusal = "^the slope c must exceed the top generator degree 2, got 2$"
+    with pytest.raises(InputError, match=refusal):
+        diagonal_multiplicity(M_SQ, c=2)
+    with pytest.raises(InputError, match=refusal):
+        check_dependence(N_CI, M_SQ, c=2)
 
 
 # -- certificate search ------------------------------------------------------------

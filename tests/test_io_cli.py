@@ -15,6 +15,7 @@ from util import fresh_python, ideal, module
 
 from reesdensity import (
     InputError,
+    InternalInvariantError,
     RankMismatchError,
     check_dependence,
     detect_chambers,
@@ -187,6 +188,12 @@ def test_dump_json_sorted_and_exact():
     blob = dump_json({"b": F(1, 3), "a": [F(2), None]})
     assert blob.index('"a"') < blob.index('"b"')
     assert '"1/3"' in blob
+
+
+def test_dump_json_refuses_a_value_with_no_json_form():
+    # a repr such as <object at 0x...> would make the payload nondeterministic
+    with pytest.raises(InternalInvariantError, match="no JSON form for type object"):
+        dump_json({"a": object()})
 
 
 # -- result records ----------------------------------------------------------------
@@ -561,6 +568,21 @@ def test_cli_diagonal_at_a_slope_far_past_every_numerator(tmp_path):
     values = json.loads(out.read_text())["reports"][0]["values"]
     assert values["a_version"]["multiplicity"] == str(10**8)
     assert values["s_version"]["multiplicity"] == str(10**16 - 6)
+
+
+@pytest.mark.parametrize("variables, rule", [
+    (["x", "x"], "distinct"),
+    (["x", ""], "nonempty strings"),
+    (["x", 2], "nonempty strings"),
+    ("xy", "must be a list"),
+])
+def test_cli_ring_variables_refused_by_the_ring_rule_name_the_field(
+    tmp_path, capsys, variables, rule
+):
+    doc = dict(GOOD_DOC, ring={"variables": variables})
+    assert main(["density", "--module", str(write_doc(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "ring.variables" in err and rule in err
 
 
 def test_cli_one_variable_ring_exits_two_naming_the_field(tmp_path, capsys):
