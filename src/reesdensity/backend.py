@@ -4,26 +4,20 @@ Exponent lists come back deduplicated, minimal under componentwise
 divisibility, and sorted by (total degree, lex).  Callers rely on that order:
 the first generator has minimal degree, and sorted tuples serve as memo keys.
 
-The divisibility kernel works on packed integers.  Exponents must be
-nonnegative integers.  If ``m`` is the largest exponent a call can produce
-(for the product, the largest sum), each coordinate gets a field of
-``w = m.bit_length() + 1`` bits, the first coordinate in the most
-significant field, and the total degree sits in the bits above all ``d``
-fields:
+For every length but 2 (in use, d >= 3) the divisibility kernel is one
+bitset index over all candidates.  Only a point of strictly lower total
+degree can divide another, and a divisor need not be minimal itself, so a
+point is minimal iff no candidate of lower degree divides it.  The distinct
+points are sorted into the canonical order, point ``j`` getting bit ``j``.
+For each coordinate ``i`` a running OR over the sorted distinct values maps
+a value ``v`` to the bits of the points with ``a_i <= v``.  A point's mask
+starts as the bits of every point of lower degree and is ANDed with the
+running OR at each of its coordinates: what is left are its divisors, so it
+is minimal iff the mask ends at 0.  Each AND is one C-level operation on an
+integer of at most one bit per candidate, and when every point has the same
+degree nothing is indexed at all.
 
-    P(a) = deg(a) << (d*w)  |  a_1 << ((d-1)*w)  |  ...  |  a_d
-
-The top bit of every field is a guard bit, always 0 in a packed vector; ``G``
-has exactly the guard bits set.  Then ``a`` divides ``b`` iff
-``((P(b) | G) - P(a)) & G == G``: each field computes ``b_i + 2^(w-1) - a_i``,
-which never borrows from the field above and keeps its guard bit exactly
-when ``a_i <= b_i``.  Comparing packed integers compares degrees first and
-then the coordinates from the first, so sorting them gives the canonical
-(total degree, lex) order directly.  Sums of packed vectors are the packed
-sums as long as the fields are wide enough for the summed exponents, which
-lets the product skip building a tuple per pair.
-
-Vectors of length 2 skip the packing: a staircase needs no divisibility
+Vectors of length 2 skip the index: a staircase needs no divisibility
 test.  Sorted by first coordinate (then second), a point is minimal exactly
 when its second coordinate is below that of every point before it, so one
 sweep that compares with the last point kept finds the minimal set, and a
@@ -33,39 +27,37 @@ kernel.
 
 from __future__ import annotations
 
+from operator import add
+
 BACKEND: str = "python"
 
 
-def _pack(exp, width: int) -> int:
-    packed = sum(exp)
-    for a in exp:
-        packed = packed << width | a
-    return packed
-
-
-def _minimal_packed(packed, dim: int, width: int) -> list:
-    """The divisibility-minimal packed vectors, ascending (canonical order)."""
-    shift = dim * width
-    guards = 0
-    for i in range(dim):
-        guards |= 1 << (i * width + width - 1)
-    below: list = []  # kept vectors of degree lower than the current one
-    level: list = []  # kept vectors of the current degree
-    deg = -1
-    for p in sorted(packed):
-        if p >> shift != deg:
-            deg = p >> shift
-            below += level
-            level = []
-        # equal-degree distinct vectors never divide each other
-        q = p | guards
-        for k in below:
-            if (q - k) & guards == guards:
-                break
-        else:
-            level.append(p)
-    below += level
-    return below
+def _minimal_index(points: set) -> list:
+    """The divisibility-minimal points of a set of d-vectors, in canonical order."""
+    points = sorted(points)
+    points.sort(key=sum)  # stable: ties of degree stay in lex order
+    if sum(points[0]) == sum(points[-1]):
+        return points  # distinct points of one degree never divide each other
+    at_most = []  # per coordinate: value v -> bits of the points at most v there
+    for i in range(len(points[0])):
+        bits: dict = {}
+        for j, p in enumerate(points):
+            bits[p[i]] = bits.get(p[i], 0) | 1 << j
+        run = 0
+        for v in sorted(bits):
+            run = bits[v] = run | bits[v]
+        at_most.append(bits)
+    kept = []
+    deg = None
+    for j, p in enumerate(points):
+        if sum(p) != deg:
+            deg, lower = sum(p), (1 << j) - 1
+        mask = lower
+        for bits, v in zip(at_most, p):
+            mask &= bits[v]
+        if not mask:
+            kept.append(p)
+    return kept
 
 
 def minimal_staircase(points) -> list:
@@ -81,56 +73,32 @@ def minimal_staircase(points) -> list:
     return kept
 
 
-def _staircase(points) -> list:
-    """The minimal points among 2-vectors, in canonical order."""
-    return sorted(minimal_staircase(points), key=degree_lex)
-
-
-def degree_lex(exp: tuple) -> tuple:
-    """Sort key of the canonical (total degree, lex) order."""
-    return sum(exp), exp
+def _minimal(points: set) -> list:
+    """The divisibility-minimal points of a set of tuples, in canonical order."""
+    if len(points) <= 1:
+        return list(points)
+    if len(next(iter(points))) != 2:
+        return _minimal_index(points)
+    # first coordinates of a staircase are distinct, so a stable sort by
+    # degree leaves ties of degree in lex order
+    stair = minimal_staircase(points)
+    stair.sort(key=sum)
+    return stair
 
 
 def minimalize_exponents(gens) -> list:
     """Keep only the divisibility-minimal exponent vectors."""
-    uniq = set(map(tuple, gens))
-    if len(uniq) <= 1:
-        return list(uniq)
-    dim = len(next(iter(uniq)))
-    if dim == 2:
-        return _staircase(uniq)
-    width = max(map(max, uniq)).bit_length() + 1
-    by_packed = {_pack(g, width): g for g in uniq}
-    return [by_packed[p] for p in _minimal_packed(by_packed, dim, width)]
+    return _minimal(set(map(tuple, gens)))
 
 
 def product_exponents(a_gens, b_gens) -> list:
     """Minimal generators of the product: pairwise sums, then minimalize."""
-    if not a_gens or not b_gens:
-        return []
-    dim = len(a_gens[0])
-    if dim == 2:
-        return _staircase([(a0 + b0, a1 + b1) for a0, a1 in a_gens for b0, b1 in b_gens])
-    width = (max(map(max, a_gens)) + max(map(max, b_gens))).bit_length() + 1
-    a_packed = [_pack(a, width) for a in a_gens]
-    b_packed = [_pack(b, width) for b in b_gens]
-    sums = {pa + pb for pa in a_packed for pb in b_packed}
-    mask = (1 << width) - 1
-    fields = range((dim - 1) * width, -1, -width)
-    return [
-        tuple([p >> s & mask for s in fields])
-        for p in _minimal_packed(sums, dim, width)
-    ]
+    return _minimal({tuple(map(add, a, b)) for a in a_gens for b in b_gens})
 
 
 def intersect_exponents(a_gens, b_gens) -> list:
     """Minimal generators of the intersection: pairwise lcm (componentwise max)."""
-    joins = {
-        tuple(max(x, y) for x, y in zip(a, b))
-        for a in a_gens
-        for b in b_gens
-    }
-    return minimalize_exponents(joins)
+    return _minimal({tuple(map(max, a, b)) for a in a_gens for b in b_gens})
 
 
 def divides_any(exp, gens) -> bool:

@@ -334,6 +334,7 @@ def fit_piecewise(
     """
     if grid.kind != "adic":
         raise InputError("piecewise chamber fits are defined for adic grids")
+    tol = require_rational(tol, "the fit tolerance")
     m = grid.module
     chambers = detect_chambers(m)
     table = ladder_for(m, table)

@@ -35,6 +35,7 @@ from .core import (
     RankMismatchError,
     RingSpec,
     TermModule,
+    require_int,
     term_module,
 )
 
@@ -130,6 +131,14 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise InputError(f"{path}: {message}")
 
 
+def _require_int_at(path: str, value, name: str) -> int:
+    """``core.require_int``, its error prefixed with the field path."""
+    try:
+        return require_int(value, name)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def parse_module(doc) -> TermModule:
     """Validate a module document and build the level-1 TermModule.
 
@@ -160,13 +169,10 @@ def parse_module(doc) -> TermModule:
     free = doc.get("free_module")
     _expect(isinstance(free, dict), "free_module", "must be an object")
     shifts = free.get("shifts")
-    _expect(
-        isinstance(shifts, list)
-        and shifts
-        and all(isinstance(s, int) and not isinstance(s, bool) for s in shifts),
-        "free_module.shifts",
-        "must be a non-empty list of integers",
-    )
+    _expect(isinstance(shifts, list) and shifts, "free_module.shifts",
+            "must be a non-empty list of integers")
+    for k, s in enumerate(shifts):
+        _require_int_at("free_module.shifts", s, f"entry {k}")
     gens = doc.get("generators")
     _expect(isinstance(gens, list), "generators", "must be a list")
     _expect(bool(gens), "generators", "must be non-empty")
@@ -178,21 +184,14 @@ def parse_module(doc) -> TermModule:
         path = f"generators[{idx}]"
         _expect(isinstance(gen, dict), path, "must be an object")
         exponents = gen.get("exponents")
-        _expect(
-            isinstance(exponents, list)
-            and len(exponents) == d
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in exponents),
-            f"{path}.exponents",
-            f"must be a list of {d} integers",
-        )
+        _expect(isinstance(exponents, list) and len(exponents) == d, f"{path}.exponents",
+                f"must be a list of {d} integers")
+        for k, v in enumerate(exponents):
+            _require_int_at(f"{path}.exponents", v, f"entry {k}")
         _expect(all(v >= 0 for v in exponents), f"{path}.exponents",
                 "exponents must be nonnegative")
-        basis = gen.get("basis")
-        _expect(
-            isinstance(basis, int) and not isinstance(basis, bool) and 0 <= basis < e,
-            f"{path}.basis",
-            f"must be an integer in [0, {e})",
-        )
+        basis = _require_int_at(f"{path}.basis", gen.get("basis"), "the basis index")
+        _expect(0 <= basis < e, f"{path}.basis", f"must be an integer in [0, {e})")
         degree = sum(exponents) + shifts[basis]
         _expect(degree >= 0, path,
                 f"generator has negative degree {degree}; "

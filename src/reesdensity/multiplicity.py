@@ -20,7 +20,14 @@ from math import factorial
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule, require_int
+from .core import (
+    FitNotConvergedError,
+    InputError,
+    InternalInvariantError,
+    TermModule,
+    require_int,
+    require_rational,
+)
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
     Poly2,
@@ -110,6 +117,7 @@ def epsilon_multiplicity(
     of the epsilon density cross-checks the estimate.
     """
     require_samplable(m)
+    tol = require_rational(tol, "the tolerance")
     if cross_check:
         # the epsilon density is density work: only the cross-check loads it;
         # an oversized grid is refused here, before any census

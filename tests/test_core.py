@@ -107,8 +107,8 @@ def test_minimalize_output_is_sorted_and_minimal():
 
 
 def _wide_cases():
-    # fields are sized from the largest exponent, so probe both sides of
-    # every power of two a field width could be off by one at
+    # exponents on both sides of powers of two, one far larger than the rest,
+    # one variable, ties and repeats: any width or order assumption shows here
     rng = random.Random(16)
     for k in (1, 2, 3, 7, 8, 16, 31, 32, 64):
         values = (0, 2**k - 1, 2**k)

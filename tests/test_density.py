@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from util import ideal, module
+from util import M_SCALE_D4, ideal, module
 
 from reesdensity import counting, density
 from reesdensity.io import corpus_names
@@ -380,6 +380,30 @@ def test_fit_shifted_module():
     fit = fit_piecewise(grid, table=table)
     assert fit.polynomials == ((), (F(2), F(2)))
     assert fit.chambers[1] == "[0, inf)"
+
+
+def test_fit_of_the_d4_ideal_matches_the_hand_derived_chambers():
+    # NP(I) = {a >= 0 : (a_1 + a_2 + a_3)/2 + a_4/3 >= 1}, with xyz inside it
+    # (3/2 >= 1).  On the slice |a| = x put s = a_1 + a_2 + a_3: the part of
+    # the slice outside NP(I) is s < min(x, 6 - 2x), of volume
+    # min(x, 6 - 2x)^3 / 6, so the density is 4 x^3 - 4 max(0, min(x, 6 - 2x))^3
+    table = LengthLadder(M_SCALE_D4)
+    fit = fit_piecewise(sample_adic(M_SCALE_D4, None, None, table=table), table=table)
+    assert fit.chambers == ("(-inf, 2)", "(2, 3]", "[3, inf)")
+    # 4 x^3 - 4 (6 - 2x)^3 = 36 x^3 - 288 x^2 + 864 x - 864, then 4 x^3
+    assert fit.polynomials == ((), (F(-864), F(864), F(-288), F(36)), (0, 0, 0, F(4)))
+    assert fit.continuity == (True,)
+
+
+@pytest.mark.parametrize("tol", [0.1, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name, call", [
+    ("the fit tolerance", lambda tol: fit_piecewise(sample_adic(M_XY, [F(1)], (8,)), tol=tol)),
+    ("the tolerance", lambda tol: epsilon_multiplicity(M_XY, (1, 2), tol=tol)),
+], ids=["fit_piecewise", "epsilon_multiplicity"])
+def test_tolerances_are_refused_unless_rational(name, call, tol):
+    # 0.1 would be written to the diagnostics as a float, and True read as 1
+    with pytest.raises(InputError, match=f"^{name} must be an int or a Fraction, got"):
+        call(tol)
 
 
 def test_fit_not_converged_error_message(monkeypatch):

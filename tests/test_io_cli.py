@@ -111,6 +111,23 @@ def test_parse_reports_field_paths():
         parse_module(bad)
 
 
+@pytest.mark.parametrize("field, doc", [
+    ("free_module.shifts", dict(GOOD_DOC, free_module={"shifts": [True]})),
+    ("free_module.shifts", dict(GOOD_DOC, free_module={"shifts": [0.0]})),
+    (r"generators\[0\].exponents", dict(GOOD_DOC, generators=[{"exponents": [2, True], "basis": 0}])),
+    (r"generators\[0\].exponents", dict(GOOD_DOC, generators=[{"exponents": [2.0, 0], "basis": 0}])),
+    (r"generators\[0\].basis", dict(GOOD_DOC, generators=[{"exponents": [2, 0], "basis": False}])),
+], ids=["bool-shift", "float-shift", "bool-exponent", "float-exponent", "bool-basis"])
+def test_parse_refuses_non_integers_with_the_field_path(field, doc, tmp_path, capsys):
+    # one integer rule (core.require_int), prefixed with the field path
+    with pytest.raises(InputError, match=f"^{field}: .* must be an integer, got"):
+        parse_module(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["density", "--module", str(path), "--csv-out", str(tmp_path / "x.csv")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_parse_rejects_empty_generators():
     with pytest.raises(InputError, match="generators"):
         parse_module(dict(GOOD_DOC, generators=[]))

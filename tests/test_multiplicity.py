@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import oracles
-from util import ideal, module
+from util import M_SCALE_D4, ideal, module
 
 from reesdensity import counting
 from reesdensity import (
@@ -85,6 +85,17 @@ def test_epsilon_square_maximal_exact_four():
     assert rep.values["exact"] == 4
     # t_n = ell(A/m^{2n}) = n(2n+1)
     assert rep.values["totals"][10] == 210
+
+
+def test_epsilon_of_the_d4_ideal_is_its_multiplicity():
+    # every variable has a pure power in I, so each I : x_i^inf is the unit
+    # ideal, t_n = l(A/I^n) and eps = e(I); (xyz)^2 lies in (x^2, y^2, z^2)^3,
+    # so xyz is integral over the pure powers and e(I) = 2 * 2 * 2 * 3 = 24
+    rep = epsilon_multiplicity(M_SCALE_D4)
+    assert rep.status == "ok"
+    assert rep.values["exact"] == 24
+    # A/I: x^a y^b z^c w^k with a, b, c <= 1 and k <= 2, less the 3 with abc = 1
+    assert rep.values["totals"][1] == 2 * 2 * 2 * 3 - 3
 
 
 def test_epsilon_saturated_module_zero():

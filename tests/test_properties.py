@@ -24,7 +24,7 @@ from reesdensity import (
     saturate,
     term_module,
 )
-from reesdensity.backend import minimalize_exponents
+from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
 from reesdensity.multiplicity import truncation_totals
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
@@ -63,6 +63,30 @@ def test_minimalize_idempotent(m):
     for _, gens in m.components:
         once = minimalize_exponents(gens)
         assert minimalize_exponents(once) == once
+
+
+# exponents at 2^k - 1 and 2^k, and one far larger than the rest
+_EDGE_EXPONENTS = [0, 10**6] + [2**k - j for k in (1, 2, 3, 8, 16, 31, 32, 64) for j in (0, 1)]
+
+
+@st.composite
+def exponent_list_pairs(draw):
+    d = draw(st.integers(1, 6))
+    point = st.tuples(*[st.one_of(st.integers(0, 6), st.sampled_from(_EDGE_EXPONENTS))] * d)
+    a, b = (draw(st.lists(point, min_size=1, max_size=10)) for _ in range(2))
+    return a + a[: draw(st.integers(0, len(a)))], b  # repeats
+
+
+@given(exponent_list_pairs())
+@example(([(3, 1, 4)], [(3, 1, 4)]))  # a single point
+@example(([(2, 0, 1), (0, 2, 1), (1, 1, 1), (3, 0, 0), (2, 0, 1)], [(1, 0, 0), (0, 1, 0)]))
+@example(([(10**6, 0, 0), (0, 2**16, 2**16 - 1), (10**6, 1, 0), (1, 2**16, 2**16)], [(1, 1, 1)]))
+@settings(max_examples=100, deadline=None)
+def test_kernels_match_oracles(pair):
+    a, b = pair
+    assert minimalize_exponents(a) == oracles.minimalize_oracle(a)
+    assert product_exponents(a, b) == oracles.product_oracle(a, b)
+    assert intersect_exponents(a, b) == oracles.intersect_oracle(a, b)
 
 
 @st.composite

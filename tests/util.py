@@ -21,10 +21,18 @@ from reesdensity import (
 
 RING_XY = RingSpec(("x", "y"))
 RING_XYZ = RingSpec(("x", "y", "z"))
+RING_XYZW = RingSpec(("x", "y", "z", "w"))
 
 
 def ideal(gens, shift: int = 0, ring: RingSpec = RING_XY) -> TermModule:
     return ideal_module(ring, gens, shift)
+
+
+# I = (x^2, y^2, z^2, w^3, xyz) in four variables, whose density and epsilon
+# multiplicity are derived by hand where they are pinned
+M_SCALE_D4 = ideal(
+    [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 1, 1, 0)], ring=RING_XYZW
+)
 
 
 def module(components: dict, shifts, ring: RingSpec = RING_XY) -> TermModule:
