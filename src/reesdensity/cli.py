@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Optional
 
 from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
-from .counting import MAX_LADDER_N, LengthLadder
+from .core import require_tolerance
+from .counting import MAX_LADDER_N, LengthLadder, normalize_ladder
 from .io import (
     chambers_payload,
     corpus_description,
@@ -37,45 +38,35 @@ EXIT_UNDETERMINED = 3
 EXIT_INVARIANT = 4
 
 
-def _parse_ladder_options(args, nmax_ladder=None):
-    """Validated ``--ladder``, ``--nmax`` and ``--tol`` of any subcommand.
+def _flag(flag: str, rule, *args):
+    """``rule(*args)``, its ``InputError`` prefixed with the flag it reads."""
+    try:
+        return rule(*args)
+    except InputError as exc:
+        raise InputError(f"{flag}: {exc}") from exc
 
-    Returns the n ladder and the tolerance, each None when not given (the
-    engine default).  ``nmax_ladder`` builds the ladder from ``--nmax`` for
-    subcommands whose ``--nmax`` tops the ladder; ``--ladder`` wins over it.
-    Without it (``check``), ``--nmax`` bounds the certificate search, which
-    builds M^(nmax+1), and may be 0.  No power past ``MAX_LADDER_N`` may be
-    asked for: memory grows with the power.
+
+def _parse_ladder_options(args, nmax_ladder=None):
+    """The n ladder and tolerance of ``--ladder``, ``--nmax`` and ``--tol``,
+    each None when not given (the engine default), refused by the engine's
+    rules before any work.  ``nmax_ladder`` builds the ladder from ``--nmax``
+    (1 to ``MAX_LADDER_N``) where ``--nmax`` tops it; ``--ladder`` wins over
+    it.  ``check`` passes none: its ``--nmax`` bounds the certificate search.
     """
-    least, most = (0, MAX_LADDER_N - 1) if nmax_ladder is None else (1, MAX_LADDER_N)
-    if args.nmax is not None and args.nmax < least:
-        raise InputError(f"--nmax must be at least {least}, got {args.nmax}")
-    if args.nmax is not None and args.nmax > most:
-        raise InputError(
-            f"--nmax must be at most {most} (powers stop at MAX_LADDER_N = {MAX_LADDER_N}), "
-            f"got {args.nmax}"
-        )
+    if nmax_ladder and args.nmax is not None and not 1 <= args.nmax <= MAX_LADDER_N:
+        raise InputError(f"--nmax must lie in [1, MAX_LADDER_N = {MAX_LADDER_N}], "
+                         f"got {args.nmax}")
     ladder = None
     if args.ladder:
         try:
             ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
         except ValueError as exc:
             raise InputError(f"bad --ladder {args.ladder!r}: {exc}") from exc
-        if not ladder:
-            raise InputError("--ladder must not be empty")
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise InputError("--ladder must be strictly increasing")
-        if ladder[0] < 1:
-            raise InputError("--ladder entries must be positive")
-        if ladder[-1] > MAX_LADDER_N:
-            raise InputError(f"--ladder entries must be at most {MAX_LADDER_N}, got {ladder[-1]}")
-    elif args.nmax is not None and nmax_ladder is not None:
+        ladder = _flag("--ladder", normalize_ladder, ladder, None)
+    elif args.nmax is not None and nmax_ladder:
         ladder = nmax_ladder(args.nmax)
     tol = getattr(args, "tol", None)
-    tol = parse_fraction(tol) if tol else None
-    if tol is not None and tol <= 0:
-        raise InputError("--tol must be positive")
-    return ladder, tol
+    return ladder, require_tolerance(parse_fraction(tol), "--tol") if tol else None
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -84,13 +75,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"bad --grid {text!r}; expected LO:HI:STEP")
-    lo, hi, step = (parse_fraction(p) for p in parts)
-    if hi < lo:
-        raise InputError("--grid upper bound must be >= lower bound")
-    try:
-        return arithmetic_grid(lo, hi, step)
-    except InputError as exc:
-        raise InputError(f"--grid {text!r}: {exc}") from exc
+    return _flag(f"--grid {text!r}", arithmetic_grid, *(parse_fraction(p) for p in parts))
 
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
@@ -126,7 +111,7 @@ def _check_outputs(*paths) -> None:
 
 
 def _cmd_density(args) -> int:
-    from .density import default_grid, fit_piecewise
+    from .density import FIT_TOL, default_grid, fit_piecewise
     from .density import sample_adic, sample_epsilon, sample_saturated
 
     module = _load_module(args.module)
@@ -158,7 +143,7 @@ def _cmd_density(args) -> int:
               f"{len(grid_obj.xs)} grid points, csv -> {csv_path}")
         payload = grid_payload(grid_obj)
         if kind == "adic" and args.fit:
-            fit = fit_piecewise(grid_obj, table=table, tol=tol or Fraction(1, 10))
+            fit = fit_piecewise(grid_obj, table=table, tol=tol or FIT_TOL)
             payload["chambers"] = chambers_payload(fit)
             for ch, poly in zip(fit.chambers, fit.polynomials):
                 print(f"  {ch}: {polynomial_str(poly)}")
@@ -173,7 +158,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    from .multiplicity import diagonal_multiplicity, epsilon_multiplicity, mixed_multiplicities
+    from .multiplicity import EPSILON_TOL, diagonal_multiplicity, epsilon_multiplicity
+    from .multiplicity import mixed_multiplicities, require_slope
 
     wants = [name for name, on in (
         ("epsilon", args.epsilon), ("diagonal", args.diagonal), ("mixed", args.mixed)
@@ -187,6 +173,8 @@ def _cmd_multiplicity(args) -> int:
     if args.tol is not None and "epsilon" not in wants:
         raise InputError("--tol is the epsilon cross-check tolerance; add --epsilon")
     module = _load_module(args.module)
+    if "diagonal" in wants or "mixed" in wants:
+        _flag("--c", require_slope, module.max_degree, args.c)
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
     _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)
@@ -194,9 +182,7 @@ def _cmd_multiplicity(args) -> int:
     status_worst = EXIT_OK
     for name in wants:
         if name == "epsilon":
-            report = epsilon_multiplicity(
-                module, ladder, table=table, tol=tol or Fraction(3, 20)
-            )
+            report = epsilon_multiplicity(module, ladder, table=table, tol=tol or EPSILON_TOL)
             exact = report.values["exact"]
             print(f"epsilon: status {report.status}, "
                   f"estimate {fraction_str(report.values['estimate'])}"
@@ -237,10 +223,11 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .dependence import check_dependence
+    from .dependence import check_dependence, require_search_bound
 
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
+    _flag("--nmax", require_search_bound, args.nmax)
     ladder, _ = _parse_ladder_options(args)
     _check_outputs(args.json_out)
     verdict = check_dependence(

@@ -26,8 +26,8 @@ sat(M) from a fresh ladder.
 
 The engine's public functions share the ladder plumbing here:
 ``ladder_for`` hands each the ladder it works on, ``require_samplable``
-checks that the engine can work on a module, and ``normalize_ladder`` sorts
-the n ladder it samples on and refuses any entry above ``MAX_LADDER_N``.
+checks that the engine can work on a module, and ``normalize_ladder`` is
+the one rule for the n ladder it samples on.
 
 All counts are plain Python integers, so they never overflow; lengths grow
 polynomially in n and would not fit fixed-width types.
@@ -404,12 +404,15 @@ class LengthLadder:
         ]
 
     def length(self, n: int, degree: int) -> int:
+        degree = require_int(degree, "the degree")
         return sum(row.graded(degree - base) for base, row in self._component_rows(n, False))
 
     def sat_length(self, n: int, degree: int) -> int:
+        degree = require_int(degree, "the degree")
         return sum(row.graded(degree - base) for base, row in self._component_rows(n, True))
 
     def cumulative(self, n: int, degree: int) -> int:
+        degree = require_int(degree, "the degree")
         return sum(
             row.cumulative(degree - base) for base, row in self._component_rows(n, False)
         )
@@ -489,16 +492,14 @@ def require_samplable(m: TermModule) -> None:
 
 
 def normalize_ladder(ladder, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The n ladder sorted and deduplicated, or ``default`` when None.
-
-    Every ladder the engine samples on passes through here, so no entry
-    above ``MAX_LADDER_N`` reaches a power.
-    """
+    """The n ladder, or ``default`` when None, by the one ladder rule: integer
+    entries, positive, strictly increasing and at most ``MAX_LADDER_N``, so
+    no ladder the engine samples on reaches a power above the bound."""
     if ladder is None:
         return default
-    ladder = tuple(sorted({require_int(n, "a ladder entry") for n in ladder}))
-    if not ladder or ladder[0] < 1:
-        raise InputError("ladder must be positive integers")
+    ladder = tuple(require_int(n, "a ladder entry") for n in ladder)
+    if not ladder or ladder[0] < 1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise InputError("a ladder must be nonempty, positive and strictly increasing")
     if ladder[-1] > MAX_LADDER_N:
         raise InputError(
             f"ladder entries must be at most MAX_LADDER_N = {MAX_LADDER_N}, got {ladder[-1]}"

@@ -32,7 +32,7 @@ from math import factorial, gcd
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import FitNotConvergedError, InputError, TermModule, require_rational
+from .core import FitNotConvergedError, InputError, TermModule, require_rational, require_tolerance
 from .counting import (
     MAX_LADDER_N,
     LengthLadder,
@@ -60,6 +60,8 @@ RAY_N_FLOOR = 8
 RAY_H_MAX = 12
 # chamber nodes beyond the d interpolation nodes, checked exactly
 HELD_OUT_NODES = 2
+# default fit validation tolerance, relative to each extrapolated value
+FIT_TOL = Fraction(1, 10)
 # relative part of the cumulative-identity tolerance
 IDENTITY_REL_TOL = Fraction(1, 20)
 # an x grid with more points is refused before any is built
@@ -74,11 +76,13 @@ def floor_times(x: Fraction, n: int) -> int:
 def arithmetic_grid(lo: Fraction, hi: Fraction, step: Fraction) -> tuple[Fraction, ...]:
     """lo, lo + step, ... up to hi.
 
-    A step that is not positive, or a grid of more than ``MAX_GRID_POINTS``
-    points, is refused before any point is built.
+    A step that is not positive, ``hi < lo``, or a grid of more than
+    ``MAX_GRID_POINTS`` points, is refused before any point is built.
     """
     if step <= 0:
         raise InputError(f"the x grid step must be positive, got {step}")
+    if hi < lo:
+        raise InputError(f"the x grid upper bound {hi} is below its lower bound {lo}")
     points = (hi - lo) // step + 1
     if points > MAX_GRID_POINTS:
         raise InputError(
@@ -321,7 +325,7 @@ def fit_piecewise(
     grid: DensityGrid,
     *,
     table: Optional[LengthLadder] = None,
-    tol: Fraction = Fraction(1, 10),
+    tol: Fraction = FIT_TOL,
 ) -> ChamberDecomposition:
     """Fit exact polynomials of degree <= d-1 to the adic density on the
     chambers of ``detect_chambers``, filled into the decomposition it returns.
@@ -334,7 +338,7 @@ def fit_piecewise(
     """
     if grid.kind != "adic":
         raise InputError("piecewise chamber fits are defined for adic grids")
-    tol = require_rational(tol, "the fit tolerance")
+    tol = require_tolerance(tol, "the fit tolerance")
     m = grid.module
     chambers = detect_chambers(m)
     table = ladder_for(m, table)

@@ -83,6 +83,16 @@ def validate_pair(sub: TermModule, sup: TermModule) -> int:
     return max(sub.max_degree, sup.max_degree)
 
 
+def require_search_bound(n_max) -> int:
+    """``n_max`` if it may bound the certificate search, else ``InputError``."""
+    if not 0 <= require_int(n_max, "n_max") < MAX_LADDER_N:
+        raise InputError(
+            f"certificate search bound n_max must lie in [0, MAX_LADDER_N = {MAX_LADDER_N}), "
+            f"since the search builds M^(n_max+1); got {n_max}"
+        )
+    return n_max
+
+
 def direct_reduction_search(
     sub: TermModule,
     sup: TermModule,
@@ -94,13 +104,8 @@ def direct_reduction_search(
 
     The powers of M come from ``table``, a ``LengthLadder`` of M (a fresh
     one by default).  Once the equality holds it persists for all larger n0.
-    The search builds M^{n_max+1}, so n_max stays below ``MAX_LADDER_N``.
     """
-    if not 0 <= require_int(n_max, "n_max") < MAX_LADDER_N:
-        raise InputError(
-            f"certificate search bound n_max must lie in [0, MAX_LADDER_N = {MAX_LADDER_N}), "
-            f"since the search builds M^(n_max+1); got {n_max}"
-        )
+    require_search_bound(n_max)
     table = ladder_for(sup, table)
     for n0 in range(n_max + 1):
         if table.power(n0 + 1) == product(sub, table.power(n0)):

@@ -26,7 +26,7 @@ from .core import (
     InternalInvariantError,
     TermModule,
     require_int,
-    require_rational,
+    require_tolerance,
 )
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
@@ -39,6 +39,8 @@ from .polyfit import (
 )
 
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
+# default relative tolerance of the epsilon cross-check
+EPSILON_TOL = Fraction(3, 20)
 # thinnings of a ladder's arithmetic tail tried for quasi-polynomial growth
 GROWTH_SUBSTEPS = (1, 2, 3)
 # bigraded fits: the margins past c*n tried in turn, and the largest
@@ -106,7 +108,7 @@ def epsilon_multiplicity(
     *,
     table: Optional[LengthLadder] = None,
     cross_check: bool = True,
-    tol: Fraction = Fraction(3, 20),
+    tol: Fraction = EPSILON_TOL,
 ) -> MultiplicityReport:
     """Epsilon multiplicity from exact saturation-quotient totals.
 
@@ -117,7 +119,7 @@ def epsilon_multiplicity(
     of the epsilon density cross-checks the estimate.
     """
     require_samplable(m)
-    tol = require_rational(tol, "the tolerance")
+    tol = require_tolerance(tol, "the tolerance")
     if cross_check:
         # the epsilon density is density work: only the cross-check loads it;
         # an oversized grid is refused here, before any census

@@ -319,6 +319,11 @@ _NOT_INTEGERS = {
     "level": ("the level", lambda: TermModule(GradedFreeModule(RING_XY, (0,)), True, ())),
     "power exponent": ("the power exponent", lambda: LengthLadder(M_XY_INT).power(2.0)),
     "bool power exponent": ("the power exponent", lambda: LengthLadder(M_XY_INT).power(True)),
+    "degree of a length": ("the degree", lambda: LengthLadder(M_XY_INT).length(1, 2.5)),
+    "degree of a saturated length": ("the degree", lambda: LengthLadder(M_XY_INT).sat_length(
+        1, Fraction(1, 2))),
+    "bool degree of a cumulative length": ("the degree", lambda: LengthLadder(
+        M_XY_INT).cumulative(2, True)),
 }
 
 

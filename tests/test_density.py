@@ -395,15 +395,33 @@ def test_fit_of_the_d4_ideal_matches_the_hand_derived_chambers():
     assert fit.continuity == (True,)
 
 
-@pytest.mark.parametrize("tol", [0.1, True], ids=["float", "bool"])
-@pytest.mark.parametrize("name, call", [
+_TOLERANCE_CALLS = pytest.mark.parametrize("name, call", [
     ("the fit tolerance", lambda tol: fit_piecewise(sample_adic(M_XY, [F(1)], (8,)), tol=tol)),
     ("the tolerance", lambda tol: epsilon_multiplicity(M_XY, (1, 2), tol=tol)),
 ], ids=["fit_piecewise", "epsilon_multiplicity"])
+
+
+@pytest.mark.parametrize("tol", [0.1, True], ids=["float", "bool"])
+@_TOLERANCE_CALLS
 def test_tolerances_are_refused_unless_rational(name, call, tol):
     # 0.1 would be written to the diagnostics as a float, and True read as 1
     with pytest.raises(InputError, match=f"^{name} must be an int or a Fraction, got"):
         call(tol)
+
+
+@pytest.mark.parametrize("tol", [F(0), F(-1), F(-5)], ids=["0", "-1", "-5"])
+@_TOLERANCE_CALLS
+def test_tolerances_are_refused_unless_positive(name, call, tol):
+    # a fit with tol <= 0 failed as not converged, blaming the ladder, and
+    # the epsilon cross-check passed with a negative tolerance
+    with pytest.raises(InputError, match=f"^{name} must be positive, got {tol}"):
+        call(tol)
+
+
+def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder():
+    m = load_corpus_module("maximal_ideal")
+    with pytest.raises(InputError, match="must be positive"):
+        epsilon_multiplicity(m, tol=F(-5))
 
 
 def test_fit_not_converged_error_message(monkeypatch):
@@ -446,6 +464,21 @@ def test_grid_step_must_be_positive(step):
     # a negative step never passed hi, and a zero one divided by zero
     with pytest.raises(InputError, match="step must be positive"):
         density.arithmetic_grid(F(0), F(1), step)
+
+
+def test_grid_upper_bound_below_lower_bound_is_refused():
+    # the grid was silently empty, where --grid refused it
+    with pytest.raises(InputError, match="upper bound 1 is below its lower bound 2"):
+        density.arithmetic_grid(F(2), F(1), F(1, 8))
+
+
+@pytest.mark.parametrize("ladder", [(3, 2, 2), (16, 8), (8, 8), (0, 8), ()])
+def test_ladders_are_refused_unless_strictly_increasing_and_positive(ladder):
+    # the API sorted and deduplicated a ladder that --ladder refuses
+    with pytest.raises(InputError, match="strictly increasing"):
+        counting.normalize_ladder(ladder, density.DEFAULT_LADDER)
+    with pytest.raises(InputError, match="strictly increasing"):
+        sample_adic(M_XY, [F(1)], ladder)
 
 
 def test_cumulative_identity_off_grid_x_rejected():

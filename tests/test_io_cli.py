@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from util import fresh_python, ideal, module
 
@@ -32,6 +33,7 @@ from reesdensity import (
 )
 from reesdensity.cli import MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
+from reesdensity.counting import normalize_ladder
 from reesdensity.density import MAX_GRID_POINTS, DensityGrid
 from reesdensity.io import (
     corpus_names,
@@ -412,6 +414,24 @@ def test_cli_validates_ladder_nmax_and_tol_alike(
     assert option.split("=")[0] in capsys.readouterr().err
 
 
+@given(st.lists(st.one_of(st.integers(-2, 12), st.sampled_from([MAX_LADDER_N, MAX_LADDER_N + 1])),
+                min_size=1, max_size=5))
+@example([3, 2])
+@example([2, 2])
+@settings(max_examples=200, deadline=None)
+def test_cli_ladder_text_and_the_api_follow_one_rule(entries):
+    # --ladder accepts exactly the lists the API accepts, as the same tuple,
+    # and names the flag when it refuses one
+    args = argparse.Namespace(nmax=None, ladder=",".join(map(str, entries)))
+    try:
+        expected = normalize_ladder(entries, None)
+    except InputError:
+        with pytest.raises(InputError, match="^--ladder: "):
+            _parse_ladder_options(args)
+    else:
+        assert _parse_ladder_options(args)[0] == expected
+
+
 @pytest.mark.parametrize("kinds", [",", "adic,adic"])
 def test_cli_density_rejects_empty_or_repeated_kind(kinds, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -673,6 +693,22 @@ def test_cli_options_no_report_reads_fail_before_computing(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err and remedy in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "--mixed", "--c", "2", "--cache-dir", "cache"],
+    ["--epsilon", "--diagonal", "--c", "2"],
+], ids=["mixed-cache-dir", "diagonal"])
+def test_cli_bad_slope_fails_before_computing(flags, tmp_path, monkeypatch, capsys):
+    # (x^2, xy) has generators of degree 2, so c = 2 is no slope; the epsilon
+    # report, which comes first, is neither printed nor cached
+    monkeypatch.chdir(tmp_path)
+    argv = ["multiplicity", "--module", "corpus:ideal_x2_xy", *flags, "--json-out", "x.json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--c" in captured.err and "must exceed the top generator degree 2" in captured.err
     assert not any(tmp_path.iterdir())
 
 
