@@ -66,7 +66,7 @@ def _parse_ladder_options(args, nmax_ladder=None):
     elif args.nmax is not None and nmax_ladder:
         ladder = nmax_ladder(args.nmax)
     tol = getattr(args, "tol", None)
-    return ladder, require_tolerance(parse_fraction(tol), "--tol") if tol else None
+    return ladder, require_tolerance(_flag("--tol", parse_fraction, tol), "--tol") if tol else None
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -75,7 +75,8 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"bad --grid {text!r}; expected LO:HI:STEP")
-    return _flag(f"--grid {text!r}", arithmetic_grid, *(parse_fraction(p) for p in parts))
+    flag = f"--grid {text!r}"
+    return _flag(flag, arithmetic_grid, *(_flag(flag, parse_fraction, p) for p in parts))
 
 
 def _scaled_ladder(n_max: int, rungs: int = 5) -> tuple[int, ...]:
@@ -223,11 +224,14 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .dependence import check_dependence, require_search_bound
+    from .dependence import check_dependence, require_search_bound, validate_pair
+    from .multiplicity import require_slope
 
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
     _flag("--nmax", require_search_bound, args.nmax)
+    # the pair's own refusals are not the slope's
+    _flag("--c", require_slope, validate_pair(sub, sup), args.c)
     ladder, _ = _parse_ladder_options(args)
     _check_outputs(args.json_out)
     verdict = check_dependence(

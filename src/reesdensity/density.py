@@ -327,14 +327,17 @@ def fit_piecewise(
     table: Optional[LengthLadder] = None,
     tol: Fraction = FIT_TOL,
 ) -> ChamberDecomposition:
-    """Fit exact polynomials of degree <= d-1 to the adic density on the
+    """Fit exact polynomials of degree <= d+e-2 to the adic density on the
     chambers of ``detect_chambers``, filled into the decomposition it returns.
 
-    Each nontrivial chamber polynomial is interpolated through d points whose
-    values are exact ray extrapolations (stabilized finite differences,
+    Each nontrivial chamber polynomial is interpolated through d+e-1 points
+    whose values are exact ray extrapolations (stabilized finite differences,
     confirmed on held-out n), then validated exactly on further interior
     points and within tolerance against every extrapolated grid value in the
     chamber.  Refuses with a diagnostic instead of returning a doubtful fit.
+    The last chamber's polynomial is (d+e-1)! * L(x, 1), L the leading form
+    of the bigraded Hilbert polynomial, of degree <= d-1 in x
+    (``top_degree_expected``).
     """
     if grid.kind != "adic":
         raise InputError("piecewise chamber fits are defined for adic grids")
@@ -343,14 +346,15 @@ def fit_piecewise(
     chambers = detect_chambers(m)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
+    fit_nodes = d + m.ambient.rank - 1
     bps = chambers.breakpoints
     polys: list[Poly] = [()]
     for lo, hi in zip(bps, [*bps[1:], None]):
-        nodes = _chamber_nodes(lo, hi, d + HELD_OUT_NODES)
+        nodes = _chamber_nodes(lo, hi, fit_nodes + HELD_OUT_NODES)
         values = [ray_extrapolate(table, x) for x in nodes]
-        vandermonde = [[x**k for k in range(d)] for x in nodes[:d]]
-        poly = poly_trim(solve_exact(vandermonde, values[:d]))
-        for x, v in zip(nodes[d:], values[d:]):
+        vandermonde = [[x**k for k in range(fit_nodes)] for x in nodes[:fit_nodes]]
+        poly = poly_trim(solve_exact(vandermonde, values[:fit_nodes]))
+        for x, v in zip(nodes[fit_nodes:], values[fit_nodes:]):
             if poly_eval(poly, x) != v:
                 raise FitNotConvergedError(
                     f"not converged; increase n ladder (held-out x = {x} "

@@ -30,7 +30,6 @@ from .core import (
 )
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
-    Poly2,
     extrapolate,
     fit_poly2_triangular,
     poly2_eval,
@@ -41,12 +40,11 @@ from .polyfit import (
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
 # default relative tolerance of the epsilon cross-check
 EPSILON_TOL = Fraction(3, 20)
-# thinnings of a ladder's arithmetic tail tried for quasi-polynomial growth
+# thinnings of the epsilon ladder's arithmetic tail tried for quasi-polynomial
+# growth
 GROWTH_SUBSTEPS = (1, 2, 3)
-# bigraded fits: the margins past c*n tried in turn, and the largest
-# residue-class step in n
+# bigraded fits: the margins past c*n tried in turn
 FIT_MARGINS = (2, 4, 8, 16, 32, 64)
-FIT_H_MAX = 4
 
 
 class MultiplicityReport(SimpleNamespace):
@@ -116,7 +114,8 @@ def epsilon_multiplicity(
     (d+e-1)! * t_n / n^{d+e-1} at the top of the ladder with an n_max/2
     diagnostic, the exact value comes from stabilized finite differences when
     they certify a polynomial tail, and (optionally) the trapezoidal integral
-    of the epsilon density cross-checks the estimate.
+    of the epsilon density, sampled at the ladder's reference rung and top,
+    cross-checks the estimate.
     """
     require_samplable(m)
     tol = require_tolerance(tol, "the tolerance")
@@ -145,8 +144,9 @@ def epsilon_multiplicity(
         "extraction": ext,
     }
     if cross_check:
-        # the n_max/2 rung, never above the ladder's top
-        grid_ladder = tuple(sorted({min(max(2, n_max // 2), n_max), n_max}))
+        # the ladder's own reference rung: no rung off the ladder is sampled
+        ref = diagnostics["reference_n"]
+        grid_ladder = (n_max,) if ref is None else (ref, n_max)
         grid = sample_epsilon(m, xs, grid_ladder, table=table, richardson=True)
         integral = trapezoid(list(grid.xs), list(grid.extrapolated))
         gap = abs(integral - estimate)
@@ -231,10 +231,12 @@ def diagonal_multiplicity(
 
     The base version reads h(n) = len((M^n)_{cn}); the extended version reads
     the cumulative lengths (the same module over a one-variable polynomial
-    extension).  Dimension is detected from the difference table and the
-    multiplicity is (dim-1)! times the leading coefficient; a ladder on which
-    the differences never stabilize yields status "undetermined".  The slope
-    ``c`` defaults to d_M + 1 and must exceed d_M.
+    extension).  Dimension is detected from the difference table of the
+    ladder's arithmetic tail, never thinned: past X = d_M*n both are
+    polynomials in n (see ``fit_bigraded_polynomial``).  The multiplicity is
+    (dim-1)! times the leading coefficient; a ladder on which the differences
+    never stabilize yields status "undetermined".  The slope ``c`` defaults
+    to d_M + 1 and must exceed d_M.
     """
     require_samplable(m)
     c = require_slope(m.max_degree, c)
@@ -245,7 +247,7 @@ def diagonal_multiplicity(
     tail_ns = _arithmetic_tail(ladder)
 
     def analyze(values: list[int], max_order: int) -> Optional[dict]:
-        ext = extract_polynomial_growth(tail_ns, values, max_order)
+        ext = stabilized_difference(tail_ns, values, max_order)
         if ext is not None:
             ext["dimension"] = ext.pop("degree") + 1
             ext["multiplicity"] = ext.pop("normalized")
@@ -278,17 +280,14 @@ def diagonal_multiplicity(
 class BigradedFit(SimpleNamespace):
     """Validated bivariate Hilbert polynomial P(X, Y) with fit metadata.
 
-    Fields: ``poly``, the slope ``c``, ``margin``, the residue-class step
-    ``h``, ``n_base``, ``total_degree_bound`` and ``cumulative``.
+    Fields: ``poly``, the slope ``c``, ``margin``, ``n_base``,
+    ``total_degree_bound``, ``cumulative``, and ``h``, the step of the n
+    grid, which is always 1: past X = d_M*n the lengths are a polynomial,
+    never a quasi-polynomial, in (X, n).
     """
 
     def evaluate(self, m_deg: int, n: int) -> Fraction:
         return poly2_eval(self.poly, m_deg, n)
-
-
-def _leading(poly: Poly2, t: int) -> Poly2:
-    """The degree-t form of a bigraded polynomial, its leading form at t = the total degree."""
-    return {key: coeff for key, coeff in poly.items() if sum(key) == t}
 
 
 def fit_bigraded_polynomial(
@@ -303,10 +302,16 @@ def fit_bigraded_polynomial(
     Interpolates P of total degree <= d+e-2 (one more for cumulative lengths)
     directly in (X, Y) through exact lengths at X = c*n + margin + k, Y = n,
     one sample per (k, n) of a triangular grid; the fit must then reproduce
-    held-out samples exactly.  The margin doubles (the polynomial region's
-    onset is unknown a priori) and the residue-class step h of the n grid
-    grows until validation passes; for h > 1 the leading form must agree
-    with the fit on the next residue class.
+    four held-out samples exactly.  The margin doubles until they agree: the
+    polynomial region's onset is unknown a priori.
+
+    There is one fit per margin, on consecutive n.  len((M^n)_X) is a sum of
+    shifted p(X, n) = sum over |b| = n of C(X - b.deg + d - 1, d - 1), whose
+    binomials all have a nonnegative top once X >= d_M*n + C for a constant
+    C; a polynomial summed over the lattice points of the dilate n*simplex
+    is a polynomial in n, so there P has no residue classes in n (nor has
+    the cumulative sum, one more variable of degree (1, 0)).  As c > d_M,
+    the grid's row n = n_base is the first to leave that region.
     """
     require_samplable(m)
     c = require_slope(m.max_degree, c)
@@ -316,53 +321,30 @@ def fit_bigraded_polynomial(
     total_degree = d + e - 2 + (1 if cumulative else 0)
     value = table.cumulative if cumulative else table.length
     n0 = max(total_degree + 2, 4)
+    grid = [(k, n0 + j) for j in range(total_degree + 1) for k in range(total_degree + 1 - j)]
+    top = n0 + total_degree + 1
+    held_out = [(0, top), (1, top), (total_degree + 1, n0), (total_degree + 2, n0 + 1)]
 
-    def fit_once(h: int, marg: int, nb: int) -> Optional[Poly2]:
-        def sample(k: int, n: int) -> tuple[int, int, int]:
-            x = c * n + marg + k
-            return x, n, value(n, x)
+    def sample(marg: int, k: int, n: int) -> tuple[int, int, int]:
+        x = c * n + marg + k
+        return x, n, value(n, x)
 
-        samples = [
-            sample(k, nb + j * h)
-            for j in range(total_degree + 1)
-            for k in range(total_degree + 1 - j)
-        ]
-        try:
-            poly = fit_poly2_triangular(samples, total_degree)
-        except ValueError:
-            return None
-        top = nb + (total_degree + 1) * h
-        held_out = (
-            sample(k, n)
-            for k, n in (
-                (0, top), (1, top), (total_degree + 1, nb), (total_degree + 2, nb + h)
-            )
-        )
-        if any(poly2_eval(poly, x, n) != v for x, n, v in held_out):
-            return None
-        return poly
-
-    for h in range(1, FIT_H_MAX + 1):
-        for marg in FIT_MARGINS:
-            poly = fit_once(h, marg, n0)
-            if poly is None:
-                continue
-            if h > 1:
-                other = fit_once(h, marg, n0 + 1)
-                if other is None or _leading(poly, total_degree) != _leading(other, total_degree):
-                    continue
+    for marg in FIT_MARGINS:
+        # an affine image of the triangular grid: the system is never singular
+        poly = fit_poly2_triangular([sample(marg, k, n) for k, n in grid], total_degree)
+        if all(poly2_eval(poly, x, n) == v for x, n, v in (sample(marg, *p) for p in held_out)):
             return BigradedFit(
                 poly=poly,
                 c=c,
                 margin=marg,
-                h=h,
+                h=1,
                 n_base=n0,
                 total_degree_bound=total_degree,
                 cumulative=cumulative,
             )
     raise FitNotConvergedError(
-        f"quasi-period undetected (no residue class h <= {FIT_H_MAX} validates; "
-        f"margin cap {FIT_MARGINS[-1]})"
+        f"no polynomial region found (held-out samples disagree up to the margin "
+        f"cap {FIT_MARGINS[-1]})"
     )
 
 
@@ -394,7 +376,7 @@ def mixed_multiplicities(
             diagnostics={"reason": str(exc)},
         )
     t = fit.total_degree_bound
-    top = _leading(fit.poly, t)
+    top = {key: coeff for key, coeff in fit.poly.items() if sum(key) == t}
     i_max = d - 1 + (1 if extended else 0)
     es = []
     for i in range(i_max + 1):

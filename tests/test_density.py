@@ -395,6 +395,39 @@ def test_fit_of_the_d4_ideal_matches_the_hand_derived_chambers():
     assert fit.continuity == (True,)
 
 
+def _mixed_rank2_length(n, j):
+    # terms of degree j in M^n, M = {x^2 e1, xy e1, y e2} with shifts (0, -1):
+    # the component on e1^a e2^(n-a) is x^a (x, y)^a y^(n-a), which starts in
+    # monomial degree n + a; at degree j (monomial degree j + n - a) it holds
+    # the j - a + 1 monomials divisible by x^a y^(n-a) once 2a <= j
+    return sum(j - a + 1 for a in range(min(n, j // 2) + 1)) if j >= 0 else 0
+
+
+def _mixed_rank2_density(x):
+    # 3! * lim len((M^n)_{xn}) / n^2: along n = 2qk (x = p/q) the closed form
+    # is a quadratic in k, whose k^2 coefficient is half its second difference
+    step = 2 * x.denominator
+    ls = [_mixed_rank2_length(step * k, int(x * step * k)) for k in (1, 2, 3)]
+    return F(6 * (ls[2] - 2 * ls[1] + ls[0]), 2 * step * step)
+
+
+def test_fit_of_a_rank2_module_has_degree_d_plus_e_minus_2():
+    # the first chamber's polynomial has degree d + e - 2 = 2 > d - 1; only the
+    # last chamber's has degree <= d - 1
+    m = load_corpus_module("mixed_rank2")
+    table = LengthLadder(m)
+    for n in range(1, 7):
+        for j in range(-1, 3 * n + 2):
+            assert table.length(n, j) == _mixed_rank2_length(n, j)
+    fit = fit_piecewise(sample_adic(m, None, None, table=table), table=table)
+    assert fit.chambers == ("(-inf, 0)", "(0, 2]", "[2, inf)")
+    assert fit.polynomials == ((), (0, 0, F(9, 4)), (F(-3), F(6)))
+    for x in (F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(7, 2)):
+        assert fit.evaluate(x) == _mixed_rank2_density(x)
+    assert fit.continuity == (True,)
+    assert fit.top_degree == fit.diagnostics["top_degree_expected"] == 1
+
+
 _TOLERANCE_CALLS = pytest.mark.parametrize("name, call", [
     ("the fit tolerance", lambda tol: fit_piecewise(sample_adic(M_XY, [F(1)], (8,)), tol=tol)),
     ("the tolerance", lambda tol: epsilon_multiplicity(M_XY, (1, 2), tol=tol)),

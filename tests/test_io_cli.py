@@ -386,6 +386,15 @@ def test_cli_check_submodule_violation_exit_two(tmp_path, capsys):
     assert main(["check", "--sub", str(sub), "--sup", str(sup)]) == 2
 
 
+def test_cli_mixed_undetermined_exit_three(tmp_path, capsys):
+    path = write_doc(tmp_path, dict(GOOD_DOC, generators=[
+        {"exponents": [80, 0], "basis": 0},
+        {"exponents": [0, 81], "basis": 0},
+    ]))
+    assert main(["multiplicity", "--module", str(path), "--mixed"]) == 3
+    assert "mixed: undetermined" in capsys.readouterr().out
+
+
 _SUBCOMMANDS = {
     "density": ["density", "--module", "corpus:ideal_x2_xy"],
     "multiplicity": ["multiplicity", "--module", "corpus:ideal_x2_xy"],
@@ -402,6 +411,11 @@ _SUBCOMMANDS = {
       for ladder in ("--ladder=0,1,2,3", "--ladder=3,2,1,1")],
     ("density", "--tol=-1"),
     ("multiplicity", "--tol=-1"),
+    # text that is no rational, and a slope the pair's generator degrees refuse
+    ("density", "--tol=abc"),
+    ("multiplicity", "--tol=abc"),
+    ("density", "--grid=0:x:1"),
+    ("check", "--c=2"),
 ])
 def test_cli_validates_ladder_nmax_and_tol_alike(
     command, option, tmp_path, monkeypatch, capsys
@@ -412,6 +426,17 @@ def test_cli_validates_ladder_nmax_and_tol_alike(
     fit = ["--fit"] if command == "density" else []
     assert main(_SUBCOMMANDS[command] + fit + [option]) == 2
     assert option.split("=")[0] in capsys.readouterr().err
+
+
+def test_cli_check_pair_refusal_is_not_the_slope(tmp_path, capsys):
+    # N not inside M is the pair's refusal, whatever --c says
+    sub = write_doc(tmp_path, dict(GOOD_DOC, generators=[
+        {"exponents": [1, 0], "basis": 0},
+    ]), "sub.json")
+    sup = write_doc(tmp_path, GOOD_DOC, "sup.json")
+    assert main(["check", "--sub", str(sub), "--sup", str(sup), "--c", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "not in the larger module" in err and "--c" not in err
 
 
 @given(st.lists(st.one_of(st.integers(-2, 12), st.sampled_from([MAX_LADDER_N, MAX_LADDER_N + 1])),

@@ -15,9 +15,10 @@ from reesdensity import (
     diagonal_multiplicity,
     epsilon_multiplicity,
     fit_bigraded_polynomial,
+    load_corpus_module,
     mixed_multiplicities,
 )
-from reesdensity.multiplicity import extract_polynomial_growth
+from reesdensity.multiplicity import FIT_MARGINS, extract_polynomial_growth
 
 M_XY = ideal([(1, 0), (0, 1)])
 M_X2_XY = ideal([(2, 0), (1, 1)])
@@ -120,8 +121,8 @@ def test_epsilon_estimate_only_on_tiny_ladder():
 
 @pytest.mark.parametrize("ladder", [(1,), (1, 2), (3,), (1, 2, 3, 4, 5)])
 def test_epsilon_cross_check_builds_no_power_above_the_ladder(ladder, monkeypatch):
-    # the cross-check samples the epsilon density at the n_max/2 rung and at
-    # n_max; a ladder topping at 1 has no rung 2 to sample
+    # the cross-check samples the epsilon density at the ladder's reference
+    # rung and at n_max, never above the top
     built = []
     real = counting.next_power
 
@@ -133,6 +134,17 @@ def test_epsilon_cross_check_builds_no_power_above_the_ladder(ladder, monkeypatc
     rep = epsilon_multiplicity(M_X2_XY, ladder)
     assert "integral" in rep.diagnostics
     assert max(built, default=1) == ladder[-1]
+
+
+def test_epsilon_cross_check_makes_rows_only_on_the_ladder():
+    # the cross-check samples the ladder's own reference rung, 7 here, and
+    # the top; no length row is made at a rung off the ladder (n_max/2 = 10)
+    m = load_corpus_module("ideal_x2_xy")
+    table = LengthLadder(m)
+    rep = epsilon_multiplicity(m, (3, 7, 20), table=table)
+    assert rep.diagnostics["reference_n"] == 7
+    assert "integral" in rep.diagnostics
+    assert {n for n, _ in table._rows} == {3, 7, 20}
 
 
 # -- diagonal ------------------------------------------------------------------------
@@ -297,6 +309,16 @@ def test_mixed_values_are_integers():
     for m in (M_XY, M_X2_XY, M_SQ, M_CI):
         rep = mixed_multiplicities(m, extended=True, c=m.max_degree + 1)
         assert all(isinstance(v, int) for v in rep.values["e"])
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_mixed_undetermined_past_the_margin_cap(extended):
+    # (A/I^n)_X of I = (x^80, y^81) is nonzero up to X = 81n + 79, past every
+    # fit row n0 = 4 at X = 82n + margin + k for margins up to the cap 64
+    rep = mixed_multiplicities(ideal([(80, 0), (0, 81)]), extended=extended)
+    assert rep.status == "undetermined"
+    assert rep.values["e"] is None
+    assert f"margin cap {FIT_MARGINS[-1]}" in rep.diagnostics["reason"]
 
 
 def test_mixed_fit_doubles_its_margin_past_the_regularity():

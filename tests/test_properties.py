@@ -247,13 +247,10 @@ def test_ladder_lengths_match_enumeration(m, n):
         assert ladder.cumulative(n, deg) == running
 
 
-@pytest.mark.parametrize("cumulative", [False, True])
-@pytest.mark.parametrize("name", ["mixed_rank2", "ideal_x2_xy_shifted", "three_vars"])
-def test_bigraded_fit_matches_enumeration_off_its_grid(name, cumulative):
+def _assert_fit_matches_enumeration(m, cumulative):
     # P(X, n) against terms of M^n counted one by one, at n past every
     # sampled n, with offsets k = X - c*n - margin inside and beyond the
     # sampled ones
-    m = load_corpus_module(name)
     ladder = LengthLadder(m)
     fit = fit_bigraded_polynomial(m, cumulative=cumulative, table=ladder)
     top = fit.n_base + (fit.total_degree_bound + 1) * fit.h
@@ -268,6 +265,24 @@ def test_bigraded_fit_matches_enumeration_off_its_grid(name, cumulative):
             x = fit.c * n + fit.margin + k
             below = sum(v for deg, v in counts.items() if deg <= x)
             assert fit.evaluate(x, n) == (below if cumulative else counts[x])
+
+
+@pytest.mark.parametrize("cumulative", [False, True])
+@pytest.mark.parametrize("name", ["mixed_rank2", "ideal_x2_xy_shifted", "three_vars"])
+def test_bigraded_fit_matches_enumeration_off_its_grid(name, cumulative):
+    _assert_fit_matches_enumeration(load_corpus_module(name), cumulative)
+
+
+@given(term_modules(), st.booleans())
+# fits that validate only at margins 8, 4 and 4 past c*n
+@example(module({0: [(10, 0), (0, 11)]}, (0,)), False)
+@example(module({0: [(10, 0), (0, 11)]}, (0,)), True)
+@example(module({0: [(8, 0), (0, 9)], 1: [(0, 1), (4, 0)]}, (0, 1)), False)
+@settings(max_examples=30, deadline=None)
+def test_bigraded_fit_matches_enumeration_on_random_modules(m, cumulative):
+    # one fit per margin on consecutive n: past X = d_M*n the lengths are a
+    # polynomial in (X, n), with no residue classes in n to search
+    _assert_fit_matches_enumeration(m, cumulative)
 
 
 @given(term_modules())
