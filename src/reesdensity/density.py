@@ -9,7 +9,7 @@ quantities at scale n and abscissa x are
 
 together with chamber detection from generator degrees and exact piecewise
 polynomial fits.  Fitted values come from stabilized finite differences along
-rays n = n0 + jH (an exact extrapolation of the sampled sequence, confirmed
+rays, read at the period the sequence has (an exact extrapolation, confirmed
 on a held-out n), so fitted polynomials have exact rational coefficients.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
@@ -41,6 +41,7 @@ from .counting import (
     require_samplable,
 )
 from .polyfit import (
+    MAX_PERIOD,
     STABLE_WINDOW,
     Poly,
     difference_rows,
@@ -54,10 +55,8 @@ from .polyfit import (
 
 DEFAULT_LADDER: tuple[int, ...] = (8, 16, 24, 32, 40)
 DEFAULT_STEP = Fraction(1, 8)
-# ray samples start at the first multiple of the ray step H past this n
+# ray samples start at the first multiple of the denominator of x past this n
 RAY_N_FLOOR = 8
-# ray steps H = h * (denominator of x) are tried for h = 1 .. RAY_H_MAX
-RAY_H_MAX = 12
 # chamber nodes beyond the d interpolation nodes, checked exactly
 HELD_OUT_NODES = 2
 # default fit validation tolerance, relative to each extrapolated value
@@ -261,54 +260,50 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
     """Exact limit of the adic density at x via finite differences along a ray.
 
-    Samples len((M^n)_{xn}) at n = n0 + jH, with H = h * (denominator of x)
-    for h = 1..RAY_H_MAX (so xn is an integer) and n0 the first multiple of H
-    that is at least 2H and ``RAY_N_FLOOR``.  Once the counting function is
-    polynomial along the ray, the (r+1)-st differences vanish (r = d+e-2) and
-    the limit is (r+1) * (r-th difference) / H^r; smaller detected degree
-    means the limit is 0.  A step H is accepted only when the difference
-    table of all but the last sample stabilizes at some degree D and the
-    held-out last sample continues it: the (D+1)-st difference of the last
-    D+2 samples is 0.  A step whose last sample lies above ``MAX_LADDER_N``
-    is never sampled: the ray gives up there.
+    Samples len((M^n)_{xn}) on one progression n = n0 + jq, q the
+    denominator of x (so xn is an integer) and n0 the first multiple of q
+    that is at least 2q and ``RAY_N_FLOOR``, extended to
+    (r + 1 + STABLE_WINDOW) * p + 2 samples for p = 1..MAX_PERIOD in turn
+    (r = d+e-2).  Read at period p, the limit is (r+1) * (r-th lag-p
+    difference) / (pq)^r; smaller detected degree means the limit is 0.  A
+    period is accepted only when all but the last sample stabilize at some
+    degree D and the held-out last sample continues them: the (D+1)-st lag-p
+    difference that ends there is 0.  A period whose last sample lies above
+    ``MAX_LADDER_N`` is never sampled: the ray gives up there.
     """
     m = table.module
     require_samplable(m)
     x = require_rational(x, "x")
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-    r = d + e - 2
+    r = m.ambient.ring.dim + m.ambient.rank - 2
     q = x.denominator
-    needed = r + STABLE_WINDOW + 2
-    for h in range(1, RAY_H_MAX + 1):
-        step = q * h
-        n0 = step * max(2, -(-RAY_N_FLOOR // step))
-        ns = [n0 + j * step for j in range(needed + 1)]
+    n0 = q * max(2, -(-RAY_N_FLOOR // q))
+    vals: list[int] = []
+    for period in range(1, MAX_PERIOD + 1):
+        ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
         if ns[-1] > MAX_LADDER_N:
             raise FitNotConvergedError(
-                f"not converged; the ray at x = {x} with step {step} would sample "
+                f"not converged; the ray at x = {x} with period {period} would sample "
                 f"M^{ns[-1]}, above the bound n <= {MAX_LADDER_N}"
             )
-        vals = [table.length(n, floor_times(x, n)) for n in ns]
-        ext = stabilized_difference(ns[:-1], vals[:-1], r)
+        vals += [table.length(n, floor_times(x, n)) for n in ns[len(vals) :]]
+        ext = stabilized_difference(ns[:-1], vals[:-1], r, period)
         if ext is None:
             continue
         degree = ext["degree"]
-        if difference_rows(vals[-(degree + 2) :], degree + 1)[-1][0] != 0:
+        if difference_rows(vals[-(degree + 1) * period - 1 :], degree + 1, period)[-1][0]:
             continue
         return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
     raise FitNotConvergedError(
-        f"not converged; increase n ladder (no stable ray at x = {x} with h <= {RAY_H_MAX})"
+        f"not converged; increase n ladder (no stable ray at x = {x} with period <= {MAX_PERIOD})"
     )
 
 
 def _chamber_nodes(lo: int, hi: Optional[int], count: int) -> list[Fraction]:
     """Low-denominator sample points in the chamber (lo, hi], cheapest first:
-    the p/q in lowest terms for q = 1, 2, ...; in the last chamber
-    [lo, inf) (``hi`` None) they are lo, lo + 1/2, lo + 1, ....  Breakpoints
-    are integers, so each q adds lo + 1/q at least and the loop ends."""
-    if hi is None:
-        return [lo + Fraction(k, 2) for k in range(count)]
+    the p/q in lowest terms for q = 1, 2, ....  The last chamber [lo, inf)
+    (``hi`` None) is sampled on (lo, lo + count]: no node is a breakpoint.
+    Breakpoints are integers, so each q adds lo + 1/q and the loop ends."""
+    hi = lo + count if hi is None else hi
     nodes: list[Fraction] = []
     q = 1
     while len(nodes) < count:

@@ -30,6 +30,7 @@ from .core import (
 )
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
+    MAX_PERIOD,
     extrapolate,
     fit_poly2_triangular,
     poly2_eval,
@@ -40,9 +41,6 @@ from .polyfit import (
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
 # default relative tolerance of the epsilon cross-check
 EPSILON_TOL = Fraction(3, 20)
-# thinnings of the epsilon ladder's arithmetic tail tried for quasi-polynomial
-# growth
-GROWTH_SUBSTEPS = (1, 2, 3)
 # bigraded fits: the margins past c*n tried in turn
 FIT_MARGINS = (2, 4, 8, 16, 32, 64)
 
@@ -64,13 +62,12 @@ def _arithmetic_tail(ladder: tuple[int, ...]) -> list[int]:
 def extract_polynomial_growth(
     ns: list[int], values: list[int], max_order: int
 ) -> Optional[dict]:
-    """``stabilized_difference``'s record of the first thinning of the
-    arithmetic progression ``ns`` by ``GROWTH_SUBSTEPS`` that stabilizes, in
-    case the sequence is only quasi-polynomial with a small period; or None.
+    """``stabilized_difference``'s record of the arithmetic progression
+    ``ns`` at the least period p <= ``MAX_PERIOD`` that stabilizes, in case
+    the sequence is only quasi-polynomial; or None.
     """
-    for s in GROWTH_SUBSTEPS:
-        idx = range(len(values) - 1, -1, -s)[::-1]
-        ext = stabilized_difference([ns[i] for i in idx], [values[i] for i in idx], max_order)
+    for period in range(1, MAX_PERIOD + 1):
+        ext = stabilized_difference(ns, values, max_order, period)
         if ext is not None:
             return ext
     return None
@@ -232,7 +229,7 @@ def diagonal_multiplicity(
     The base version reads h(n) = len((M^n)_{cn}); the extended version reads
     the cumulative lengths (the same module over a one-variable polynomial
     extension).  Dimension is detected from the difference table of the
-    ladder's arithmetic tail, never thinned: past X = d_M*n both are
+    ladder's arithmetic tail at period 1: past X = d_M*n both are
     polynomials in n (see ``fit_bigraded_polynomial``).  The multiplicity is
     (dim-1)! times the leading coefficient; a ladder on which the differences
     never stabilize yields status "undetermined".  The slope ``c`` defaults

@@ -2,9 +2,9 @@
 sampled sequences, and exact fits by Gaussian elimination over Fraction.
 
 Every limit the engine reads off an n ladder comes from here: the exact one
-from a stabilized difference table (``stabilized_difference``), the
-finite-n estimate from the top rung and its n_max/2 reference rung
-(``extrapolate``, ``reference_entry``).
+from a stabilized difference table at the period the sequence has
+(``stabilized_difference``), the finite-n estimate from the top rung and
+its n_max/2 reference rung (``extrapolate``, ``reference_entry``).
 
 Univariate polynomials are coefficient tuples in ascending order; bivariate
 polynomials are {(i, j): coefficient} maps for X^i * Y^j.
@@ -18,8 +18,10 @@ from typing import Callable, Optional, Sequence
 Poly = tuple[Fraction, ...]
 Poly2 = dict[tuple[int, int], Fraction]
 
-# trailing zero differences that certify a stabilized difference table
+# trailing zero differences per residue class that certify stabilization
 STABLE_WINDOW = 3
+# quasi-periods tried in turn by the epsilon ladder and the density rays
+MAX_PERIOD = 12
 
 
 # -- univariate ------------------------------------------------------------
@@ -47,38 +49,43 @@ def poly_eval(p: Sequence[Fraction], x) -> Fraction:
 # -- finite differences ----------------------------------------------------
 
 
-def difference_rows(values: Sequence, max_order: int) -> list[list]:
+def difference_rows(values: Sequence, max_order: int, period: int = 1) -> list[list]:
+    """The difference table of ``values`` at lag ``period``."""
     rows = [list(map(Fraction, values))]
     for _ in range(max_order):
         prev = rows[-1]
-        if len(prev) < 2:
+        if len(prev) <= period:
             break
-        rows.append([b - a for a, b in zip(prev, prev[1:])])
+        rows.append([b - a for a, b in zip(prev, prev[period:])])
     return rows
 
 
 def stabilized_difference(
-    ns: Sequence[int], values: Sequence, max_order: int
+    ns: Sequence[int], values: Sequence, max_order: int, period: int = 1
 ) -> Optional[dict]:
-    """Read eventual polynomial growth off samples at an arithmetic progression.
+    """Read eventual quasi-polynomial growth of period ``period`` off
+    samples ``values`` at an arithmetic progression ``ns``.
 
-    ``values`` are samples at ``ns``, whose common difference is the step.
-    Takes the least degree whose next difference row ends in
-    ``STABLE_WINDOW`` zeros and returns the extraction record: that
-    ``degree``, the last ``stabilized_difference`` of that order, its
-    ``normalized`` value (the difference over step^degree, which is
-    degree! times the leading coefficient), the ``step``, and ``onset_n``,
-    the first n from which the next row stays zero.  None when no order up
-    to ``max_order`` stabilizes.
+    Differences are taken at lag ``period``, each residue class on its own.
+    Takes the least degree whose next row ends in ``STABLE_WINDOW * period``
+    zeros (every class checked ``STABLE_WINDOW`` times) and whose own last
+    ``period`` entries agree (one leading value for every class); returns
+    the extraction record: that ``degree``, the last
+    ``stabilized_difference`` of that order, the ``step`` (``period`` times
+    the sample step), the ``normalized`` value (the difference over
+    step^degree, which is degree! times the leading coefficient), and
+    ``onset_n``, the first n from which the next row stays zero.  None when
+    no order up to ``max_order`` stabilizes.
     """
-    rows = difference_rows(values, max_order + 1)
+    rows = difference_rows(values, max_order + 1, period)
+    window = STABLE_WINDOW * period
     for order, nxt in enumerate(rows[1:]):
-        if len(nxt) < STABLE_WINDOW or any(nxt[-STABLE_WINDOW:]):
+        if len(nxt) < window or any(nxt[-window:]) or len(set(rows[order][-period:])) > 1:
             continue
         onset = len(nxt)
         while onset > 0 and nxt[onset - 1] == 0:
             onset -= 1
-        step = ns[1] - ns[0]
+        step = period * (ns[1] - ns[0])
         lead = rows[order][-1]
         return {
             "degree": order,

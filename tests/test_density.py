@@ -240,9 +240,9 @@ class _BumpedLadder:
 
 
 def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial(monkeypatch):
-    # at x = 2, h = 1 the ray samples n = 8..14: all but the last are the
+    # at x = 2, period 1 the ray samples n = 8..14: all but the last are the
     # line 2n + 1 (limit 4), and the held-out n = 14 leaves it
-    monkeypatch.setattr(density, "RAY_H_MAX", 1)
+    monkeypatch.setattr(density, "MAX_PERIOD", 1)
     with pytest.raises(FitNotConvergedError, match="increase n ladder"):
         ray_extrapolate(_BumpedLadder(), F(2))
 
@@ -262,19 +262,36 @@ class _NeverStableLadder:
 
 
 def test_ray_stops_before_sampling_past_the_power_bound(monkeypatch):
-    # at x = 1/8 the first step, H = 8, would sample n = 16, 24, ..., 64,
-    # past a bound of 30, so nothing is sampled
+    # at x = 1/8 the first period would sample n = 16, 24, ..., 64, past a
+    # bound of 30, so nothing is sampled
     monkeypatch.setattr(density, "MAX_LADDER_N", 30)
     ladder = _NeverStableLadder()
     with pytest.raises(FitNotConvergedError, match="n <= 30"):
         ray_extrapolate(ladder, F(1, 8))
     assert ladder.asked == []
-    # at x = 2 the steps H = 1, 2, 3 sample up to n = 14, 20, 27, and H = 4
-    # would sample up to n = 32
+    # at x = 2 the periods p = 1..4 sample n = 8 up to n = 14, 19, 24, 29,
+    # and p = 5 would sample up to n = 34
     ladder = _NeverStableLadder()
     with pytest.raises(FitNotConvergedError, match="n <= 30"):
         ray_extrapolate(ladder, F(2))
-    assert max(ladder.asked) == 27
+    assert max(ladder.asked) == 29
+
+
+class _OddClassLadder:
+    """Ladder of (x, y) with length deg + 1 on even n and deg + 1 + 2^n on odd
+    n, which no period reads as a quasi-polynomial."""
+
+    module = M_XY
+
+    def length(self, n, deg):
+        return deg + 1 + (n % 2) * 2**n
+
+
+def test_ray_checks_every_residue_class():
+    # the even n alone are the line 2n + 1 at x = 2, but every period p
+    # differences the odd class too
+    with pytest.raises(FitNotConvergedError, match="no stable ray at x = 2"):
+        ray_extrapolate(_OddClassLadder(), F(2))
 
 
 _OVER = counting.MAX_LADDER_N + 1
@@ -460,7 +477,7 @@ def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder(
 def test_fit_not_converged_error_message(monkeypatch):
     table = LengthLadder(M_XY)
     grid = sample_adic(M_XY, None, None, table=table)
-    monkeypatch.setattr(density, "RAY_H_MAX", 0)
+    monkeypatch.setattr(density, "MAX_PERIOD", 0)
     with pytest.raises(FitNotConvergedError, match="increase n ladder"):
         fit_piecewise(grid, table=table)
 

@@ -48,6 +48,24 @@ def test_extract_growth_with_substep_quasi_period():
     assert got["step"] == 2
 
 
+def test_extract_growth_reads_period_four():
+    # n^2 + (n mod 4): every residue class mod 4 is n^2 plus a constant, so
+    # the lag-4 second differences are 2 * 4^2 on every n
+    ns = list(range(1, 41))
+    got = extract_polynomial_growth(ns, [n * n + n % 4 for n in ns], 2)
+    assert got["degree"] == 2
+    assert got["normalized"] == 2
+    assert got["step"] == 4
+
+
+def test_extract_growth_needs_every_residue_class():
+    # the even class is n^2, but the odd class n^2 + (n^2 mod 7) has period
+    # 14 in n: no period up to MAX_PERIOD reads both classes
+    ns = list(range(1, 41))
+    vals = [n * n if n % 2 == 0 else n * n + n * n % 7 for n in ns]
+    assert extract_polynomial_growth(ns, vals, 2) is None
+
+
 def test_extract_growth_none_on_noise():
     import random
 

@@ -26,7 +26,7 @@ from reesdensity import (
 )
 from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
-from reesdensity.multiplicity import truncation_totals
+from reesdensity.multiplicity import extract_polynomial_growth, truncation_totals
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
 # Exponent vectors in two variables, total degree <= 4.
@@ -342,3 +342,50 @@ def test_stabilized_difference_reads_polynomial_samples(coeffs, a, h, prefix, ex
     onset = next(k for k in range(len(diffs)) if not any(diffs[k:]))
     assert got["onset_n"] == ns[onset]
     assert stabilized_difference(ns[:STABLE_WINDOW], values[:STABLE_WINDOW], 3) is None
+
+
+def _lag_differences(values, order, lag):
+    """The order-th differences at lag ``lag``, each from its binomial sum."""
+    return [
+        sum((-1) ** (order - i) * comb(order, i) * values[k + i * lag] for i in range(order + 1))
+        for k in range(len(values) - order * lag)
+    ]
+
+
+@given(
+    st.integers(0, 3),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 5),
+    st.sampled_from([a for a in range(-5, 6) if a]),
+    st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=6, max_size=6),
+    st.lists(st.integers(-50, 50), max_size=3),
+    st.integers(0, 4),
+)
+# n + (n mod 6) on n = 0..29: the last five samples lie on the line 2n - 24,
+# so period 1 fits the tail window and reads slope 2 from n = 24 on
+@example(1, 6, 1, 0, 1, [[c, 0, 0] for c in range(6)], [], 0)
+@settings(max_examples=150, deadline=None)
+def test_growth_reader_reads_quasi_polynomial_samples(
+    degree, period, h, a0, lead, lower, prefix, extra
+):
+    # samples at n = a0 + j*h of f(n) = a*n^D + sum_{k<D} c[n mod p][k]*n^k,
+    # one leading coefficient a for every residue class, after a junk prefix
+    count = len(prefix) + (degree + 1 + STABLE_WINDOW) * period + extra
+    ns = [a0 + j * h for j in range(count)]
+    values = prefix + [
+        lead * n**degree + sum(c * n**k for k, c in enumerate(lower[n % period][:degree]))
+        for n in ns[len(prefix):]
+    ]
+    got = extract_polynomial_growth(ns, values, 3)
+    assert got["step"] % h == 0 and 1 <= got["step"] // h <= period
+    lag = got["step"] // h
+    if any(_lag_differences(values[len(prefix):], degree + 1, lag)):
+        # a shorter period that fits only the tail window: the reading holds
+        # from its onset on
+        tail = values[ns.index(got["onset_n"]):]
+        assert not any(_lag_differences(tail, got["degree"] + 1, lag))
+        return
+    assert got["degree"] == degree
+    assert got["normalized"] == factorial(degree) * lead
+    assert got["onset_n"] <= ns[len(prefix)]
