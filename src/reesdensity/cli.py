@@ -173,6 +173,10 @@ def _cmd_multiplicity(args) -> int:
                          "add --diagonal or --mixed")
     if args.tol is not None and "epsilon" not in wants:
         raise InputError("--tol is the epsilon cross-check tolerance; add --epsilon")
+    for flag, value in (("--ladder", args.ladder), ("--nmax", args.nmax)):
+        if value is not None and "epsilon" not in wants:
+            raise InputError(f"{flag} sets the epsilon n ladder, which no other report "
+                             "reads; add --epsilon")
     module = _load_module(args.module)
     if "diagonal" in wants or "mixed" in wants:
         _flag("--c", require_slope, module.max_degree, args.c)
@@ -189,12 +193,12 @@ def _cmd_multiplicity(args) -> int:
                   f"estimate {fraction_str(report.values['estimate'])}"
                   + (f", exact {fraction_str(exact)}" if exact is not None else ""))
         elif name == "diagonal":
-            report = diagonal_multiplicity(module, args.c, ladder=ladder, table=table)
+            report = diagonal_multiplicity(module, args.c, table=table)
             for version in ("a_version", "s_version"):
                 v = report.values[version]
                 label = "base ring" if version == "a_version" else "extension"
                 if v is None:
-                    print(f"diagonal ({label}): undetermined")
+                    print(f"diagonal ({label}): undetermined ({report.diagnostics['reason']})")
                 else:
                     print(f"diagonal ({label}): dimension {v['dimension']}, "
                           f"multiplicity {fraction_str(v['multiplicity'])}")

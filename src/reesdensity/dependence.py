@@ -9,12 +9,11 @@ multiplicities along m = c*n for c past both generator-degree bounds, and the
 extended mixed-multiplicity vector.  When neither a certificate nor a
 stabilized disagreement is available the verdict is "undetermined".
 
-A stand-in row, the epsilon of the degree-c truncations M_{>=c}, is reported
-next to the criteria and never drives the verdict.  It comes from the same
-ladder: for c at least every generator degree, (M_{>=c})^n = (M^n)_{>=nc},
-which saturates to sat(M^n), so t_n(M_{>=c}) = t_n(M) + sum_{j<nc}
-len((M^n)_j).  ``check_dependence`` requires c > d_M, which meets that
-precondition.
+Each module's invariants are two: its epsilon multiplicity and one
+cumulative bigraded fit at c.  The mixed row, every diagonal row and a
+stand-in row, the epsilon of the degree-c truncations M_{>=c} reported next
+to the criteria but never driving the verdict, are read off those two by the
+readers of ``multiplicity``; no truncation is built.
 
 Each module gets one ``LengthLadder``, which holds its Rees powers (on disk
 too, given ``cache_dir``); the certificate search reads the ladder of M that
@@ -28,6 +27,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .core import (
+    FitNotConvergedError,
     InputError,
     InternalInvariantError,
     NotSubmoduleError,
@@ -38,11 +38,12 @@ from .core import (
 )
 from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .multiplicity import (
-    diagonal_multiplicity,
+    diagonal_from_fit,
     epsilon_multiplicity,
-    mixed_multiplicities,
+    fit_bigraded_polynomial,
+    mixed_from_fit,
     require_slope,
-    truncation_epsilon,
+    stand_in_epsilon,
 )
 
 DEFAULT_CHECK_LADDER: tuple[int, ...] = tuple(range(1, 17))
@@ -153,13 +154,13 @@ def check_dependence(
     ladder.  A certificate coexisting with a disagreeing invariant raises an
     internal invariant violation.  The stand-in row (epsilon of the degree-c
     truncations M_{>=c} over the base ring) is reported but never drives the
-    verdict.  No truncation is built: since c > d_M, (M_{>=c})^n =
-    (M^n)_{>=nc} has the saturation of M^n, so its census is t_n(M) plus the
-    cumulative length of M^n below degree nc (``truncation_epsilon``).
-    robustness_c repeats the diagonal comparisons at c + 1; diagonal
-    multiplicities are reduction invariants for every admissible slope, so
-    the extra rows are full verdict inputs.  ``cache_dir``, a path, keeps the
-    Rees powers of both modules on disk, as ``--cache-dir`` does.
+    verdict.  The rows other than epsilon are read off one cumulative
+    ``fit_bigraded_polynomial`` per module, and are unusable when it does
+    not converge.  robustness_c repeats the diagonal comparisons at c + 1;
+    diagonal multiplicities are reduction invariants for every admissible
+    slope, so the extra rows are full verdict inputs.  ``cache_dir``, a
+    path, keeps the Rees powers of both modules on disk, as ``--cache-dir``
+    does.
     """
     c = require_slope(validate_pair(sub, sup), c)
     ladder = normalize_ladder(ladder, DEFAULT_CHECK_LADDER)
@@ -170,14 +171,15 @@ def check_dependence(
 
     def invariants(m: TermModule, table: LengthLadder) -> dict:
         eps = epsilon_multiplicity(m, ladder, table=table, cross_check=False)
+        try:
+            fit = fit_bigraded_polynomial(m, c, cumulative=True, table=table)
+        except FitNotConvergedError as exc:
+            fit = exc
         return {
             "epsilon": eps,
-            "diagonal": [
-                diagonal_multiplicity(m, slope, ladder=ladder, table=table)
-                for slope in slopes
-            ],
-            "mixed": mixed_multiplicities(m, extended=True, c=c, table=table),
-            "truncation": truncation_epsilon(table, c, eps.values["totals"]),
+            "diagonal": [diagonal_from_fit(fit, slope) for slope in slopes],
+            "mixed": mixed_from_fit(fit, m.ambient.ring.dim),
+            "truncation": stand_in_epsilon(eps.values["exact"], fit),
         }
 
     inv_sup = invariants(sup, table_sup)

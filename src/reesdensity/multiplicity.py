@@ -1,29 +1,27 @@
 """Multiplicities from exact length data.
 
-Three families: the epsilon multiplicity (growth of saturation-quotient
-totals), diagonal multiplicities (growth of lengths along m = c*n, in both
-the base-ring version and the one-variable polynomial extension realized by
-cumulative lengths), and mixed multiplicities (coefficients of the leading
-form of the bigraded Hilbert polynomial, recovered by exact interpolation
-deep inside the polynomial region).
-
-Every extraction works on stabilized finite-difference tables of exact
-integers; anything that fails to stabilize is reported as undetermined, never
-guessed.  Lengths come from a ``LengthLadder`` of the module, passed in as
-``table=`` as in ``density``.
+Two invariants are read off the lengths: the epsilon multiplicity, the
+growth of the saturation-quotient totals on an n ladder, and the bigraded
+Hilbert polynomial, interpolated exactly deep inside its polynomial region
+(``fit_bigraded_polynomial``).  The mixed multiplicities are the leading
+form of the fit; the diagonal multiplicities along m = c*n (in the base
+ring and in the one-variable polynomial extension realized by cumulative
+lengths) and the epsilon of the truncation M_{>=c} are closed forms in
+epsilon and one cumulative fit.  Nothing that fails to stabilize is guessed;
+it is reported as undetermined.  Lengths come from a ``LengthLadder`` of the
+module, passed in as ``table=`` as in ``density``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from types import SimpleNamespace
 from typing import Optional
 
 from .core import (
     FitNotConvergedError,
     InputError,
-    InternalInvariantError,
     TermModule,
     require_int,
     require_tolerance,
@@ -31,9 +29,11 @@ from .core import (
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
     MAX_PERIOD,
+    Poly2,
     extrapolate,
     fit_poly2_triangular,
     poly2_eval,
+    poly_trim,
     reference_entry,
     stabilized_difference,
 )
@@ -112,7 +112,8 @@ def epsilon_multiplicity(
     diagnostic, the exact value comes from stabilized finite differences when
     they certify a polynomial tail, and (optionally) the trapezoidal integral
     of the epsilon density, sampled at the ladder's reference rung and top,
-    cross-checks the estimate.
+    cross-checks the exact value, or without one the Richardson estimate of
+    the top and reference rungs.
     """
     require_samplable(m)
     tol = require_tolerance(tol, "the tolerance")
@@ -146,7 +147,10 @@ def epsilon_multiplicity(
         grid_ladder = (n_max,) if ref is None else (ref, n_max)
         grid = sample_epsilon(m, xs, grid_ladder, table=table, richardson=True)
         integral = trapezoid(list(grid.xs), list(grid.extrapolated))
-        gap = abs(integral - estimate)
+        # like with like: the integral is a limit, so it is compared with the
+        # exact value where there is one, else with the Richardson estimate
+        limit = exact if exact is not None else extrapolate(estimate_at, ladder, True)[0]
+        gap = abs(integral - limit)
         # combined tolerance: relative term for the 1/n error plus a grid-
         # resolution term; the epsilon density jumps to 0 at d_M, and the
         # trapezoid rule misses O(step * jump) there no matter how large n is
@@ -167,43 +171,7 @@ def epsilon_multiplicity(
     )
 
 
-def truncation_totals(
-    table: LengthLadder, c: int, totals: dict[int, int]
-) -> dict[int, int]:
-    """Saturation-quotient totals of the truncation M_{>=c}, never built.
-
-    ``totals`` are the totals t_n(M) of ``epsilon_multiplicity`` on its
-    ladder.  For c at least every generator degree of M, (M_{>=c})^n =
-    (M^n)_{>=nc}: a term u*g_1*...*g_n of degree >= nc factors as
-    u' * (u_1*g_1) * ... * (u_n*g_n) with u = u'*u_1*...*u_n and deg u_i =
-    c - deg g_i.  M^n/(M^n)_{>=nc} has finite length, so both saturate to
-    sat(M^n), and
-
-        t_n(M_{>=c}) = t_n(M) + sum_{j < nc} len((M^n)_j),
-
-    the second term being the ladder's cumulative length at degree nc - 1.
-    c must exceed d_M, the slope bound ``check_dependence`` enforces (the
-    identity itself needs only c >= d_M).
-    """
-    m = table.module
-    if m.max_degree is None or c <= m.max_degree:
-        raise InternalInvariantError(
-            f"truncation census needs c > d_M = {m.max_degree}, got {c}"
-        )
-    return {n: t + table.cumulative(n, n * c - 1) for n, t in totals.items()}
-
-
-def truncation_epsilon(
-    table: LengthLadder, c: int, totals: dict[int, int]
-) -> Optional[Fraction]:
-    """Exact epsilon of M_{>=c} from ``truncation_totals``, extracted as in
-    ``epsilon_multiplicity``."""
-    ambient = table.module.ambient
-    big_d = ambient.ring.dim + ambient.rank - 1
-    return _exact_epsilon(truncation_totals(table, c, totals), big_d)[0]
-
-
-# -- diagonal ----------------------------------------------------------------
+# -- slope -------------------------------------------------------------------
 
 
 def require_slope(bound: int, c: Optional[int]) -> int:
@@ -215,60 +183,6 @@ def require_slope(bound: int, c: Optional[int]) -> int:
     if c <= bound:
         raise InputError(f"the slope c must exceed the top generator degree {bound}, got {c}")
     return c
-
-
-def diagonal_multiplicity(
-    m: TermModule,
-    c: Optional[int] = None,
-    *,
-    ladder=None,
-    table: Optional[LengthLadder] = None,
-) -> MultiplicityReport:
-    """Multiplicities of the degree-(c,1) diagonal algebras.
-
-    The base version reads h(n) = len((M^n)_{cn}); the extended version reads
-    the cumulative lengths (the same module over a one-variable polynomial
-    extension).  Dimension is detected from the difference table of the
-    ladder's arithmetic tail at period 1: past X = d_M*n both are
-    polynomials in n (see ``fit_bigraded_polynomial``).  The multiplicity is
-    (dim-1)! times the leading coefficient; a ladder on which the differences
-    never stabilize yields status "undetermined".  The slope ``c`` defaults
-    to d_M + 1 and must exceed d_M.
-    """
-    require_samplable(m)
-    c = require_slope(m.max_degree, c)
-    ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
-    table = ladder_for(m, table)
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-    tail_ns = _arithmetic_tail(ladder)
-
-    def analyze(values: list[int], max_order: int) -> Optional[dict]:
-        ext = stabilized_difference(tail_ns, values, max_order)
-        if ext is not None:
-            ext["dimension"] = ext.pop("degree") + 1
-            ext["multiplicity"] = ext.pop("normalized")
-        return ext
-
-    h_vals = [table.length(n, c * n) for n in tail_ns]
-    hbar_vals = [table.cumulative(n, c * n) for n in tail_ns]
-    a_version = analyze(h_vals, d + e - 1)
-    s_version = analyze(hbar_vals, d + e)
-    status = "ok" if (a_version is not None and s_version is not None) else "undetermined"
-    return MultiplicityReport(
-        kind="diagonal",
-        status=status,
-        values={"a_version": a_version, "s_version": s_version, "c": c},
-        ladder=ladder,
-        diagnostics={
-            "h": dict(zip(tail_ns, h_vals)),
-            "h_cumulative": dict(zip(tail_ns, hbar_vals)),
-            # dimension claims differ between the stated theory (d+e-2) and
-            # the worked linear example (d+e-1); both recorded, detection is
-            # empirical
-            "dimension_claims": {"stated": d + e - 2, "example": d + e - 1},
-        },
-    )
 
 
 # -- bigraded fits -------------------------------------------------------------
@@ -345,6 +259,120 @@ def fit_bigraded_polynomial(
     )
 
 
+# -- readers of one fit -----------------------------------------------------------
+#
+# Each takes a fit or the FitNotConvergedError it raised: one cumulative fit
+# of M serves the extended mixed row, every diagonal row and the stand-in.
+
+
+def _fit_or_error(
+    m: TermModule, c: Optional[int], cumulative: bool, table: Optional[LengthLadder]
+) -> "BigradedFit | FitNotConvergedError":
+    try:
+        return fit_bigraded_polynomial(m, c, cumulative=cumulative, table=table)
+    except FitNotConvergedError as exc:
+        return exc
+
+
+def _undetermined(kind: str, values: dict, exc: FitNotConvergedError) -> MultiplicityReport:
+    return MultiplicityReport(kind=kind, status="undetermined", values=values, ladder=(),
+                              diagnostics={"reason": str(exc)})
+
+
+def _fit_record(fit: BigradedFit) -> dict:
+    return {key: getattr(fit, key) for key in ("c", "margin", "h", "n_base", "cumulative")}
+
+
+def mixed_from_fit(fit: "BigradedFit | FitNotConvergedError", d: int) -> MultiplicityReport:
+    """Mixed multiplicities from the leading form of a fit of a module over d
+    variables.
+
+    The leading form is Y^{e-1} * sum_i e_i X^i Y^{d-1-i} / (i! (d+e-2-i)!),
+    so e_i = i! (d+e-2-i)! * coeff(X^i Y^{d+e-2-i}) for 0 <= i <= d-1.  A
+    cumulative fit (total degree one higher) gives the extended e_0..e_d the
+    same way.  Each e_i must come out an integer; a violation is reported as
+    a too-shallow fit region.
+    """
+    if isinstance(fit, FitNotConvergedError):
+        return _undetermined("mixed", {"e": None}, fit)
+    t = fit.total_degree_bound
+    top = {key: coeff for key, coeff in fit.poly.items() if sum(key) == t}
+    i_max = d - 1 + (1 if fit.cumulative else 0)
+    es = [top.get((i, t - i), Fraction(0)) * factorial(i) * factorial(t - i)
+          for i in range(i_max + 1)]
+    stray = {key: coeff for key, coeff in top.items() if key[0] > i_max and coeff != 0}
+    non_integer = [i for i, v in enumerate(es) if v.denominator != 1]
+    diagnostics: dict = {
+        "fit": _fit_record(fit),
+        "leading_form": {f"{i},{j}": v for (i, j), v in sorted(top.items())},
+    }
+    if stray:
+        diagnostics["stray_leading_terms"] = {f"{i},{j}": v for (i, j), v in sorted(stray.items())}
+    if non_integer:
+        diagnostics["non_integer_indices"] = non_integer
+        diagnostics["note"] = "fit region too shallow"
+    return MultiplicityReport(
+        kind="mixed",
+        status="suspect" if stray or non_integer else "ok",
+        values={"e": tuple(int(v) if v.denominator == 1 else v for v in es),
+                "extended": fit.cumulative},
+        ladder=(),
+        diagnostics=diagnostics,
+    )
+
+
+def _along_ray(poly: Poly2, c: int, shift: int = 0) -> list[Fraction]:
+    """Coefficients, by degree in n, of P(c*n + shift, n)."""
+    coeffs = [Fraction(0)] * (max((i + j for i, j in poly), default=0) + 1)
+    for (i, j), coeff in poly.items():
+        for k in range(i + 1):
+            coeffs[k + j] += coeff * comb(i, k) * c**k * shift ** (i - k)
+    return coeffs
+
+
+def _growth(coeffs: list[Fraction]) -> dict:
+    """Dimension (degree + 1) and multiplicity (degree! times the leading
+    coefficient) of a polynomial in n."""
+    coeffs = poly_trim(coeffs) or (Fraction(0),)
+    return {"dimension": len(coeffs), "multiplicity": coeffs[-1] * factorial(len(coeffs) - 1)}
+
+
+def diagonal_from_fit(fit: "BigradedFit | FitNotConvergedError", c: int) -> MultiplicityReport:
+    """The diagonals at slope c read off a cumulative fit P-bar: past X =
+    d_M*n the cumulative length is P-bar(X, n), so the extension diagonal is
+    P-bar(cn, n) and the base-ring one, len((M^n)_{cn}), is P-bar(cn, n) -
+    P-bar(cn - 1, n), for every slope c past d_M."""
+    if isinstance(fit, FitNotConvergedError):
+        return _undetermined("diagonal", {"a_version": None, "s_version": None, "c": c}, fit)
+    cumulative = _along_ray(fit.poly, c)
+    graded = [a - b for a, b in zip(cumulative, _along_ray(fit.poly, c, -1))]
+    return MultiplicityReport(
+        kind="diagonal",
+        status="ok",
+        values={"a_version": _growth(graded), "s_version": _growth(cumulative), "c": c},
+        ladder=(),
+        diagnostics={"fit": _fit_record(fit)},
+    )
+
+
+def stand_in_epsilon(
+    epsilon: Optional[Fraction], fit: "BigradedFit | FitNotConvergedError"
+) -> Optional[Fraction]:
+    """Epsilon of the truncation M_{>=c} at the slope c of a cumulative fit
+    P-bar of M, from epsilon(M); None when either is unknown.
+
+    For c past every generator degree, (M_{>=c})^n = (M^n)_{>=nc}: a term
+    u*g_1*...*g_n of degree >= nc is u' * (u_1*g_1) * ... * (u_n*g_n) with
+    deg u_i = c - deg g_i.  Both saturate to sat(M^n), as the quotient has
+    finite length, so t_n(M_{>=c}) = t_n(M) + P-bar(nc - 1, n): epsilon(M)
+    plus the extension diagonal's multiplicity when its dimension is d+e.
+    """
+    if epsilon is None or isinstance(fit, FitNotConvergedError):
+        return None
+    s = _growth(_along_ray(fit.poly, fit.c))
+    return epsilon + (s["multiplicity"] if s["dimension"] == fit.total_degree_bound + 1 else 0)
+
+
 def mixed_multiplicities(
     m: TermModule,
     *,
@@ -352,65 +380,25 @@ def mixed_multiplicities(
     c: Optional[int] = None,
     table: Optional[LengthLadder] = None,
 ) -> MultiplicityReport:
-    """Mixed multiplicities from the leading form of the bigraded polynomial.
+    """Mixed multiplicities of M read by ``mixed_from_fit`` off
+    ``fit_bigraded_polynomial``, of the cumulative lengths when ``extended``."""
+    return mixed_from_fit(_fit_or_error(m, c, extended, table), m.ambient.ring.dim)
 
-    The leading form is Y^{e-1} * sum_i e_i X^i Y^{d-1-i} / (i! (d+e-2-i)!),
-    so e_i = i! (d+e-2-i)! * coeff(X^i Y^{d+e-2-i}) for 0 <= i <= d-1.  The
-    extended variant fits cumulative lengths (total degree one higher) and
-    recovers e_0..e_d the same way.  Each e_i must come out an integer; a
-    violation is reported as a too-shallow fit region.
+
+def diagonal_multiplicity(
+    m: TermModule,
+    c: Optional[int] = None,
+    *,
+    table: Optional[LengthLadder] = None,
+) -> MultiplicityReport:
+    """Multiplicities of the degree-(c,1) diagonal algebras of M: the growth
+    of h(n) = len((M^n)_{cn}) (base ring) and of the cumulative lengths (the
+    one-variable polynomial extension), read by ``diagonal_from_fit`` off one
+    cumulative ``fit_bigraded_polynomial``.  The dimension is the degree in
+    n plus 1, the multiplicity degree! times the leading coefficient; a fit
+    that does not converge yields status "undetermined" with its reason.
+    The slope ``c`` defaults to d_M + 1 and must exceed d_M.
     """
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-    try:
-        fit = fit_bigraded_polynomial(m, c, cumulative=extended, table=table)
-    except FitNotConvergedError as exc:
-        return MultiplicityReport(
-            kind="mixed",
-            status="undetermined",
-            values={"e": None},
-            ladder=(),
-            diagnostics={"reason": str(exc)},
-        )
-    t = fit.total_degree_bound
-    top = {key: coeff for key, coeff in fit.poly.items() if sum(key) == t}
-    i_max = d - 1 + (1 if extended else 0)
-    es = []
-    for i in range(i_max + 1):
-        coeff = top.get((i, t - i), Fraction(0))
-        es.append(coeff * factorial(i) * factorial(t - i))
-    stray = {
-        key: coeff for key, coeff in top.items() if key[0] > i_max and coeff != 0
-    }
-    non_integer = [i for i, v in enumerate(es) if Fraction(v).denominator != 1]
-    status = "ok"
-    diagnostics: dict = {
-        "fit": {
-            "c": fit.c,
-            "margin": fit.margin,
-            "h": fit.h,
-            "n_base": fit.n_base,
-            "cumulative": fit.cumulative,
-        },
-        "leading_form": {f"{i},{j}": v for (i, j), v in sorted(top.items())},
-    }
-    if stray:
-        status = "suspect"
-        diagnostics["stray_leading_terms"] = {
-            f"{i},{j}": v for (i, j), v in sorted(stray.items())
-        }
-    if non_integer:
-        status = "suspect"
-        diagnostics["non_integer_indices"] = non_integer
-        diagnostics["note"] = "fit region too shallow"
-    values = {
-        "e": tuple(int(v) if Fraction(v).denominator == 1 else v for v in es),
-        "extended": extended,
-    }
-    return MultiplicityReport(
-        kind="mixed",
-        status=status,
-        values=values,
-        ladder=(),
-        diagnostics=diagnostics,
-    )
+    require_samplable(m)
+    c = require_slope(m.max_degree, c)
+    return diagonal_from_fit(_fit_or_error(m, c, True, table), c)

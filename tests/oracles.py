@@ -5,8 +5,11 @@ fixpoint iteration.  Nothing is shared with the package internals, so an
 agreement failure always implicates the fast path.  ``degree_truncation``
 wraps its enumerated generators in a ``TermModule`` so they can be handed to
 the engine's ladders, ``quotient_monomials`` reads ``TermModule``
-components and returns (exponents, basis_exponents) pairs, and the two
-``*_from_fit`` readers read a ``BigradedFit``'s polynomial.
+components and returns (exponents, basis_exponents) pairs,
+``density_polynomial_from_fit`` reads a ``BigradedFit``'s polynomial, and
+``diagonal_by_ladder`` and ``truncation_totals`` read the lengths of a
+``LengthLadder`` the slow way, as references for the engine's readings of
+one bigraded fit.
 """
 
 from __future__ import annotations
@@ -329,13 +332,51 @@ def density_polynomial_from_fit(fit, d, e):
     return tuple(coeffs)
 
 
-def diagonal_from_fit(fit):
-    """(dimension, multiplicity) of the diagonal m = c*n read off a bigraded
-    fit's P, as a dict like ``diagonal_multiplicity``'s versions."""
-    by_degree = {}
-    for (i, j), coeff in fit.poly.items():
-        k = i + j
-        by_degree[k] = by_degree.get(k, Fraction(0)) + coeff * Fraction(fit.c) ** i
-    degree = max((k for k, v in by_degree.items() if v != 0), default=0)
-    lead = by_degree.get(degree, Fraction(0))
-    return {"dimension": degree + 1, "multiplicity": lead * factorial(degree)}
+def growth_by_differences(ns, values, max_order, window=3):
+    """{"dimension", "multiplicity"} of a sequence sampled at the arithmetic
+    progression ``ns``, read off its difference table: the least order k <=
+    ``max_order`` whose next difference row ends in ``window`` zeros gives
+    dimension k + 1 and multiplicity the last k-th difference over step^k,
+    which is k! times the leading coefficient.  None when no order does.
+    """
+    step = ns[1] - ns[0]
+    row = [Fraction(v) for v in values]
+    for order in range(max_order + 1):
+        nxt = [b - a for a, b in zip(row, row[1:])]
+        if len(nxt) >= window and not any(nxt[-window:]):
+            return {"dimension": order + 1, "multiplicity": row[-1] / step**order}
+        row = nxt
+    return None
+
+
+def diagonal_by_ladder(table, c, ns):
+    """(base-ring, extension) diagonals of slope c, read by
+    ``growth_by_differences`` off the lengths len((M^n)_{cn}) and the
+    cumulative lengths of ``table``, a ``LengthLadder``, at the consecutive
+    ``ns``.  The slow reference for the rows the engine reads off one
+    cumulative bigraded fit."""
+    ns = list(ns)
+    ambient = table.module.ambient
+    big_d = ambient.ring.dim + ambient.rank - 1
+    return (
+        growth_by_differences(ns, [table.length(n, c * n) for n in ns], big_d),
+        growth_by_differences(ns, [table.cumulative(n, c * n) for n in ns], big_d + 1),
+    )
+
+
+def truncation_totals(table, c, totals):
+    """Saturation-quotient totals of the truncation M_{>=c}, never built.
+
+    ``totals`` maps n to t_n(M), for the module of ``table``, a
+    ``LengthLadder``.  For c at least every generator degree of M,
+    (M_{>=c})^n = (M^n)_{>=nc}, and M^n/(M^n)_{>=nc} has finite length, so
+    both saturate to sat(M^n) and t_n(M_{>=c}) = t_n(M) + sum_{j < nc}
+    len((M^n)_j), the cumulative length at degree nc - 1.  Slopes up to d_M
+    are refused, as ``check_dependence`` refuses them.
+    """
+    m = table.module
+    if m.max_degree is None or c <= m.max_degree:
+        raise InternalInvariantError(
+            f"truncation census needs c > d_M = {m.max_degree}, got {c}"
+        )
+    return {n: t + table.cumulative(n, n * c - 1) for n, t in totals.items()}

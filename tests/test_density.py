@@ -19,7 +19,6 @@ from reesdensity import (
     cumulative_identity,
     default_grid,
     detect_chambers,
-    diagonal_multiplicity,
     direct_reduction_search,
     epsilon_multiplicity,
     fit_piecewise,
@@ -303,7 +302,6 @@ POWER_BOUND_CALLS = {
     "epsilon_multiplicity": lambda: epsilon_multiplicity(
         M_XY, (1, 2, 3, 5000), cross_check=False
     ),
-    "diagonal_multiplicity": lambda: diagonal_multiplicity(M_XY, 2, ladder=(1, _OVER)),
     "check_dependence ladder": lambda: check_dependence(M_XY, M_XY, ladder=(1, _OVER)),
     "check_dependence n_max": lambda: check_dependence(M_XY, M_XY, n_max=_OVER),
     "direct_reduction_search": lambda: direct_reduction_search(M_XY, M_XY, _OVER),

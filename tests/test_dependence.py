@@ -18,10 +18,10 @@ from reesdensity import (
     direct_reduction_search,
     epsilon_multiplicity,
     load_corpus_module,
+    serialize_module,
     validate_pair,
 )
 from reesdensity.cli import main
-from reesdensity.multiplicity import truncation_totals
 import reesdensity.dependence as dependence
 
 M_SQ = ideal([(2, 0), (1, 1), (0, 2)])
@@ -159,7 +159,53 @@ def test_stand_in_row_of_non_self_pair_with_both_c(tmp_path):
 def test_truncation_census_rejects_slope_at_generator_degree():
     table = LengthLadder(M_SQ)
     with pytest.raises(InternalInvariantError):
-        truncation_totals(table, 2, {1: table.sat_quotient_total(1)})
+        oracles.truncation_totals(table, 2, {1: table.sat_quotient_total(1)})
+
+
+# (x^20, y^21) is a reduction of (x^20, x^10 y^11, y^21), since (x^10 y^11)^2 =
+# x^20 * y^22 lies in the product of the two; both diagonals at c = 22 need
+# a fit margin of 16 past 22n
+N_20_21 = ideal([(20, 0), (0, 21)])
+M_20_21 = ideal([(20, 0), (10, 11), (0, 21)])
+
+
+def test_reduction_with_a_deep_fit_region_matches_every_row():
+    # e(M) = 420; the diagonals of (x^20, y^21) at c = 22 are (2, 22) and
+    # (3, c^2 - 420); x^c and y^c lie in M_{>=c}, a submodule of m^c, so its
+    # epsilon is e(m^c) = c^2
+    v = check_dependence(N_20_21, M_20_21)
+    assert (v.verdict, v.certificate, v.c) == ("reduction", 1, 22)
+    assert {cr.name: cr.left for cr in v.criteria} == {
+        "epsilon": 420,
+        "diagonal-a": (2, 22),
+        "diagonal-s": (3, 64),
+        "mixed-extended": (-420, 0, 1),
+        "epsilon-truncation": 484,
+    }
+    assert all(cr.right == cr.left and cr.match is True for cr in v.criteria)
+    same = check_dependence(M_20_21, M_20_21)
+    stand_in = next(cr for cr in same.criteria if cr.stand_in)
+    assert (stand_in.left, stand_in.right) == (484, 484)
+
+
+def test_cli_reduction_with_a_deep_fit_region(tmp_path):
+    docs = []
+    for name, m in (("sub", N_20_21), ("sup", M_20_21)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(serialize_module(m)))
+        docs.append(str(path))
+    out = tmp_path / "verdict.json"
+    assert main(["check", "--sub", docs[0], "--sup", docs[1], "--json-out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["verdict"], payload["certificate"]) == ("reduction", 1)
+    assert {cr["name"]: cr["right"] for cr in payload["criteria"]} == {
+        "epsilon": "420",
+        "diagonal-a": [2, "22"],
+        "diagonal-s": [3, "64"],
+        "mixed-extended": [-420, 0, 1],
+        "epsilon-truncation": "484",
+    }
+    assert all(cr["match"] is True for cr in payload["criteria"])
 
 
 def test_robustness_slope_adds_diagonal_rows_at_next_c():
@@ -232,16 +278,15 @@ def test_each_module_gets_one_invariant_pass(sub, sup, verdict, calls, monkeypat
 
         monkeypatch.setattr(dependence, name, wrapper)
 
-    for name in ("epsilon_multiplicity", "diagonal_multiplicity",
-                 "mixed_multiplicities", "truncation_epsilon", "LengthLadder"):
+    for name in ("epsilon_multiplicity", "fit_bigraded_polynomial", "LengthLadder"):
         counted(name)
+    # the diagonal rows at c and c + 1, the mixed row and the stand-in are
+    # all read off the one cumulative fit
     got = check_dependence(sub, sup, robustness_c=True)
     assert got.verdict == verdict
     assert counts == {
         "epsilon_multiplicity": calls,
-        "diagonal_multiplicity": 2 * calls,  # once per slope c, c + 1
-        "mixed_multiplicities": calls,
-        "truncation_epsilon": calls,
+        "fit_bigraded_polynomial": calls,
         "LengthLadder": calls,
     }
 

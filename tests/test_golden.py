@@ -42,8 +42,9 @@ def _cases() -> dict[str, list[str]]:
     # a not-reduction pair: two different modules, so two censuses
     cases["check-both-c.ideal_x2_xy-in-square_maximal"] = [
         "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal", "--both-c"]
-    # ladders with step > 1: the extraction normalizes by the step and reads
-    # the onset on the coarser ladder
+    # ladders with step > 1: the epsilon extraction, the only reader of the
+    # ladder here, normalizes by the step and reads the onset on the coarser
+    # ladder; the diagonal rows come from the bigraded fit
     cases["multiplicity-ed-step2.ideal_x2_y3"] = [
         "multiplicity", "--module", "corpus:ideal_x2_y3", "--epsilon", "--diagonal",
         "--ladder", ",".join(str(n) for n in range(2, 41, 2))]

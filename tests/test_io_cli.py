@@ -326,11 +326,13 @@ def test_cli_multiplicity_undetermined_exit_code(tmp_path, capsys):
         "--ladder", "1,2",
     ])
     assert code == 0  # estimate-only is not undetermined
-    code = main([
-        "multiplicity", "--module", "corpus:maximal_ideal", "--diagonal",
-        "--ladder", "1,2",
+    # the fit of (x^80, y^81) finds no polynomial region up to the margin cap
+    doc = dict(GOOD_DOC, generators=[
+        {"exponents": [80, 0], "basis": 0}, {"exponents": [0, 81], "basis": 0},
     ])
+    code = main(["multiplicity", "--module", str(write_doc(tmp_path, doc)), "--diagonal"])
     assert code == 3
+    assert "diagonal (base ring): undetermined (no polynomial region" in capsys.readouterr().out
 
 
 def test_cli_check_reduction_exit_zero(tmp_path, capsys):
@@ -707,6 +709,8 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
     ("multiplicity", ["--epsilon", "--c", "7"], "--c", "--diagonal or --mixed"),
     ("multiplicity", ["--diagonal", "--tol", "1/2"], "--tol", "--epsilon"),
     ("density", ["--tol", "1/2"], "--tol", "--fit"),
+    ("multiplicity", ["--mixed", "--ladder", "1,2"], "--ladder", "--epsilon"),
+    ("multiplicity", ["--diagonal", "--nmax", "5"], "--nmax", "--epsilon"),
 ])
 def test_cli_options_no_report_reads_fail_before_computing(
     command, flags, flag, remedy, tmp_path, monkeypatch, capsys

@@ -131,6 +131,21 @@ def test_epsilon_estimate_and_diagnostic():
     assert rep.diagnostics["halfway_gap"] == abs(F(2 * 820, 1600) - F(2 * 210, 400))
 
 
+@pytest.mark.parametrize("ladder, integral, gap", [
+    ((1, 2), F(1), F(0)),
+    ((1, 2, 3), F(7, 8), F(1, 8)),
+])
+def test_epsilon_cross_check_compares_limits(ladder, integral, gap):
+    # no exact value on these ladders, so the integral of the epsilon
+    # density is compared with the Richardson estimate, 1 on both: 2 * 2 - 3
+    # from the rungs 1 and 2 (t_n = n(n+1)/2), (3 * 4/3 - 2) / 2 from 1 and 3
+    rep = epsilon_multiplicity(load_corpus_module("ideal_x2_xy"), ladder)
+    assert rep.values["exact"] is None
+    assert rep.diagnostics["integral"] == integral
+    assert rep.diagnostics["integral_gap"] == gap
+    assert rep.diagnostics["integral_ok"]
+
+
 def test_epsilon_estimate_only_on_tiny_ladder():
     rep = epsilon_multiplicity(M_X2_XY, (1, 2), cross_check=False)
     assert rep.status == "estimate-only"
@@ -175,7 +190,6 @@ def test_diagonal_maximal_ideal_c2():
     s = rep.values["s_version"]
     assert (a["dimension"], a["multiplicity"]) == (2, 2)
     assert (s["dimension"], s["multiplicity"]) == (3, 3)
-    assert a["onset_n"] == 1
 
 
 def test_diagonal_square_maximal_c3():
@@ -194,16 +208,22 @@ def test_diagonal_reduction_pair_agrees():
         assert (va["dimension"], va["multiplicity"]) == (vb["dimension"], vb["multiplicity"])
 
 
-@pytest.mark.parametrize("c", [4, 10**3, 10**8])
-def test_diagonal_closed_forms_of_x2_y3(c):
-    # M = (x^2, y^3) is m-primary, so len((M^n)_{cn}) = cn + 1 and the
-    # cumulative length is C(cn + 2, 2) - len(A/M^n) = (c^2 - 6) n^2 / 2 + O(n),
-    # as e(M) = 6; degrees cn = 10^8 n lie far past every numerator, where
-    # the rows answer from their Hilbert polynomials
-    rep = diagonal_multiplicity(ideal([(2, 0), (0, 3)]), c)
-    a, s = rep.values["a_version"], rep.values["s_version"]
-    assert (a["dimension"], a["multiplicity"]) == (2, c)
-    assert (s["dimension"], s["multiplicity"]) == (3, c * c - 6)
+@pytest.mark.parametrize("a, b, c", [
+    *(pytest.param(2, 3, c, id=str(c)) for c in (4, 10**3, 10**8)),
+    pytest.param(20, 21, 22, id="x20_y21-22"),
+])
+def test_diagonal_closed_forms_of_x2_y3(a, b, c):
+    # M = (x^a, y^b) is m-primary, so len((M^n)_{cn}) = cn + 1 for large n and
+    # the cumulative length is C(cn + 2, 2) - len(A/M^n) = (c^2 - ab) n^2 / 2
+    # + O(n), as e(M) = ab.  For (x^20, y^21) at c = 22, x^i y^(22n-i) lies in
+    # M^n exactly when some integer lies in [(i - n)/21, i/20], an interval of
+    # length (i + 20n)/420 >= 1 once n >= 21.  Degrees cn = 10^8 n lie far
+    # past every numerator, where the rows answer from their Hilbert
+    # polynomials
+    rep = diagonal_multiplicity(ideal([(a, 0), (0, b)]), c)
+    base, ext = rep.values["a_version"], rep.values["s_version"]
+    assert (base["dimension"], base["multiplicity"]) == (2, c)
+    assert (ext["dimension"], ext["multiplicity"]) == (3, c * c - a * b)
 
 
 def test_diagonal_requires_c_past_generator_degrees():
@@ -218,10 +238,13 @@ def test_diagonal_slope_defaults_to_one_past_generator_degrees(m):
     assert diagonal_multiplicity(m).values["c"] == fit_bigraded_polynomial(m).c
 
 
-def test_diagonal_undetermined_on_tiny_ladder():
-    rep = diagonal_multiplicity(M_XY, 2, ladder=(1, 2))
+def test_diagonal_undetermined_past_the_margin_cap():
+    # the cumulative fit of I = (x^80, y^81) finds no polynomial region up to
+    # the margin cap, so neither diagonal is read, and the report says why
+    rep = diagonal_multiplicity(ideal([(80, 0), (0, 81)]))
     assert rep.status == "undetermined"
-    assert rep.values["a_version"] is None
+    assert rep.values == {"a_version": None, "s_version": None, "c": 82}
+    assert f"margin cap {FIT_MARGINS[-1]}" in rep.diagnostics["reason"]
 
 
 def test_ladder_of_another_module_is_rejected():
@@ -231,12 +254,6 @@ def test_ladder_of_another_module_is_rejected():
     # a ladder of an equal module built apart is the module's own
     rep = epsilon_multiplicity(M_X2_XY, table=LengthLadder(ideal([(2, 0), (1, 1)])))
     assert rep.values["exact"] == 1
-
-
-def test_diagonal_dimension_claims_recorded():
-    rep = diagonal_multiplicity(M_XY, 2)
-    claims = rep.diagnostics["dimension_claims"]
-    assert claims == {"stated": 1, "example": 2}
 
 
 # -- bigraded fits ----------------------------------------------------------------------
@@ -288,12 +305,12 @@ def test_density_polynomial_from_fit_matches_top_chamber():
 
 
 def test_diagonal_from_fit_matches_direct_extraction():
-    for m, c in ((M_XY, 2), (M_SQ, 3), (M_X2_XY, 3)):
-        fit = fit_bigraded_polynomial(m, c)
-        implied = oracles.diagonal_from_fit(fit)
-        direct = diagonal_multiplicity(m, c).values["a_version"]
-        assert implied["dimension"] == direct["dimension"]
-        assert implied["multiplicity"] == direct["multiplicity"]
+    # the engine reads both diagonals off one cumulative fit; the oracle reads
+    # them off the difference tables of the lengths on n = 1..20
+    for m, c in ((M_XY, 2), (M_SQ, 3), (M_X2_XY, 3), (M_X2_XY, 4)):
+        rows = diagonal_multiplicity(m, c).values
+        direct = oracles.diagonal_by_ladder(LengthLadder(m), c, range(1, 21))
+        assert (rows["a_version"], rows["s_version"]) == direct
 
 
 # -- mixed -------------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from reesdensity import (
     LengthLadder,
     TermModule,
     default_grid,
+    check_dependence,
+    epsilon_multiplicity,
     fit_bigraded_polynomial,
     is_submodule,
     length_component,
@@ -26,7 +28,7 @@ from reesdensity import (
 )
 from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
-from reesdensity.multiplicity import extract_polynomial_growth, truncation_totals
+from reesdensity.multiplicity import extract_polynomial_growth
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
 # Exponent vectors in two variables, total degree <= 4.
@@ -297,9 +299,34 @@ def test_truncation_totals_match_built_truncation(m):
     totals = {n: ladder.sat_quotient_total(n) for n in range(1, 7)}
     for c in (m.max_degree + 1, m.max_degree + 2):
         built = LengthLadder(oracles.degree_truncation(m, c))
-        assert truncation_totals(ladder, c, totals) == {
+        assert oracles.truncation_totals(ladder, c, totals) == {
             n: built.sat_quotient_total(n) for n in totals
         }
+
+
+@given(term_modules())
+@example(ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ))
+@settings(max_examples=10, deadline=None)
+def test_check_rows_read_off_one_fit_match_the_slow_readings(m):
+    # check reads its diagonal rows at c and c + 1 and its stand-in off one
+    # cumulative fit and epsilon; the slow routes read the diagonals off the
+    # ladder's difference tables, and the stand-in as the epsilon of the
+    # truncation M_{>=c}, built term by term
+    ladder = tuple(range(1, 17))
+    v = check_dependence(m, m, ladder=ladder, robustness_c=True)
+    rows = {cr.name: cr.left for cr in v.criteria}
+    lengths = LengthLadder(m)
+    for slope, suffix in ((v.c, ""), (v.c + 1, "+1")):
+        slow = oracles.diagonal_by_ladder(lengths, slope, ladder)
+        for version, want in zip("as", slow):
+            if want is not None:
+                assert rows[f"diagonal-{version}{suffix}"] == (
+                    want["dimension"], want["multiplicity"]
+                )
+    built = oracles.degree_truncation(m, v.c)
+    truncation = epsilon_multiplicity(built, ladder, cross_check=False).values["exact"]
+    if truncation is not None and rows["epsilon"] is not None:
+        assert rows["epsilon-truncation"] == truncation
 
 
 def test_ambient_hash_and_equality():
