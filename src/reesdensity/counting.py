@@ -8,21 +8,25 @@ most c (``_sliced``).  One rule closes every node (``_numerator``): the
 variables no generator uses are dropped, a node in at most two used
 variables is a staircase (closed form), and any other is sliced on a used
 variable with the fewest distinct exponents into nodes in one used
-variable fewer.  One numerator per component ideal yields every degree at
-once, by running prefix sums (``_LengthRow``): the ideal has
-HS(I) = (1 - N_I(t)) / (1-t)^d, and one more division by (1-t) sums over
-degrees, so (1 - N_I) / (1-t)^(d+1) is the row of cumulative lengths, and a
-graded length is the difference of two neighbours.
+variable fewer.  One numerator per module yields every degree at once, by
+running prefix sums (``_LengthRow``): an ideal has
+HS(I) = (1 - N_I(t)) / (1-t)^d, so a sum of shifted ideals I_i(-b_i) has
+the shifted sum of those series, and one more division by (1-t) sums over
+degrees, so sum_i t^(b_i) (1 - N_(I_i)) / (1-t)^(d+1) is the row of
+cumulative lengths, and a graded length is the difference of two
+neighbours.
 
 A module's Rees powers and length data are reached through its
-``LengthLadder``, the one cache layer: it keeps each component's row, for
-M^n and for sat(M^n), built once and ending at the numerator's degree, so a
-length query is a list lookup or, past the table, a Hilbert polynomial; the
-length of sat(M^n)/M^n is read from the same rows.  It keeps the powers on
-disk when given a directory; ``power`` reads one from a fresh ladder.  It
-intersects the n-th powers of the colon modules M : x_i^inf, each on a
-ladder of its own, into sat(M^n) without building M^n; ``saturate`` reads
-sat(M) from a fresh ladder.
+``LengthLadder``, the one cache layer: it keeps one row per power M^n and
+per saturation sat(M^n) asked, built once and ending at its numerator's
+degree, so a length query is a list lookup or, past the table, a Hilbert
+polynomial; the length of sat(M^n)/M^n is read from the same two rows.  Of
+the powers themselves it keeps M^0, M^1 and the newest one only, since the
+rows hold integers and no generators.  It keeps the powers on disk when
+given a directory; ``power`` reads one from a fresh ladder.  It intersects
+the n-th powers of the colon modules M : x_i^inf, each on a ladder of its
+own, into sat(M^n) without building M^n; ``saturate`` reads sat(M) from a
+fresh ladder.
 
 The engine's public functions share the ladder plumbing here:
 ``ladder_for`` hands each the ladder it works on, ``require_samplable``
@@ -68,68 +72,63 @@ def _canonical_gens(gens) -> tuple:
 
 
 class _LengthRow:
-    """The lengths of one monomial ideal I, from its canonical generators.
+    """The lengths of one module sum_i I_i(-b_i): a power or a saturation.
 
-    The coefficients of (1 - N_I) / (1-t)^(d+1) are the cumulative lengths
-    (HS(I) = (1 - N_I) / (1-t)^d, and 1/(1-t) sums over degrees); a graded
-    length is the difference of two.  The row starts at the least generator
-    degree ``low``, below which I is empty and no numerator is computed.  The
-    first query at or above it builds, by d+1 rounds of prefix sums, the
-    table up to index max(deg N_I - low, d), published as one attribute, so
-    threads that race build equal tables.  For t >= deg N_I - d the count
-    sum_k c_k C(t-k+d, d) is a polynomial of degree <= d in t, as C(m, d)
-    vanishes at m = 0..d-1: past the table, the Newton form on its last d+1
-    entries gives it exactly.
+    Its Hilbert series is the shifted sum sum_i t^(b_i) (1 - N_(I_i)) /
+    (1-t)^d, and one more division by (1-t) sums over degrees, so the
+    coefficients of P / (1-t)^(d+1), with P = sum_i t^(b_i) (1 - N_(I_i)),
+    are the cumulative lengths; a graded length is the difference of two.
+    P is held from ``low`` = min b_i on, below which the module is empty,
+    and d+1 rounds of prefix sums build the table up to index
+    max(deg P - low, d) once, in the constructor.  For t >= deg P - d the
+    count sum_k p_k C(t-k+d, d) is a polynomial of degree <= d in t, as
+    C(m, d) vanishes at m = 0..d-1: past the table, the Newton form on its
+    last d+1 entries gives it exactly.  A row holds integers only.
     """
 
-    __slots__ = ("gens", "low", "_memo", "_table")
+    __slots__ = ("low", "_coeffs", "_newton")
 
-    def __init__(self, gens: tuple, memo: dict):
-        self.gens = gens
-        # canonical order puts a minimal-degree generator first
-        self.low = sum(gens[0])
-        self._memo = memo
-        self._table: Optional[tuple[list, list]] = None
-
-    def cumulative(self, t: int) -> int:
-        """Monomials of degree <= t in I."""
-        k = t - self.low
-        if k < 0:
-            return 0
-        coeffs, newton = self._table or self._build()
-        if k < len(coeffs):
-            return coeffs[k]
-        s = k - len(coeffs) + len(newton)
-        return sum(delta * comb(s, i) for i, delta in enumerate(newton))
-
-    def graded(self, t: int) -> int:
-        """Monomials of degree t in I."""
-        return self.cumulative(t) - self.cumulative(t - 1)
-
-    @property
-    def top(self) -> int:
-        """The last degree in the table; past it the row is a polynomial."""
-        return self.low + len((self._table or self._build())[0]) - 1
-
-    def _build(self) -> tuple[list, list]:
-        """(cumulative lengths from ``low`` on, forward differences of the last d+1)."""
-        d = len(self.gens[0])
-        # 1 - N_I from degree low on, padded to at least d+1 entries
-        coeffs = [int(k == 0) - c for k, c in enumerate(_numerator(self.gens, self._memo))]
-        coeffs = coeffs[self.low :] + [0] * (d + 1 + self.low - len(coeffs))
+    def __init__(self, parts: list, d: int):
+        """``parts``: (b_i, N_(I_i)) per component, none for the zero module."""
+        self.low = min((b for b, _ in parts), default=0)
+        coeffs = [0] * (d + 1)
+        for b, numerator in parts:
+            k = b - self.low
+            coeffs += [0] * (k + len(numerator) - len(coeffs))
+            coeffs[k] += 1
+            for j, c in enumerate(numerator, k):
+                coeffs[j] -= c
         for _ in range(d + 1):
             coeffs = list(accumulate(coeffs))
         newton = coeffs[-(d + 1) :]
         for i in range(d):
             newton[i + 1 :] = [b - a for a, b in zip(newton[i:], newton[i + 1 :])]
-        self._table = (coeffs, newton)
-        return self._table
+        self._coeffs, self._newton = coeffs, newton
+
+    def cumulative(self, t: int) -> int:
+        """Monomials of degree <= t in the module."""
+        k = t - self.low
+        if k < 0:
+            return 0
+        if k < len(self._coeffs):
+            return self._coeffs[k]
+        s = k - len(self._coeffs) + len(self._newton)
+        return sum(delta * comb(s, i) for i, delta in enumerate(self._newton))
+
+    def graded(self, t: int) -> int:
+        """Monomials of degree t in the module."""
+        return self.cumulative(t) - self.cumulative(t - 1)
+
+    @property
+    def top(self) -> int:
+        """The last degree in the table; past it the row is a polynomial."""
+        return self.low + len(self._coeffs) - 1
 
 
 def count_ideal_degree(gens, t: int) -> int:
     """Number of monomials of degree t in the ideal generated by ``gens``."""
     gens = _canonical_gens(gens)
-    return _LengthRow(gens, {}).graded(t) if gens else 0
+    return _LengthRow([(0, _numerator(gens, {}))], len(gens[0])).graded(t) if gens else 0
 
 
 def length_component(m: TermModule, degree: int) -> int:
@@ -193,17 +192,21 @@ def k_polynomial(gens, memo: Optional[dict] = None) -> list[int]:
     generator tuple of every node to its numerator and may be shared across
     calls.
     """
-    return _numerator(_canonical_gens(gens), {} if memo is None else memo)
+    return _node(gens, {} if memo is None else memo)[1]
 
 
 def _node(points, memo: dict) -> tuple:
-    """The canonical generators of the ideal of ``points`` and its N."""
+    """The canonical generators of the ideal of ``points`` and its N,
+    memoized in ``memo`` by those generators."""
     key = _canonical_gens(points)
-    return key, _numerator(key, memo)
+    if key not in memo:
+        memo[key] = _numerator(key, memo)
+    return key, memo[key]
 
 
 def _numerator(key: tuple, memo: dict) -> list[int]:
-    """N of the ideal with canonical generators ``key``, memoized in ``memo``.
+    """N of the ideal with canonical generators ``key``; its inner slicing
+    nodes are memoized in ``memo``, ``key`` itself is not.
 
     No generators give [1].  The variables no generator uses leave N
     unchanged and are dropped.  In at most two used variables the node is a
@@ -214,32 +217,30 @@ def _numerator(key: tuple, memo: dict) -> list[int]:
     """
     if not key:
         return [1]
-    poly = memo.get(key)
-    if poly is None:
-        used = [s for s in range(len(key[0])) if any(g[s] for g in key)]
-        gens = key if len(used) == len(key[0]) else [tuple(g[s] for s in used) for g in key]
-        if len(used) <= 2:
-            # below two used variables, key is one generator or the unit ideal
-            poly = _staircase_numerator(sorted(gens) if len(used) == 2 else [(sum(key[0]), 0)])
-        else:
-            s = min(range(len(used)), key=lambda s: len({g[s] for g in gens}))
-            levels: dict[int, list] = {}
-            for g in gens:
-                levels.setdefault(g[s], []).append(g[:s] + g[s + 1 :])
-            poly = _sliced(levels, _staircase_level if len(used) == 3 else lambda p: _node(p, memo))
-        memo[key] = poly
-    return poly
+    used = [s for s in range(len(key[0])) if any(g[s] for g in key)]
+    gens = key if len(used) == len(key[0]) else [tuple(g[s] for s in used) for g in key]
+    if len(used) <= 2:
+        # below two used variables, key is one generator or the unit ideal
+        return _staircase_numerator(sorted(gens) if len(used) == 2 else [(sum(key[0]), 0)])
+    s = min(range(len(used)), key=lambda s: len({g[s] for g in gens}))
+    levels: dict[int, list] = {}
+    for g in gens:
+        levels.setdefault(g[s], []).append(g[:s] + g[s + 1 :])
+    return _sliced(levels, _staircase_level if len(used) == 3 else lambda p: _node(p, memo))
 
 
 class LengthLadder:
     """Everything cached about the Rees powers M^n of one module.
 
-    Holds the powers, their saturations, an in-memory ladder per colon
-    module M : x_i^inf, the K-polynomials of every component ideal it
-    meets, and per component of a power or saturation a row of cumulative
-    lengths that ends at its numerator's degree.  So all graded and
-    cumulative lengths, and the lengths of the quotients sat(M^n)/M^n, come
-    from one numerator per ideal, read from its rows.
+    Holds M^0, M^1 and the newest power it built, the same three
+    saturations, an in-memory ladder per colon module M : x_i^inf (each
+    holding its powers by the same rule), the K-polynomials of the inner
+    slicing nodes it meets, and per power or saturation asked one row of
+    cumulative lengths, built from the summed numerator of its components
+    and ending at its degree.  So all graded and cumulative lengths, and the
+    lengths of the quotients sat(M^n)/M^n, are lookups in two rows per n,
+    which hold integers only: once a row is built, nothing pins the
+    generators of its power.
 
     Given a ``directory`` (an empty path means none; the first write makes
     it), each requested power is also stored there as
@@ -261,7 +262,7 @@ class LengthLadder:
         self._powers: dict[int, TermModule] = {0: unit_module(module.ambient), 1: module}
         self._sat: dict[int, TermModule] = {}
         self._kpoly: dict = {}
-        self._rows: dict[tuple[int, bool], list] = {}
+        self._rows: dict[tuple[int, bool], _LengthRow] = {}
         self._lock = threading.Lock()
 
     def _path(self, n: int) -> Path:
@@ -333,20 +334,27 @@ class LengthLadder:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _memo(self, store: dict, n: int, compute):
-        val = store.get(n)
+    def _memo(self, store: dict, key, compute, newest_only: bool = False):
+        """store[key], computed and published under the lock when missing;
+        ``newest_only`` then drops every entry but 0, 1 and key."""
+        val = store.get(key)
         if val is None:
-            val = compute(n)
+            val = compute(key)
             with self._lock:
-                val = store.setdefault(n, val)
+                val = store.setdefault(key, val)
+                if newest_only:
+                    for k in [k for k in store if k not in (0, 1, key)]:
+                        del store[k]
         return val
 
     def power(self, n: int) -> TermModule:
         """M^n from memory, else from disk, else multiplied up from the
-        largest power held below n; only M^n itself is written to disk."""
+        largest power held below n; only M^n itself is written to disk.
+        The ladder holds M^0, M^1 and the newest power, so a caller that
+        walks n upward multiplies once per step."""
         if require_int(n, "the power exponent") < 0:
             raise InputError("power exponent must be nonnegative")
-        return self._memo(self._powers, n, self._load_or_multiply)
+        return self._memo(self._powers, n, self._load_or_multiply, newest_only=True)
 
     def _load_or_multiply(self, n: int) -> TermModule:
         cur = self._load(n)
@@ -354,11 +362,9 @@ class LengthLadder:
             return cur
         with self._lock:
             base = max(k for k in self._powers if k < n)
-        cur = self._powers[base]
-        for k in range(base + 1, n + 1):
+            cur = self._powers[base]
+        for _ in range(base, n):
             cur = next_power(cur, self.module)
-            with self._lock:
-                cur = self._powers.setdefault(k, cur)
         self._store(n, cur)
         return cur
 
@@ -374,7 +380,7 @@ class LengthLadder:
         ]
 
     def sat_power(self, n: int) -> TermModule:
-        return self._memo(self._sat, n, self._saturate)
+        return self._memo(self._sat, n, self._saturate, newest_only=True)
 
     def _saturate(self, n: int) -> TermModule:
         """sat(M^n) = (M^n :_F m^inf), the intersection of the (M : x_i^inf)^n,
@@ -391,65 +397,48 @@ class LengthLadder:
             comps.append((parts[0][0], sat or gens))
         return TermModule._from_canonical(colons[0].ambient, colons[0].level, tuple(comps))
 
-    def _component_rows(self, n: int, sat: bool) -> list:
-        """(basis degree, length row) per component of M^n, or of its saturation."""
-        return self._memo(self._rows, (n, sat), self._make_rows)
+    def _row(self, n: int, sat: bool) -> _LengthRow:
+        """The length row of M^n, or of sat(M^n), built once."""
 
-    def _make_rows(self, key: tuple[int, bool]) -> list:
-        n, sat = key
-        mod = self.sat_power(n) if sat else self.power(n)
-        return [
-            (mod.ambient.basis_degree(basis), _LengthRow(gens, self._kpoly))
-            for basis, gens in mod.components
-        ]
+        def build(_key) -> _LengthRow:
+            mod = self.sat_power(n) if sat else self.power(n)
+            basis_degree = mod.ambient.basis_degree
+            parts = [(basis_degree(b), _numerator(gens, self._kpoly)) for b, gens in mod.components]
+            return _LengthRow(parts, mod.ambient.ring.dim)
+
+        return self._memo(self._rows, (n, sat), build)
 
     def length(self, n: int, degree: int) -> int:
-        degree = require_int(degree, "the degree")
-        return sum(row.graded(degree - base) for base, row in self._component_rows(n, False))
+        return self._row(n, False).graded(require_int(degree, "the degree"))
 
     def sat_length(self, n: int, degree: int) -> int:
-        degree = require_int(degree, "the degree")
-        return sum(row.graded(degree - base) for base, row in self._component_rows(n, True))
+        return self._row(n, True).graded(require_int(degree, "the degree"))
 
     def cumulative(self, n: int, degree: int) -> int:
-        degree = require_int(degree, "the degree")
-        return sum(
-            row.cumulative(degree - base) for base, row in self._component_rows(n, False)
-        )
+        return self._row(n, False).cumulative(require_int(degree, "the degree"))
 
     def sat_quotient_total(self, n: int) -> int:
         """Length of sat(M^n)/M^n, from the rows of M^n and of its saturation.
 
-        Per basis component, with ideals I inside J, HS(J/I) =
-        (N_I - N_J) / (1-t)^d, whose coefficients are the differences of the
-        rows' graded lengths; it is a polynomial exactly when J/I has finite
-        length.  Past top - d, with top the last degree of the two rows'
-        tables (at least max(deg N_I, deg N_J)), they follow a polynomial of
-        degree < d, so d zeros ending at top mean zero for good, and the
-        component adds the difference of the rows' cumulative lengths at top.
-        Anything else, or components on other basis exponents, means an
-        infinite quotient, which a true saturation rules out, so it raises
+        With component ideals I_i inside J_i, HS(sat(M^n)/M^n) =
+        sum_i t^(b_i) (N_(I_i) - N_(J_i)) / (1-t)^d, whose coefficients are
+        the differences of the two rows' graded lengths.  Each component's
+        quotient has nonnegative lengths, so the sum has finite length
+        exactly when every component's quotient has, and then it is a
+        polynomial.  Past top - d, with top the last degree of the two rows'
+        tables (at least the degree of either summed numerator), the
+        differences follow a polynomial of degree < d, so d zeros ending at
+        top mean zero for good, and the total is the difference of the rows'
+        cumulative lengths at top.  Anything else means an infinite
+        quotient, which a true saturation rules out, so it raises
         ``InternalInvariantError``.
         """
-        bases = [basis for basis, _ in self.power(n).components]
-        if bases != [basis for basis, _ in self.sat_power(n).components]:
-            raise InternalInvariantError(
-                f"sat(M^{n}) and M^{n} have components on different basis exponents"
-            )
+        row, sat = self._row(n, False), self._row(n, True)
+        top = max(row.top, sat.top)
         d = self.module.ambient.ring.dim
-        total = 0
-        for basis, (_, row), (_, sat) in zip(
-            bases, self._component_rows(n, False), self._component_rows(n, True)
-        ):
-            if row.gens == sat.gens:
-                continue
-            top = max(row.top, sat.top)
-            if any(sat.graded(k) != row.graded(k) for k in range(top - d + 1, top + 1)):
-                raise InternalInvariantError(
-                    f"census of basis component {basis!r} is not of finite length"
-                )
-            total += sat.cumulative(top) - row.cumulative(top)
-        return total
+        if any(sat.graded(k) != row.graded(k) for k in range(top - d + 1, top + 1)):
+            raise InternalInvariantError(f"census of sat(M^{n})/M^{n} is not of finite length")
+        return sat.cumulative(top) - row.cumulative(top)
 
 
 def ladder_for(m: TermModule, table: Optional[LengthLadder]) -> LengthLadder:

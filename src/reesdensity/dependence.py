@@ -104,13 +104,18 @@ def direct_reduction_search(
     """Least n0 <= n_max with M^{n0+1} = N * M^{n0}, or None.
 
     The powers of M come from ``table``, a ``LengthLadder`` of M (a fresh
-    one by default).  Once the equality holds it persists for all larger n0.
+    one by default), asked in ascending order while the search holds M^{n0}
+    itself, so the ladder, which keeps only its newest power, multiplies
+    once per step.  Once the equality holds it persists for all larger n0.
     """
     require_search_bound(n_max)
     table = ladder_for(sup, table)
+    cur = table.power(0)
     for n0 in range(n_max + 1):
-        if table.power(n0 + 1) == product(sub, table.power(n0)):
+        nxt = table.power(n0 + 1)
+        if nxt == product(sub, cur):
             return n0
+        cur = nxt
     return None
 
 

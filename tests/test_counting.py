@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from util import (
+    M_SCALE_D4,
     RING_XYZ,
     census_by_enumeration,
     census_by_lengths,
@@ -365,10 +366,16 @@ def test_census_of_infinite_quotient_is_internal_error(monkeypatch):
         (ideal([(2, 0)]), ideal([(1, 0)])),
         (module({0: [(1, 0)]}, (0, 0)), module({0: [(1, 0)], 1: [(0, 1)]}, (0, 0))),
     ]
+    # one wrong component in a sum: (x)/(x^2) is infinite, and A/(x, y) has
+    # length 1, so only the sum of the components' quotients is checked
+    cases.append((
+        module({0: [(2, 0)], 1: [(1, 0), (0, 1)]}, (0, 0)),
+        module({0: [(1, 0)], 1: [(0, 0)]}, (0, 0)),
+    ))
     for m, wrong_sat in cases:
         ladder = LengthLadder(m)
         monkeypatch.setattr(ladder, "sat_power", lambda n, s=wrong_sat: s)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InternalInvariantError, match=r"sat\(M\^1\)"):
             ladder.sat_quotient_total(1)
 
 
@@ -389,10 +396,19 @@ def test_length_ladder_consistency():
         assert ladder.cumulative(n, 2 * n + 3) == LengthLadder(p).cumulative(1, 2 * n + 3)
 
 
+def _row_fits_its_numerator(row, mod, numerator) -> bool:
+    """A power's or saturation's row starts at the least basis degree and
+    holds at most max(max_i(b_i - low + deg N_i), d) + 1 entries."""
+    basis_degree = mod.ambient.basis_degree
+    low = min(basis_degree(b) for b, _ in mod.components)
+    deg = max(basis_degree(b) - low + len(numerator(g)) - 1 for b, g in mod.components)
+    return row.low == low and len(row._coeffs) <= max(deg, mod.ambient.ring.dim) + 1
+
+
 def test_length_ladder_rows_end_at_their_numerator():
-    # a degree below the support computes no numerator; a low degree, then
-    # degrees far above every numerator's degree, are read from rows whose
-    # tables end at the numerator
+    # a degree below the support reads 0; a low degree, then degrees far
+    # above every numerator's degree, are read from one row per power whose
+    # table ends at its summed numerator
     cases = [
         module({0: [(2, 0), (1, 1)], 1: [(0, 2), (1, 0)]}, (-1, 0)),
         ideal([(2, 0, 0), (1, 1, 0), (0, 1, 2)], ring=RING_XYZ),
@@ -405,7 +421,6 @@ def test_length_ladder_rows_end_at_their_numerator():
 
         assert ladder.length(1, m.min_degree - 1) == 0
         assert ladder.cumulative(1, m.min_degree - 1) == 0
-        assert not ladder._kpoly
         for n in (1, 2):
             p = power(m, n)
             comps = components_of(p)
@@ -418,11 +433,9 @@ def test_length_ladder_rows_end_at_their_numerator():
                 assert ladder.cumulative(n, deg) == sum(
                     members(comps, j) for j in range(p.min_degree, deg + 1)
                 )
-            # each row holds at most max(deg N - low, d) + 1 entries, however
-            # far past the numerator it was asked
-            for base, row in ladder._component_rows(n, False):
-                deg_n = len(k_polynomial(row.gens)) - 1
-                assert len(row._table[0]) <= max(deg_n - row.low, m.ambient.ring.dim) + 1
+            # the row holds at most max(max_i(b_i - low + deg N_i), d) + 1
+            # entries, however far past the numerator it was asked
+            assert _row_fits_its_numerator(ladder._row(n, False), p, k_polynomial)
 
 
 def _row_cases(rng):
@@ -488,10 +501,9 @@ def test_length_rows_are_exact_past_their_table():
                 assert ladder.length(n, deg) == exclusion(comps, deg), (m, n, deg)
                 assert ladder.sat_length(n, deg) == exclusion(sat_comps, deg), (m, n, deg)
                 assert ladder.cumulative(n, deg) == exclusion(comps, deg, True), (m, n, deg)
-            for is_sat in (False, True):
-                for _, row in ladder._component_rows(n, is_sat):
-                    deg_n = len(oracles.taylor_numerator(row.gens)) - 1
-                    assert len(row._table[0]) <= max(deg_n - row.low, d) + 1, (m, n, row.gens)
+            for is_sat, mod in ((False, p), (True, sat)):
+                row = ladder._row(n, is_sat)
+                assert _row_fits_its_numerator(row, mod, oracles.taylor_numerator), (m, n, is_sat)
 
 
 def test_ladder_rows_never_minimalize_their_generators_again(monkeypatch):
@@ -516,16 +528,17 @@ def test_ladder_rows_never_minimalize_their_generators_again(monkeypatch):
         ladder.cumulative(n, 40)
         ladder.sat_quotient_total(n)
     roots = {
-        row.gens for n in (1, 2) for is_sat in (False, True)
-        for _, row in ladder._component_rows(n, is_sat)
+        gens for n in (1, 2) for mod in (ladder.power(n), ladder.sat_power(n))
+        for _, gens in mod.components
     }
     assert minimalized and not roots & set(minimalized)
 
 
 def test_shared_ladder_answers_threads_as_one_thread():
-    # rows carry no lock: threads that race to build a row's table build
-    # equal tables, so four threads on one ladder, switching often, read
-    # what one thread reads; each thread starts at its own point of the list
+    # a row is built whole before the lock publishes it, and a power the
+    # ladder dropped is built again equal, so four threads on one ladder,
+    # switching often, read what one thread reads; each thread starts at
+    # its own point of the list
     m = module({0: [(2, 0, 1), (1, 1, 0)], 1: [(0, 2, 0), (1, 0, 2)]}, (0, -1), RING_XYZ)
     queries = [
         (kind, n, deg)
@@ -566,3 +579,26 @@ def test_length_ladder_shares_power_cache():
     p1 = ladder.power(6)
     p2 = ladder.power(6)
     assert p1 is p2
+
+
+@pytest.mark.parametrize("m", [
+    M_SCALE_D4,
+    module({0: [(2, 0, 1), (1, 1, 0)], 1: [(0, 2, 0), (1, 0, 2)]}, (0, -1), RING_XYZ),
+], ids=["scale-d4", "rank2-d3"])
+def test_ladder_holds_only_the_newest_power(m):
+    # the census up to n = 8 leaves M^0, M^1 and M^8 in the ladder, the same
+    # saturations and the same powers on every colon ladder; no memoized
+    # K-polynomial is keyed by the components of a power or saturation
+    ladder = LengthLadder(m)
+    for n in range(1, 9):
+        ladder.sat_quotient_total(n)
+    assert set(ladder._powers) <= {0, 1, 8}
+    assert set(ladder._sat) <= {0, 1, 8}
+    for colon in ladder._colons:
+        assert set(colon._powers) <= {0, 1, 8}
+    fresh = LengthLadder(m)
+    roots = {
+        gens for n in range(1, 9) for mod in (fresh.power(n), fresh.sat_power(n))
+        for _, gens in mod.components
+    }
+    assert not roots & set(ladder._kpoly)

@@ -21,6 +21,7 @@ from reesdensity import (
     serialize_module,
     validate_pair,
 )
+from reesdensity import counting
 from reesdensity.cli import main
 import reesdensity.dependence as dependence
 
@@ -77,6 +78,22 @@ def test_certificate_self_is_zero():
 
 def test_no_certificate_for_x2_xy():
     assert direct_reduction_search(N_X2_XY, M_SQ, 12) is None
+
+
+def test_certificate_search_builds_each_power_once(monkeypatch):
+    # the search holds M^n0 while it asks for M^(n0+1), and the ladder
+    # multiplies from the newest power it holds: one product per power
+    # above M^1, where rebuilding M^n0 from M^1 at each step is quadratic
+    built = []
+    real = counting.next_power
+
+    def recording(cur, m):
+        built.append(cur.level + 1)
+        return real(cur, m)
+
+    monkeypatch.setattr(counting, "next_power", recording)
+    assert direct_reduction_search(N_X2_XY, M_SQ, 12) is None
+    assert built == list(range(2, 14))
 
 
 # -- verdicts ----------------------------------------------------------------------
