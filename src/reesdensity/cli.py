@@ -228,20 +228,22 @@ def _cmd_multiplicity(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .dependence import check_dependence, require_search_bound, validate_pair
-    from .multiplicity import require_slope
+    from .dependence import check_dependence, require_search_bound
+    from .multiplicity import SlopeError
 
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
     _flag("--nmax", require_search_bound, args.nmax)
-    # the pair's own refusals are not the slope's
-    _flag("--c", require_slope, validate_pair(sub, sup), args.c)
     ladder, _ = _parse_ladder_options(args)
     _check_outputs(args.json_out)
-    verdict = check_dependence(
-        sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache_dir=args.cache_dir,
-        robustness_c=args.both_c,
-    )
+    try:
+        # the pair is checked once, before the slope: its refusals are not the slope's
+        verdict = check_dependence(
+            sub, sup, c=args.c, n_max=args.nmax, ladder=ladder, cache_dir=args.cache_dir,
+            robustness_c=args.both_c,
+        )
+    except SlopeError as exc:
+        raise InputError(f"--c: {exc}") from exc
     print(f"verdict: {verdict.verdict}")
     if verdict.certificate is not None:
         print(f"certificate: M^{verdict.certificate + 1} = N*M^{verdict.certificate}")

@@ -7,10 +7,11 @@ quantities at scale n and abscissa x are
     saturated  same with the saturation of M^n
     epsilon    their difference
 
-together with chamber detection from generator degrees and exact piecewise
-polynomial fits.  Fitted values come from stabilized finite differences along
-rays, read at the period the sequence has (an exact extrapolation, confirmed
-on a held-out n), so fitted polynomials have exact rational coefficients.
+together with chamber detection from generator degrees, exact piecewise
+polynomial fits and the exact cumulative identity.  Fitted values come from
+stabilized finite differences along rays, read at the period L(M) the
+generator degrees bound (an exact extrapolation, confirmed on a held-out n),
+so fitted polynomials have exact rational coefficients.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
@@ -28,11 +29,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import combinations
+from math import factorial, gcd, lcm
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import FitNotConvergedError, InputError, TermModule, require_rational, require_tolerance
+from .core import (
+    FitNotConvergedError,
+    InputError,
+    InternalInvariantError,
+    TermModule,
+    require_rational,
+    require_tolerance,
+)
 from .counting import (
     MAX_LADDER_N,
     LengthLadder,
@@ -41,7 +50,6 @@ from .counting import (
     require_samplable,
 )
 from .polyfit import (
-    MAX_PERIOD,
     STABLE_WINDOW,
     Poly,
     difference_rows,
@@ -61,8 +69,6 @@ RAY_N_FLOOR = 8
 HELD_OUT_NODES = 2
 # default fit validation tolerance, relative to each extrapolated value
 FIT_TOL = Fraction(1, 10)
-# relative part of the cumulative-identity tolerance
-IDENTITY_REL_TOL = Fraction(1, 20)
 # an x grid with more points is refused before any is built
 MAX_GRID_POINTS = 10**5
 
@@ -257,44 +263,46 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 # -- exact limits along rays --------------------------------------------------
 
 
-def ray_extrapolate(table: LengthLadder, x: Fraction) -> Fraction:
+def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = False) -> Fraction:
     """Exact limit of the adic density at x via finite differences along a ray.
 
     Samples len((M^n)_{xn}) on one progression n = n0 + jq, q the
     denominator of x (so xn is an integer) and n0 the first multiple of q
-    that is at least 2q and ``RAY_N_FLOOR``, extended to
-    (r + 1 + STABLE_WINDOW) * p + 2 samples for p = 1..MAX_PERIOD in turn
-    (r = d+e-2).  Read at period p, the limit is (r+1) * (r-th lag-p
-    difference) / (pq)^r; smaller detected degree means the limit is 0.  A
-    period is accepted only when all but the last sample stabilize at some
-    degree D and the held-out last sample continues them: the (D+1)-st lag-p
-    difference that ends there is 0.  A period whose last sample lies above
-    ``MAX_LADDER_N`` is never sampled: the ray gives up there.
+    that is at least 2q and ``RAY_N_FLOOR``.  There the length is a vector
+    partition function of the columns (1, 0) and (delta_g, 1), a
+    quasi-polynomial in j whose period divides L = lcm |delta - delta'| over
+    the distinct generator degrees (1 for one degree), so the ray takes
+    (r + 1 + STABLE_WINDOW) * L + 2 samples (r = d+e-2) and reads them at lag
+    L: the limit is (r+1) * (r-th lag-L difference) / (Lq)^r, or 0 at a
+    smaller detected degree.  It is accepted only when all but the last
+    sample stabilize at some degree D and the held-out last sample continues
+    them: the (D+1)-st lag-L difference that ends there is 0.  A progression
+    past ``MAX_LADDER_N`` is refused before any sample is taken.  The private
+    ``_cumulative`` reads ``table.cumulative`` at degree r + 1 instead: the
+    limit of (d+e)! * cumulative(n, xn) / n^{d+e-1}.
     """
     m = table.module
     require_samplable(m)
     x = require_rational(x, "x")
-    r = m.ambient.ring.dim + m.ambient.rank - 2
+    r = m.ambient.ring.dim + m.ambient.rank - 2 + _cumulative
+    length = table.cumulative if _cumulative else table.length
+    period = lcm(*(b - a for a, b in combinations(m.generator_degrees, 2)))
     q = x.denominator
     n0 = q * max(2, -(-RAY_N_FLOOR // q))
-    vals: list[int] = []
-    for period in range(1, MAX_PERIOD + 1):
-        ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
-        if ns[-1] > MAX_LADDER_N:
-            raise FitNotConvergedError(
-                f"not converged; the ray at x = {x} with period {period} would sample "
-                f"M^{ns[-1]}, above the bound n <= {MAX_LADDER_N}"
-            )
-        vals += [table.length(n, floor_times(x, n)) for n in ns[len(vals) :]]
-        ext = stabilized_difference(ns[:-1], vals[:-1], r, period)
-        if ext is None:
-            continue
+    ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
+    if ns[-1] > MAX_LADDER_N:
+        raise FitNotConvergedError(
+            f"not converged; the ray at x = {x} with period L = {period} would sample "
+            f"M^{ns[-1]}, above MAX_LADDER_N = {MAX_LADDER_N}"
+        )
+    vals = [length(n, floor_times(x, n)) for n in ns]
+    ext = stabilized_difference(ns[:-1], vals[:-1], r, period)
+    if ext is not None:
         degree = ext["degree"]
-        if difference_rows(vals[-(degree + 1) * period - 1 :], degree + 1, period)[-1][0]:
-            continue
-        return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
+        if not difference_rows(vals[-(degree + 1) * period - 1 :], degree + 1, period)[-1][0]:
+            return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
     raise FitNotConvergedError(
-        f"not converged; increase n ladder (no stable ray at x = {x} with period <= {MAX_PERIOD})"
+        f"not converged; increase n ladder (no stable ray at x = {x} with period L = {period})"
     )
 
 
@@ -314,6 +322,36 @@ def _chamber_nodes(lo: int, hi: Optional[int], count: int) -> list[Fraction]:
         )
         q += 1
     return nodes[:count]
+
+
+def _fit_exact(chambers: ChamberDecomposition, table: LengthLadder) -> ChamberDecomposition:
+    """The exact part of ``fit_piecewise``: fill in the polynomials, continuity
+    and top degree of ``chambers``, the ``detect_chambers`` of ``table.module``,
+    each polynomial through d+e-1 interior ray limits and held to
+    ``HELD_OUT_NODES`` more."""
+    m = table.module
+    fit_nodes = m.ambient.ring.dim + m.ambient.rank - 1
+    bps = chambers.breakpoints
+    polys: list[Poly] = [()]
+    for lo, hi in zip(bps, [*bps[1:], None]):
+        nodes = _chamber_nodes(lo, hi, fit_nodes + HELD_OUT_NODES)
+        values = [ray_extrapolate(table, x) for x in nodes]
+        vandermonde = [[x**k for k in range(fit_nodes)] for x in nodes[:fit_nodes]]
+        poly = poly_trim(solve_exact(vandermonde, values[:fit_nodes]))
+        for x, v in zip(nodes[fit_nodes:], values[fit_nodes:]):
+            if poly_eval(poly, x) != v:
+                raise FitNotConvergedError(
+                    f"not converged; increase n ladder (held-out x = {x} "
+                    f"disagrees with the chamber fit)"
+                )
+        polys.append(poly)
+    chambers.polynomials = tuple(polys)
+    chambers.continuity = tuple(
+        poly_eval(polys[j], bps[j]) == poly_eval(polys[j + 1], bps[j])
+        for j in range(1, len(bps))
+    )
+    chambers.top_degree = poly_degree(polys[-1])
+    return chambers
 
 
 def fit_piecewise(
@@ -338,30 +376,9 @@ def fit_piecewise(
         raise InputError("piecewise chamber fits are defined for adic grids")
     tol = require_tolerance(tol, "the fit tolerance")
     m = grid.module
-    chambers = detect_chambers(m)
-    table = ladder_for(m, table)
-    d = m.ambient.ring.dim
-    fit_nodes = d + m.ambient.rank - 1
+    chambers = _fit_exact(detect_chambers(m), ladder_for(m, table))
     bps = chambers.breakpoints
-    polys: list[Poly] = [()]
-    for lo, hi in zip(bps, [*bps[1:], None]):
-        nodes = _chamber_nodes(lo, hi, fit_nodes + HELD_OUT_NODES)
-        values = [ray_extrapolate(table, x) for x in nodes]
-        vandermonde = [[x**k for k in range(fit_nodes)] for x in nodes[:fit_nodes]]
-        poly = poly_trim(solve_exact(vandermonde, values[:fit_nodes]))
-        for x, v in zip(nodes[fit_nodes:], values[fit_nodes:]):
-            if poly_eval(poly, x) != v:
-                raise FitNotConvergedError(
-                    f"not converged; increase n ladder (held-out x = {x} "
-                    f"disagrees with the chamber fit)"
-                )
-        polys.append(poly)
-    chambers.polynomials = tuple(polys)
-    chambers.continuity = tuple(
-        poly_eval(polys[j], bps[j]) == poly_eval(polys[j + 1], bps[j])
-        for j in range(1, len(bps))
-    )
-    chambers.top_degree = poly_degree(polys[-1])
+    d = m.ambient.ring.dim
     chambers.diagnostics = {"tol": tol, "ladder": grid.ladder, "top_degree_expected": d - 1}
 
     # validate against the sampled grid
@@ -389,61 +406,35 @@ def trapezoid(xs: list[Fraction], vs: list[Fraction]) -> Fraction:
 
 
 def cumulative_identity(
-    m: TermModule,
-    x: Fraction,
-    *,
-    ladder=None,
-    table: Optional[LengthLadder] = None,
+    m: TermModule, x: Fraction, *, table: Optional[LengthLadder] = None
 ) -> dict:
-    """Compare the cumulative-length limit against the integral of the density.
+    """Check exactly that the cumulative-length limit at x is (d+e) times
+    the integral of the adic density up to x.
 
-    The cumulative sampler (d+e)! * table.cumulative(n, floor(xn)) /
-    n^{d+e-1}, from the lengths of M^n summed over degrees <= floor(xn),
-    converges to (d+e) * integral of the adic density up to x; both sides
-    are estimated (Richardson on the ladder; trapezoid on the grid) and
-    returned with their gap and a tolerance that scales with the grid spacing
-    and 1/n.
+    ``lhs`` is the limit of (d+e)! * table.cumulative(n, floor(xn)) /
+    n^{d+e-1}, read along the ray at x (``ray_extrapolate`` on the
+    cumulative lengths, at degree d+e-1); ``rhs`` is (d+e) times the exact
+    integral of the chamber polynomials of the exact chamber fit from d_1 up
+    to x (``integral``), 0 below d_1.  Any rational x is read.  Returns
+    ``x``, ``lhs``, ``integral`` and ``rhs``; sides that differ break the
+    theorem and raise ``InternalInvariantError``.
     """
-    require_samplable(m)
+    chambers = detect_chambers(m)
     x = require_rational(x, "x")
     table = ladder_for(m, table)
-    ladder = normalize_ladder(ladder, DEFAULT_LADDER)
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-
-    def lhs_at(n: int) -> Fraction:
-        return Fraction(
-            factorial(d + e) * table.cumulative(n, floor_times(x, n)),
-            n ** (d + e - 1),
+    lhs = ray_extrapolate(table, x, _cumulative=True)
+    polys = _fit_exact(chambers, table).polynomials
+    bps = chambers.breakpoints
+    integral = Fraction(0)
+    for lo, hi, poly in zip(bps, [*bps[1:], x], polys[1:]):
+        if x <= lo:
+            break
+        primitive = (0, *(Fraction(c) / (k + 1) for k, c in enumerate(poly)))
+        integral += poly_eval(primitive, min(hi, x)) - poly_eval(primitive, lo)
+    rhs = (m.ambient.ring.dim + m.ambient.rank) * integral
+    if lhs != rhs:
+        raise InternalInvariantError(
+            f"cumulative identity fails at x = {x}: the cumulative limit {lhs} "
+            f"!= {rhs}, (d+e) times the integral of the density"
         )
-
-    xs = arithmetic_grid(Fraction(-m.ambient.c0 - 1), x, DEFAULT_STEP)
-    if not xs or xs[-1] != x:
-        raise InputError(f"x = {x} must lie on the density grid")
-    vs = sample_adic(m, xs, ladder, table=table, richardson=True).extrapolated
-    lhs, _ = extrapolate(lhs_at, ladder, richardson=True)
-    integral = trapezoid(xs, vs)
-    rhs = (d + e) * integral
-    gap = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), Fraction(1))
-    # tolerance scales with grid spacing and 1/n: the trapezoid rule puts a
-    # spurious step*f/2 cell at the closed lower end of the support, and the
-    # two-point Richardson value retains an O(1/n^2) residual estimated from
-    # the 1/n coefficient it removed
-    step = xs[1] - xs[0] if len(xs) > 1 else Fraction(0)
-    peak = max((abs(v) for v in vs), default=Fraction(0))
-    quad_term = Fraction((d + e) * step * peak, 2)
-    richardson_term = abs(lhs - lhs_at(ladder[-1])) / 2
-    tolerance = IDENTITY_REL_TOL * scale + quad_term + richardson_term
-    return {
-        "x": x,
-        "lhs": lhs,
-        "integral": integral,
-        "rhs": rhs,
-        "gap": gap,
-        "relative_gap": gap / scale,
-        "quadrature_term": quad_term,
-        "richardson_term": richardson_term,
-        "tolerance": tolerance,
-        "ok": gap <= tolerance,
-    }
+    return {"x": x, "lhs": lhs, "integral": integral, "rhs": rhs}

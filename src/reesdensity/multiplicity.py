@@ -174,14 +174,18 @@ def epsilon_multiplicity(
 # -- slope -------------------------------------------------------------------
 
 
+class SlopeError(InputError):
+    """A diagonal slope c at or below the top generator degree."""
+
+
 def require_slope(bound: int, c: Optional[int]) -> int:
     """The diagonal slope c past generator degrees <= ``bound``: ``bound + 1``
-    by default, and refused unless it exceeds ``bound``."""
+    by default, and refused unless it exceeds ``bound`` (``SlopeError``)."""
     if c is None:
         return bound + 1
     c = require_int(c, "the slope c")
     if c <= bound:
-        raise InputError(f"the slope c must exceed the top generator degree {bound}, got {c}")
+        raise SlopeError(f"the slope c must exceed the top generator degree {bound}, got {c}")
     return c
 
 

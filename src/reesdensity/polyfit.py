@@ -20,7 +20,7 @@ Poly2 = dict[tuple[int, int], Fraction]
 
 # trailing zero differences per residue class that certify stabilization
 STABLE_WINDOW = 3
-# quasi-periods tried in turn by the epsilon ladder and the density rays
+# quasi-periods tried in turn by the epsilon ladder only; a density ray reads at L(M)
 MAX_PERIOD = 12
 
 

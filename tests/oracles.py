@@ -9,7 +9,10 @@ components and returns (exponents, basis_exponents) pairs,
 ``density_polynomial_from_fit`` reads a ``BigradedFit``'s polynomial, and
 ``diagonal_by_ladder`` and ``truncation_totals`` read the lengths of a
 ``LengthLadder`` the slow way, as references for the engine's readings of
-one bigraded fit.
+one bigraded fit.  ``ray_by_period_search`` is the ray reader that searched
+its period, kept as the reference for the engine's one reading at the period
+the generator degrees bound; it shares the engine's stabilization reader and
+differs only in the period it reads at.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from reesdensity import InternalInvariantError, TermModule
+from reesdensity import FitNotConvergedError, InternalInvariantError, TermModule
+from reesdensity.counting import MAX_LADDER_N
+from reesdensity.density import RAY_N_FLOOR, floor_times
+from reesdensity.polyfit import MAX_PERIOD, STABLE_WINDOW, difference_rows, stabilized_difference
 
 
 class CensusOverflowError(InternalInvariantError):
@@ -380,3 +386,29 @@ def truncation_totals(table, c, totals):
             f"truncation census needs c > d_M = {m.max_degree}, got {c}"
         )
     return {n: t + table.cumulative(n, n * c - 1) for n, t in totals.items()}
+
+
+def ray_by_period_search(table, x):
+    """Limit of the adic density at x read along the ray n = n0 + jq, trying
+    the periods p = 1..``MAX_PERIOD`` in turn and taking the first whose
+    (r + 1 + STABLE_WINDOW) * p + 1 samples stabilize at lag p and whose
+    held-out next sample continues them (r = d+e-2).  A period whose last
+    sample lies above ``MAX_LADDER_N`` is never sampled."""
+    m = table.module
+    r = m.ambient.ring.dim + m.ambient.rank - 2
+    q = x.denominator
+    n0 = q * max(2, -(-RAY_N_FLOOR // q))
+    vals = []
+    for period in range(1, MAX_PERIOD + 1):
+        ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
+        if ns[-1] > MAX_LADDER_N:
+            raise FitNotConvergedError(f"the ray at x = {x} passes the power bound")
+        vals += [table.length(n, floor_times(x, n)) for n in ns[len(vals) :]]
+        ext = stabilized_difference(ns[:-1], vals[:-1], r, period)
+        if ext is None:
+            continue
+        degree = ext["degree"]
+        if difference_rows(vals[-(degree + 1) * period - 1 :], degree + 1, period)[-1][0]:
+            continue
+        return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
+    raise FitNotConvergedError(f"no stable ray at x = {x} with period <= {MAX_PERIOD}")

@@ -183,14 +183,14 @@ def test_criterion_7_randomized_oracle_agreement():
 
 
 def test_criterion_8_cumulative_identity_on_corpus():
-    with criterion(8, "cumulative identity within tolerance at d_M and d_M + 1"):
+    with criterion(8, "cumulative identity exact at d_M and d_M + 1"):
         start = time.perf_counter()
         for name in corpus_names():
             m = load_corpus_module(name)
             table = LengthLadder(m)
             for x in (F(m.max_degree), F(m.max_degree + 1)):
-                res = cumulative_identity(m, x, ladder=(16, 32), table=table)
-                assert res["ok"], (name, x, res)
+                res = cumulative_identity(m, x, table=table)
+                assert res["lhs"] == res["rhs"], (name, x, res)
         assert time.perf_counter() - start < 10.0
 
 

@@ -133,7 +133,7 @@ def _fitted_xy():
     ("a grid point", lambda: sample_adic(M_XY, [1.7], (10,))),
     ("a grid point", lambda: sample_adic(M_XY, [True], (10,))),
     ("x", lambda: ray_extrapolate(LengthLadder(M_XY), 1.5)),
-    ("x", lambda: cumulative_identity(M_XY, 2.0, ladder=(4, 8))),
+    ("x", lambda: cumulative_identity(M_XY, 2.0)),
     ("x", lambda: _fitted_xy().evaluate(1.5)),
 ], ids=["float grid point", "bool grid point", "ray", "cumulative identity", "evaluate"])
 def test_float_abscissae_are_refused_never_read_at_their_binary_value(name, call):
@@ -229,30 +229,41 @@ def test_ray_limit_zero_below_support():
     assert ray_extrapolate(table, F(3, 2)) == 0
 
 
-class _BumpedLadder:
-    """Ladder of (x, y) with length deg + 1 at every (n, deg), one more at n = 14."""
+# (x, y^3): generator degrees {1, 3}, so its rays read at period L = 2
+M_X_Y3 = ideal([(1, 0), (0, 3)])
 
-    module = M_XY
+
+class _BumpedLadder:
+    """Ladder of (x, y^3) with length deg + 1 + (n mod 2) at every (n, deg),
+    one more at n = ``bump``."""
+
+    module = M_X_Y3
+
+    def __init__(self, bump=19):
+        self.bump = bump
 
     def length(self, n, deg):
-        return deg + 1 + (n == 14)
+        return deg + 1 + n % 2 + (n == self.bump)
 
 
-def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial(monkeypatch):
-    # at x = 2, period 1 the ray samples n = 8..14: all but the last are the
-    # line 2n + 1 (limit 4), and the held-out n = 14 leaves it
-    monkeypatch.setattr(density, "MAX_PERIOD", 1)
-    with pytest.raises(FitNotConvergedError, match="increase n ladder"):
+def test_ray_limit_rejects_a_held_out_sample_off_the_polynomial():
+    # at x = 2 the ray samples n = 8..19, (1 + 1 + STABLE_WINDOW) * 2 + 2
+    # samples: 2n + 1 + (n mod 2) is a line at lag 2, though not at lag 1,
+    # with limit 4; bumped at the held-out n = 19, it is refused
+    assert ray_extrapolate(_BumpedLadder(bump=None), F(2)) == 4
+    with pytest.raises(
+        FitNotConvergedError,
+        match=r"^not converged; increase n ladder \(no stable ray at x = 2 with period L = 2\)$",
+    ):
         ray_extrapolate(_BumpedLadder(), F(2))
 
 
 class _NeverStableLadder:
-    """Ladder of (x, y) whose lengths never settle on a polynomial; records
-    every n it is asked for."""
+    """Ladder of ``module`` whose lengths never settle on a polynomial;
+    records every n it is asked for."""
 
-    module = M_XY
-
-    def __init__(self):
+    def __init__(self, module):
+        self.module = module
         self.asked = []
 
     def length(self, n, deg):
@@ -261,19 +272,19 @@ class _NeverStableLadder:
 
 
 def test_ray_stops_before_sampling_past_the_power_bound(monkeypatch):
-    # at x = 1/8 the first period would sample n = 16, 24, ..., 64, past a
-    # bound of 30, so nothing is sampled
+    # at x = 1/3 the ray samples n = 9, 12, ...: seven samples up to n = 27
+    # at period 1, and twelve up to n = 42, past a bound of 30, at period 2
     monkeypatch.setattr(density, "MAX_LADDER_N", 30)
-    ladder = _NeverStableLadder()
-    with pytest.raises(FitNotConvergedError, match="n <= 30"):
-        ray_extrapolate(ladder, F(1, 8))
+    ladder = _NeverStableLadder(M_XY)
+    with pytest.raises(FitNotConvergedError, match="with period L = 1"):
+        ray_extrapolate(ladder, F(1, 3))
+    assert ladder.asked == list(range(9, 28, 3))
+    ladder = _NeverStableLadder(M_X_Y3)
+    with pytest.raises(
+        FitNotConvergedError, match="with period L = 2 would sample M\\^42, above MAX_LADDER_N = 30"
+    ):
+        ray_extrapolate(ladder, F(1, 3))
     assert ladder.asked == []
-    # at x = 2 the periods p = 1..4 sample n = 8 up to n = 14, 19, 24, 29,
-    # and p = 5 would sample up to n = 34
-    ladder = _NeverStableLadder()
-    with pytest.raises(FitNotConvergedError, match="n <= 30"):
-        ray_extrapolate(ladder, F(2))
-    assert max(ladder.asked) == 29
 
 
 class _OddClassLadder:
@@ -298,7 +309,8 @@ POWER_BOUND_CALLS = {
     "sample_adic": lambda: sample_adic(M_XY, [F(1)], (1, _OVER)),
     "sample_saturated": lambda: sample_saturated(M_XY, [F(1)], (_OVER,)),
     "sample_epsilon": lambda: sample_epsilon(M_XY, [F(1)], (2, _OVER)),
-    "cumulative_identity": lambda: cumulative_identity(M_XY, F(1), ladder=(8, _OVER)),
+    # the ray at x = 1/997 starts at M^1994
+    "cumulative_identity": lambda: cumulative_identity(M_XY, F(1, 997)),
     "epsilon_multiplicity": lambda: epsilon_multiplicity(
         M_XY, (1, 2, 3, 5000), cross_check=False
     ),
@@ -318,10 +330,12 @@ POWER_BOUND_CALLS = {
 @pytest.mark.parametrize("call", list(POWER_BOUND_CALLS))
 def test_public_entry_points_refuse_powers_past_the_bound(call, monkeypatch):
     # the bound is the engine's, not only the CLI's: every public function
-    # refuses a ladder entry or n_max above it before building any power
+    # refuses a ladder entry or n_max above it before building any power,
+    # and a ray that would pass it, which cannot converge, samples nothing
     built = []
     monkeypatch.setattr(counting, "next_power", lambda *args: built.append(args))
-    with pytest.raises(InputError, match=f"MAX_LADDER_N = {counting.MAX_LADDER_N}"):
+    error = FitNotConvergedError if call == "cumulative_identity" else InputError
+    with pytest.raises(error, match=f"MAX_LADDER_N = {counting.MAX_LADDER_N}"):
         POWER_BOUND_CALLS[call]()
     assert built == []
 
@@ -472,12 +486,15 @@ def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder(
         epsilon_multiplicity(m, tol=F(-5))
 
 
-def test_fit_not_converged_error_message(monkeypatch):
-    table = LengthLadder(M_XY)
-    grid = sample_adic(M_XY, None, None, table=table)
-    monkeypatch.setattr(density, "MAX_PERIOD", 0)
-    with pytest.raises(FitNotConvergedError, match="increase n ladder"):
-        fit_piecewise(grid, table=table)
+def test_fit_not_converged_error_message():
+    # the first node of the chamber (1, 3] is x = 2, whose ray leaves its
+    # polynomial at the held-out n = 19
+    grid = sample_adic(M_X_Y3, [F(2)], (8,))
+    with pytest.raises(
+        FitNotConvergedError,
+        match=r"^not converged; increase n ladder \(no stable ray at x = 2 with period L = 2\)$",
+    ):
+        fit_piecewise(grid, table=_BumpedLadder())
 
 
 # -- integrals ----------------------------------------------------------------------
@@ -489,21 +506,16 @@ def test_trapezoid_exact_for_piecewise_linear():
 
 
 def test_cumulative_identity_linear_case():
-    table = LengthLadder(M_XY)
-    res = cumulative_identity(M_XY, F(2), ladder=(16, 32), table=table)
-    # exact limit: lhs -> 3! * integral contributions = 9; rhs integrates 2x on [1,2]
-    assert res["ok"]
-    assert abs(res["lhs"] - 9) < F(1, 10)
-    assert abs(res["rhs"] - 9) < F(1, 2)
+    # 3! * sum_{n <= j <= 2n} (j + 1) / n^2 -> 3! * 3/2 = 9 = 3 * integral of 2x on [1, 2]
+    res = cumulative_identity(M_XY, F(2))
+    assert res["lhs"] == res["rhs"] == 9
+    assert res["integral"] == 3
 
 
 def test_oversized_grids_are_refused_before_any_point_is_built():
-    # from -1 by 1/8: 100025 points up to d_M + 2 = 12502, 100009 up to 12500,
-    # 99993 up to 12498
+    # from -1 by 1/8: 100025 points up to d_M + 2 = 12502, 99993 up to 12498
     with pytest.raises(InputError, match="100025 points"):
         default_grid(ideal([(12500, 0), (0, 1)]))
-    with pytest.raises(InputError, match="100009 points"):
-        cumulative_identity(M_XY, F(12500), ladder=(1,))
     assert len(default_grid(ideal([(12496, 0), (0, 1)]))) == 99993
 
 
@@ -529,6 +541,11 @@ def test_ladders_are_refused_unless_strictly_increasing_and_positive(ladder):
         sample_adic(M_XY, [F(1)], ladder)
 
 
-def test_cumulative_identity_off_grid_x_rejected():
-    with pytest.raises(InputError):
-        cumulative_identity(M_XY, F(1, 3), ladder=(8, 16))
+def test_cumulative_identity_is_exact_off_the_density_grid():
+    # (x, y): 3 * integral of 2x on [1, 5/3] = 3 * 16/9
+    res = cumulative_identity(M_XY, F(5, 3))
+    assert res["lhs"] == res["rhs"] == F(16, 3)
+    # mixed_rank2 (density 9x^2/4 on (0, 2], 6x - 3 past 2, d + e = 4):
+    # 4 * (integral of 9x^2/4 on [0, 2] + integral of 6x - 3 on [2, 8/3]) = 4 * (6 + 22/3)
+    res = cumulative_identity(load_corpus_module("mixed_rank2"), F(8, 3))
+    assert res["lhs"] == res["rhs"] == F(160, 3)

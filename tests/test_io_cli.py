@@ -441,6 +441,32 @@ def test_cli_check_pair_refusal_is_not_the_slope(tmp_path, capsys):
     assert "not in the larger module" in err and "--c" not in err
 
 
+def test_cli_check_tests_each_generator_for_membership_once(monkeypatch):
+    # the slope bound comes from the one pair check that the verdict then
+    # relies on: reduction_sub_x2_y2 has two generators
+    from reesdensity import dependence
+
+    asked = []
+    real = dependence.membership
+
+    def recording(term, m):
+        asked.append(term)
+        return real(term, m)
+
+    monkeypatch.setattr(dependence, "membership", recording)
+    argv = ["check", "--sub", "corpus:reduction_sub_x2_y2", "--sup", "corpus:square_maximal"]
+    assert main(argv) == 0
+    assert sorted(asked) == sorted(load_corpus_module("reduction_sub_x2_y2").generators())
+
+
+def test_cli_check_bad_slope_names_the_flag(capsys):
+    argv = ["check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal", "--c", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--c: the slope c must exceed the top generator degree 2, got 2" in captured.err
+
+
 @given(st.lists(st.one_of(st.integers(-2, 12), st.sampled_from([MAX_LADDER_N, MAX_LADDER_N + 1])),
                 min_size=1, max_size=5))
 @example([3, 2])

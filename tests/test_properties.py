@@ -10,6 +10,7 @@ import oracles
 from util import RING_XY, RING_XYZ, census_by_enumeration, census_by_lengths, ideal, module
 
 from reesdensity import (
+    FitNotConvergedError,
     LengthLadder,
     TermModule,
     default_grid,
@@ -21,6 +22,7 @@ from reesdensity import (
     load_corpus_module,
     power,
     product,
+    ray_extrapolate,
     sample_adic,
     sample_saturated,
     saturate,
@@ -28,6 +30,7 @@ from reesdensity import (
 )
 from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
+from reesdensity.density import _chamber_nodes
 from reesdensity.multiplicity import extract_polynomial_growth
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
@@ -416,3 +419,44 @@ def test_growth_reader_reads_quasi_polynomial_samples(
     assert got["degree"] == degree
     assert got["normalized"] == factorial(degree) * lead
     assert got["onset_n"] <= ns[len(prefix)]
+
+
+@st.composite
+def ray_modules(draw):
+    """Full-rank modules in d = 2 or 3 variables, of rank 1 or 2, with shifts
+    in -1..1 and every generator in degree 0..3."""
+    d = draw(st.integers(2, 3))
+    shifts = tuple(draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2)))
+    comps = {}
+    for i, shift in enumerate(shifts):
+        degrees = draw(st.lists(st.integers(max(0, -shift), 3 - shift), min_size=1, max_size=3))
+        comps[i] = [draw(st.sampled_from(oracles.monomials_of_degree(d, k))) for k in degrees]
+    return module(comps, shifts, RING_XY if d == 2 else RING_XYZ)
+
+
+def _ray_outcome(read, table, x):
+    try:
+        return read(table, x)
+    except FitNotConvergedError:
+        return "not converged"
+
+
+@given(ray_modules())
+# degrees {0, 2}: L = 2, the period of the ray at x = 1/3
+@example(module({0: [(2, 0), (1, 1)], 1: [(0, 1)]}, (0, -1)))
+# degrees {0, 2, 3}: L = 6
+@example(module({0: [(0, 0, 2), (1, 1, 1)], 1: [(0, 0, 1)]}, (0, -1), RING_XYZ))
+@settings(max_examples=30, deadline=None)
+def test_ray_read_at_the_module_period_matches_the_period_search(m):
+    # along a ray the lengths are a quasi-polynomial whose period divides
+    # L = lcm |delta - delta'| over the generator degrees, so one reading at
+    # lag L gives what the search over p = 1..12 found first; two nodes per
+    # chamber keep every denominator at most 2 (a ray at x = p/q samples
+    # powers up to n ~ 44q at L = 6 and d + e = 5)
+    table = LengthLadder(m)
+    bps = m.generator_degrees
+    nodes = [x for lo, hi in zip(bps, [*bps[1:], None]) for x in _chamber_nodes(lo, hi, 2)]
+    for x in [*map(F, bps), *nodes]:
+        assert _ray_outcome(ray_extrapolate, table, x) == _ray_outcome(
+            oracles.ray_by_period_search, table, x
+        ), x
