@@ -159,8 +159,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    from .multiplicity import EPSILON_TOL, diagonal_multiplicity, epsilon_multiplicity
-    from .multiplicity import mixed_multiplicities, require_slope
+    from .multiplicity import EPSILON_TOL, diagonal_from_fit, epsilon_multiplicity
+    from .multiplicity import fit_or_error, mixed_from_fit, require_slope
 
     wants = [name for name, on in (
         ("epsilon", args.epsilon), ("diagonal", args.diagonal), ("mixed", args.mixed)
@@ -179,13 +179,18 @@ def _cmd_multiplicity(args) -> int:
                              "reads; add --epsilon")
     module = _load_module(args.module)
     if "diagonal" in wants or "mixed" in wants:
-        _flag("--c", require_slope, module.max_degree, args.c)
+        c = _flag("--c", require_slope, module.max_degree, args.c)
     ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
     _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)
     reports = []
     status_worst = EXIT_OK
+    fit = None
     for name in wants:
+        if name != "epsilon" and fit is None:
+            # one fit, read by both the diagonal and the mixed report, made
+            # after epsilon has asked for the powers in ascending order
+            fit = fit_or_error(module, c, table)
         if name == "epsilon":
             report = epsilon_multiplicity(module, ladder, table=table, tol=tol or EPSILON_TOL)
             exact = report.values["exact"]
@@ -193,7 +198,7 @@ def _cmd_multiplicity(args) -> int:
                   f"estimate {fraction_str(report.values['estimate'])}"
                   + (f", exact {fraction_str(exact)}" if exact is not None else ""))
         elif name == "diagonal":
-            report = diagonal_multiplicity(module, args.c, table=table)
+            report = diagonal_from_fit(fit, c)
             for version in ("a_version", "s_version"):
                 v = report.values[version]
                 label = "base ring" if version == "a_version" else "extension"
@@ -203,9 +208,7 @@ def _cmd_multiplicity(args) -> int:
                     print(f"diagonal ({label}): dimension {v['dimension']}, "
                           f"multiplicity {fraction_str(v['multiplicity'])}")
         else:
-            report = mixed_multiplicities(
-                module, extended=args.extended, c=args.c, table=table
-            )
+            report = mixed_from_fit(fit, module.ambient.ring.dim, args.extended)
             if report.values["e"] is None:
                 print(f"mixed: {report.status} ({report.diagnostics.get('reason')})")
             else:

@@ -404,13 +404,3 @@ def payload_crc(payload) -> str:
     """The CRC-32 of a payload's canonical JSON, as eight hex digits."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return f"{zlib.crc32(blob.encode('utf-8')):08x}"
-
-
-def module_from_payload(payload: dict) -> TermModule:
-    ring = RingSpec(tuple(payload["variables"]))
-    ambient = GradedFreeModule(ring, tuple(payload["shifts"]))
-    comps = tuple(
-        (tuple(c["basis_exponents"]), tuple(map(tuple, c["generators"])))
-        for c in payload["components"]
-    )
-    return TermModule(ambient, int(payload["level"]), comps)

@@ -27,7 +27,6 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .core import (
-    FitNotConvergedError,
     InputError,
     InternalInvariantError,
     NotSubmoduleError,
@@ -40,7 +39,7 @@ from .counting import MAX_LADDER_N, LengthLadder, ladder_for, normalize_ladder, 
 from .multiplicity import (
     diagonal_from_fit,
     epsilon_multiplicity,
-    fit_bigraded_polynomial,
+    fit_or_error,
     mixed_from_fit,
     require_slope,
     stand_in_epsilon,
@@ -176,14 +175,11 @@ def check_dependence(
 
     def invariants(m: TermModule, table: LengthLadder) -> dict:
         eps = epsilon_multiplicity(m, ladder, table=table, cross_check=False)
-        try:
-            fit = fit_bigraded_polynomial(m, c, cumulative=True, table=table)
-        except FitNotConvergedError as exc:
-            fit = exc
+        fit = fit_or_error(m, c, table)
         return {
             "epsilon": eps,
             "diagonal": [diagonal_from_fit(fit, slope) for slope in slopes],
-            "mixed": mixed_from_fit(fit, m.ambient.ring.dim),
+            "mixed": mixed_from_fit(fit, m.ambient.ring.dim, True),
             "truncation": stand_in_epsilon(eps.values["exact"], fit),
         }
 

@@ -2,14 +2,16 @@
 
 Two invariants are read off the lengths: the epsilon multiplicity, the
 growth of the saturation-quotient totals on an n ladder, and the bigraded
-Hilbert polynomial, interpolated exactly deep inside its polynomial region
-(``fit_bigraded_polynomial``).  The mixed multiplicities are the leading
-form of the fit; the diagonal multiplicities along m = c*n (in the base
-ring and in the one-variable polynomial extension realized by cumulative
-lengths) and the epsilon of the truncation M_{>=c} are closed forms in
-epsilon and one cumulative fit.  Nothing that fails to stabilize is guessed;
-it is reported as undetermined.  Lengths come from a ``LengthLadder`` of the
-module, passed in as ``table=`` as in ``density``.
+polynomial P-bar of the cumulative lengths, interpolated exactly deep
+inside its polynomial region (``fit_bigraded_polynomial``).  The extended
+mixed multiplicities e-bar are the leading form of P-bar and the plain ones
+are e_i = e-bar_{i+1}, as the graded lengths are P-bar(X, n) - P-bar(X-1, n);
+the diagonal multiplicities along m = c*n (in the base ring and in the
+one-variable polynomial extension realized by cumulative lengths) and the
+epsilon of the truncation M_{>=c} are closed forms in epsilon and the same
+fit.  Nothing that fails to stabilize is guessed; it is reported as
+undetermined.  Lengths come from a ``LengthLadder`` of the module, passed in
+as ``table=`` as in ``density``.
 """
 
 from __future__ import annotations
@@ -193,12 +195,12 @@ def require_slope(bound: int, c: Optional[int]) -> int:
 
 
 class BigradedFit(SimpleNamespace):
-    """Validated bivariate Hilbert polynomial P(X, Y) with fit metadata.
+    """Validated polynomial P-bar(X, Y) of the cumulative lengths, with fit
+    metadata: sum over j <= X of len((M^n)_j) is P-bar(X, n) deep in the
+    cone, and len((M^n)_X) is P-bar(X, n) - P-bar(X - 1, n).
 
-    Fields: ``poly``, the slope ``c``, ``margin``, ``n_base``,
-    ``total_degree_bound``, ``cumulative``, and ``h``, the step of the n
-    grid, which is always 1: past X = d_M*n the lengths are a polynomial,
-    never a quasi-polynomial, in (X, n).
+    Fields: ``poly``, the slope ``c``, ``margin``, ``n_base`` (the grid's
+    first n; the grid steps by 1 in n) and ``total_degree_bound``, d+e-1.
     """
 
     def evaluate(self, m_deg: int, n: int) -> Fraction:
@@ -209,53 +211,46 @@ def fit_bigraded_polynomial(
     m: TermModule,
     c: Optional[int] = None,
     *,
-    cumulative: bool = False,
     table: Optional[LengthLadder] = None,
 ) -> BigradedFit:
-    """Fit the polynomial P(X, Y) with len((M^n)_X) = P(X, n) deep in the cone.
+    """Fit the polynomial P-bar(X, Y) with sum over j <= X of len((M^n)_j)
+    = P-bar(X, n) deep in the cone.
 
-    Interpolates P of total degree <= d+e-2 (one more for cumulative lengths)
-    directly in (X, Y) through exact lengths at X = c*n + margin + k, Y = n,
-    one sample per (k, n) of a triangular grid; the fit must then reproduce
-    four held-out samples exactly.  The margin doubles until they agree: the
-    polynomial region's onset is unknown a priori.
+    Interpolates P-bar of total degree <= d+e-1 directly in (X, Y) through
+    exact cumulative lengths at X = c*n + margin + k, Y = n, one sample per
+    (k, n) of a triangular grid; the fit must then reproduce four held-out
+    samples exactly.  The margin doubles until they agree: the polynomial
+    region's onset is unknown a priori.
 
     There is one fit per margin, on consecutive n.  len((M^n)_X) is a sum of
     shifted p(X, n) = sum over |b| = n of C(X - b.deg + d - 1, d - 1), whose
     binomials all have a nonnegative top once X >= d_M*n + C for a constant
     C; a polynomial summed over the lattice points of the dilate n*simplex
-    is a polynomial in n, so there P has no residue classes in n (nor has
-    the cumulative sum, one more variable of degree (1, 0)).  As c > d_M,
-    the grid's row n = n_base is the first to leave that region.
+    is a polynomial in n, so there the lengths, and their cumulative sum,
+    one more variable of degree (1, 0), have no residue classes in n.  As
+    c > d_M, the grid's row n = n_base is the first to leave that region.
     """
     require_samplable(m)
     c = require_slope(m.max_degree, c)
     table = ladder_for(m, table)
     d = m.ambient.ring.dim
     e = m.ambient.rank
-    total_degree = d + e - 2 + (1 if cumulative else 0)
-    value = table.cumulative if cumulative else table.length
-    n0 = max(total_degree + 2, 4)
+    total_degree = d + e - 1
+    n0 = total_degree + 2
     grid = [(k, n0 + j) for j in range(total_degree + 1) for k in range(total_degree + 1 - j)]
     top = n0 + total_degree + 1
     held_out = [(0, top), (1, top), (total_degree + 1, n0), (total_degree + 2, n0 + 1)]
 
     def sample(marg: int, k: int, n: int) -> tuple[int, int, int]:
         x = c * n + marg + k
-        return x, n, value(n, x)
+        return x, n, table.cumulative(n, x)
 
     for marg in FIT_MARGINS:
         # an affine image of the triangular grid: the system is never singular
         poly = fit_poly2_triangular([sample(marg, k, n) for k, n in grid], total_degree)
         if all(poly2_eval(poly, x, n) == v for x, n, v in (sample(marg, *p) for p in held_out)):
             return BigradedFit(
-                poly=poly,
-                c=c,
-                margin=marg,
-                h=1,
-                n_base=n0,
-                total_degree_bound=total_degree,
-                cumulative=cumulative,
+                poly=poly, c=c, margin=marg, n_base=n0, total_degree_bound=total_degree
             )
     raise FitNotConvergedError(
         f"no polynomial region found (held-out samples disagree up to the margin "
@@ -265,15 +260,16 @@ def fit_bigraded_polynomial(
 
 # -- readers of one fit -----------------------------------------------------------
 #
-# Each takes a fit or the FitNotConvergedError it raised: one cumulative fit
-# of M serves the extended mixed row, every diagonal row and the stand-in.
+# Each takes a fit or the FitNotConvergedError it raised: one fit of M
+# serves both mixed vectors, every diagonal row and the stand-in.
 
 
-def _fit_or_error(
-    m: TermModule, c: Optional[int], cumulative: bool, table: Optional[LengthLadder]
+def fit_or_error(
+    m: TermModule, c: Optional[int], table: Optional[LengthLadder]
 ) -> "BigradedFit | FitNotConvergedError":
+    """``fit_bigraded_polynomial``, or the ``FitNotConvergedError`` it raised."""
     try:
-        return fit_bigraded_polynomial(m, c, cumulative=cumulative, table=table)
+        return fit_bigraded_polynomial(m, c, table=table)
     except FitNotConvergedError as exc:
         return exc
 
@@ -284,27 +280,30 @@ def _undetermined(kind: str, values: dict, exc: FitNotConvergedError) -> Multipl
 
 
 def _fit_record(fit: BigradedFit) -> dict:
-    return {key: getattr(fit, key) for key in ("c", "margin", "h", "n_base", "cumulative")}
+    return {key: getattr(fit, key) for key in ("c", "margin", "n_base")}
 
 
-def mixed_from_fit(fit: "BigradedFit | FitNotConvergedError", d: int) -> MultiplicityReport:
-    """Mixed multiplicities from the leading form of a fit of a module over d
-    variables.
+def mixed_from_fit(
+    fit: "BigradedFit | FitNotConvergedError", d: int, extended: bool
+) -> MultiplicityReport:
+    """Mixed multiplicities from the leading form of the fit P-bar of a
+    module over d variables: all of e-bar when ``extended``, else e.
 
-    The leading form is Y^{e-1} * sum_i e_i X^i Y^{d-1-i} / (i! (d+e-2-i)!),
-    so e_i = i! (d+e-2-i)! * coeff(X^i Y^{d+e-2-i}) for 0 <= i <= d-1.  A
-    cumulative fit (total degree one higher) gives the extended e_0..e_d the
-    same way.  Each e_i must come out an integer; a violation is reported as
-    a too-shallow fit region.
+    The leading form is Y^{e-1} * sum_i e-bar_i X^i Y^{d-i} / (i! (t-i)!)
+    with t = d+e-1, so e-bar_i = i! (t-i)! * coeff(X^i Y^{t-i}) for
+    0 <= i <= d.  The graded lengths P-bar(X, n) - P-bar(X-1, n) have the
+    X-derivative of that form as theirs, so e_i = e-bar_{i+1} for
+    0 <= i <= d-1.  Each value must come out an integer; a violation is
+    reported as a too-shallow fit region.
     """
     if isinstance(fit, FitNotConvergedError):
         return _undetermined("mixed", {"e": None}, fit)
     t = fit.total_degree_bound
     top = {key: coeff for key, coeff in fit.poly.items() if sum(key) == t}
-    i_max = d - 1 + (1 if fit.cumulative else 0)
-    es = [top.get((i, t - i), Fraction(0)) * factorial(i) * factorial(t - i)
-          for i in range(i_max + 1)]
-    stray = {key: coeff for key, coeff in top.items() if key[0] > i_max and coeff != 0}
+    e_bar = [top.get((i, t - i), Fraction(0)) * factorial(i) * factorial(t - i)
+             for i in range(d + 1)]
+    es = e_bar if extended else e_bar[1:]
+    stray = {key: coeff for key, coeff in top.items() if key[0] > d and coeff != 0}
     non_integer = [i for i, v in enumerate(es) if v.denominator != 1]
     diagnostics: dict = {
         "fit": _fit_record(fit),
@@ -319,7 +318,7 @@ def mixed_from_fit(fit: "BigradedFit | FitNotConvergedError", d: int) -> Multipl
         kind="mixed",
         status="suspect" if stray or non_integer else "ok",
         values={"e": tuple(int(v) if v.denominator == 1 else v for v in es),
-                "extended": fit.cumulative},
+                "extended": extended},
         ladder=(),
         diagnostics=diagnostics,
     )
@@ -342,7 +341,7 @@ def _growth(coeffs: list[Fraction]) -> dict:
 
 
 def diagonal_from_fit(fit: "BigradedFit | FitNotConvergedError", c: int) -> MultiplicityReport:
-    """The diagonals at slope c read off a cumulative fit P-bar: past X =
+    """The diagonals at slope c read off the fit P-bar: past X =
     d_M*n the cumulative length is P-bar(X, n), so the extension diagonal is
     P-bar(cn, n) and the base-ring one, len((M^n)_{cn}), is P-bar(cn, n) -
     P-bar(cn - 1, n), for every slope c past d_M."""
@@ -362,7 +361,7 @@ def diagonal_from_fit(fit: "BigradedFit | FitNotConvergedError", c: int) -> Mult
 def stand_in_epsilon(
     epsilon: Optional[Fraction], fit: "BigradedFit | FitNotConvergedError"
 ) -> Optional[Fraction]:
-    """Epsilon of the truncation M_{>=c} at the slope c of a cumulative fit
+    """Epsilon of the truncation M_{>=c} at the slope c of the fit
     P-bar of M, from epsilon(M); None when either is unknown.
 
     For c past every generator degree, (M_{>=c})^n = (M^n)_{>=nc}: a term
@@ -384,9 +383,9 @@ def mixed_multiplicities(
     c: Optional[int] = None,
     table: Optional[LengthLadder] = None,
 ) -> MultiplicityReport:
-    """Mixed multiplicities of M read by ``mixed_from_fit`` off
-    ``fit_bigraded_polynomial``, of the cumulative lengths when ``extended``."""
-    return mixed_from_fit(_fit_or_error(m, c, extended, table), m.ambient.ring.dim)
+    """Mixed multiplicities of M, the extended ones when ``extended``, read
+    by ``mixed_from_fit`` off ``fit_bigraded_polynomial``."""
+    return mixed_from_fit(fit_or_error(m, c, table), m.ambient.ring.dim, extended)
 
 
 def diagonal_multiplicity(
@@ -397,12 +396,12 @@ def diagonal_multiplicity(
 ) -> MultiplicityReport:
     """Multiplicities of the degree-(c,1) diagonal algebras of M: the growth
     of h(n) = len((M^n)_{cn}) (base ring) and of the cumulative lengths (the
-    one-variable polynomial extension), read by ``diagonal_from_fit`` off one
-    cumulative ``fit_bigraded_polynomial``.  The dimension is the degree in
+    one-variable polynomial extension), read by ``diagonal_from_fit`` off
+    ``fit_bigraded_polynomial``.  The dimension is the degree in
     n plus 1, the multiplicity degree! times the leading coefficient; a fit
     that does not converge yields status "undetermined" with its reason.
     The slope ``c`` defaults to d_M + 1 and must exceed d_M.
     """
     require_samplable(m)
     c = require_slope(m.max_degree, c)
-    return diagonal_from_fit(_fit_or_error(m, c, True, table), c)
+    return diagonal_from_fit(fit_or_error(m, c, table), c)

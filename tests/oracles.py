@@ -7,12 +7,12 @@ wraps its enumerated generators in a ``TermModule`` so they can be handed to
 the engine's ladders, ``quotient_monomials`` reads ``TermModule``
 components and returns (exponents, basis_exponents) pairs,
 ``density_polynomial_from_fit`` reads a ``BigradedFit``'s polynomial, and
-``diagonal_by_ladder`` and ``truncation_totals`` read the lengths of a
-``LengthLadder`` the slow way, as references for the engine's readings of
-one bigraded fit.  ``ray_by_period_search`` is the ray reader that searched
-its period, kept as the reference for the engine's one reading at the period
-the generator degrees bound; it shares the engine's stabilization reader and
-differs only in the period it reads at.
+``diagonal_by_ladder``, ``truncation_totals`` and ``graded_mixed`` read the
+lengths of a ``LengthLadder`` the slow way, as references for the engine's
+readings of one bigraded fit.  ``ray_by_period_search`` is the ray reader
+that searched its period, kept as the reference for the engine's one reading
+at the period the generator degrees bound; it shares the engine's
+stabilization reader and differs only in the period it reads at.
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from math import factorial
 from reesdensity import FitNotConvergedError, InternalInvariantError, TermModule
 from reesdensity.counting import MAX_LADDER_N
 from reesdensity.density import RAY_N_FLOOR, floor_times
-from reesdensity.polyfit import MAX_PERIOD, STABLE_WINDOW, difference_rows, stabilized_difference
+from reesdensity.multiplicity import FIT_MARGINS
+from reesdensity.polyfit import (
+    MAX_PERIOD,
+    STABLE_WINDOW,
+    difference_rows,
+    fit_poly2_triangular,
+    poly2_eval,
+    stabilized_difference,
+)
 
 
 class CensusOverflowError(InternalInvariantError):
@@ -323,19 +331,59 @@ def quotient_monomials(m, msat, max_nodes=2_000_000):
 
 
 def density_polynomial_from_fit(fit, d, e):
-    """Top-chamber density polynomial implied by a bigraded fit's P.
+    """Top-chamber density polynomial implied by a bigraded fit's P-bar.
 
-    P(xn, n)/n^T tends to the degree-T form evaluated at (x, 1); multiplying
-    by (d+e-1)! gives the adic density on [d_M, infinity).
+    The graded lengths P-bar(X, n) - P-bar(X-1, n) have as leading form the
+    X-derivative G of P-bar's degree-T form; len((M^n)_{xn})/n^{T-1} tends
+    to G(x, 1), and multiplying by (d+e-1)! gives the adic density on
+    [d_M, infinity).
     """
     t = fit.total_degree_bound
-    coeffs = [Fraction(0)] * (t + 1)
+    coeffs = [Fraction(0)] * t
     for (i, j), coeff in fit.poly.items():
-        if i + j == t:
-            coeffs[i] += coeff * factorial(d + e - 1)
+        if i + j == t and i > 0:
+            coeffs[i - 1] += i * coeff * factorial(d + e - 1)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def graded_mixed(table, c):
+    """(e, status) of the module of ``table``, a ``LengthLadder``, read off
+    the polynomial P of its graded lengths, len((M^n)_X) = P(X, n) deep in
+    the cone: the reference for the engine's reading e_i = e-bar_{i+1} off
+    its cumulative fit.  It shares the engine's elimination and margins and
+    differs in the lengths it fits.
+
+    P has total degree t = d+e-2 and is fitted at X = c*n + margin + k on a
+    triangular grid from n0 = max(t + 2, 4), then checked on four held-out
+    samples, the margin doubling through ``FIT_MARGINS``.  e_i = i! (t-i)!
+    coeff(X^i Y^{t-i}) for i < d; the status is "suspect" when P's leading
+    form has a term X^i Y^j with i >= d or an e_i is no integer, and
+    "undetermined", with e None, when no margin validates.
+    """
+    m = table.module
+    d = m.ambient.ring.dim
+    t = d + m.ambient.rank - 2
+    n0 = max(t + 2, 4)
+    grid = [(k, n0 + j) for j in range(t + 1) for k in range(t + 1 - j)]
+    top = n0 + t + 1
+    held_out = [(0, top), (1, top), (t + 1, n0), (t + 2, n0 + 1)]
+
+    def sample(margin, k, n):
+        x = c * n + margin + k
+        return x, n, table.length(n, x)
+
+    for margin in FIT_MARGINS:
+        poly = fit_poly2_triangular([sample(margin, k, n) for k, n in grid], t)
+        if all(poly2_eval(poly, x, n) == v for x, n, v in (sample(margin, *p) for p in held_out)):
+            break
+    else:
+        return None, "undetermined"
+    lead = {i: v for (i, j), v in poly.items() if i + j == t}
+    es = tuple(lead.get(i, Fraction(0)) * factorial(i) * factorial(t - i) for i in range(d))
+    suspect = any(i >= d for i in lead) or any(v.denominator != 1 for v in es)
+    return es, "suspect" if suspect else "ok"
 
 
 def growth_by_differences(ns, values, max_order, window=3):

@@ -195,11 +195,13 @@ def test_criterion_8_cumulative_identity_on_corpus():
 
 
 def test_criterion_9_mixed_multiplicities_of_maximal_ideal():
-    with criterion(9, "bigraded fit X+1 for (x,y); e-values match density 2x"):
+    with criterion(9, "bigraded fit of lengths X+1 for (x,y); e-values match density 2x"):
         m = ideal([(1, 0), (0, 1)])
         table = LengthLadder(m)
         fit = fit_bigraded_polynomial(m, table=table)
-        assert fit.poly == {(1, 0): F(1), (0, 0): F(1)}
+        # P-bar = (X+1)(X+2)/2 - n(n+1)/2, the cumulative sum of X + 1
+        assert fit.poly == {(2, 0): F(1, 2), (1, 0): F(3, 2), (0, 0): F(1),
+                            (0, 2): F(-1, 2), (0, 1): F(-1, 2)}
         rep = mixed_multiplicities(m, table=table)
         assert rep.status == "ok"
         assert rep.values["e"] == (0, 1)

@@ -24,6 +24,7 @@ from reesdensity import (
 from reesdensity import counting
 from reesdensity.cli import main
 import reesdensity.dependence as dependence
+import reesdensity.multiplicity as multiplicity
 
 M_SQ = ideal([(2, 0), (1, 1), (0, 2)])
 N_CI = ideal([(2, 0), (0, 2)])
@@ -286,17 +287,19 @@ def test_certificate_contradiction_raises_internal_error(monkeypatch):
 def test_each_module_gets_one_invariant_pass(sub, sup, verdict, calls, monkeypatch):
     counts = {}
 
-    def counted(name):
-        real = getattr(dependence, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dependence, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("epsilon_multiplicity", "fit_bigraded_polynomial", "LengthLadder"):
-        counted(name)
+    for owner, name in ((dependence, "epsilon_multiplicity"),
+                        (multiplicity, "fit_bigraded_polynomial"),
+                        (dependence, "LengthLadder")):
+        counted(owner, name)
     # the diagonal rows at c and c + 1, the mixed row and the stand-in are
     # all read off the one cumulative fit
     got = check_dependence(sub, sup, robustness_c=True)

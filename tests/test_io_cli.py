@@ -31,6 +31,7 @@ from reesdensity import (
     sample_adic,
     serialize_module,
 )
+import reesdensity.multiplicity as multiplicity
 from reesdensity.cli import MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
 from reesdensity.counting import normalize_ladder
@@ -395,6 +396,19 @@ def test_cli_mixed_undetermined_exit_three(tmp_path, capsys):
     ]))
     assert main(["multiplicity", "--module", str(path), "--mixed"]) == 3
     assert "mixed: undetermined" in capsys.readouterr().out
+
+
+def test_cli_diagonal_and_mixed_share_one_fit(monkeypatch, capsys):
+    # both reports are read off one fit of the cumulative lengths, which for
+    # mixed_rank2 validates at the first margin: one interpolation in all
+    calls = []
+    real = multiplicity.fit_poly2_triangular
+    monkeypatch.setattr(multiplicity, "fit_poly2_triangular",
+                        lambda *args: calls.append(args) or real(*args))
+    argv = ["multiplicity", "--module", "corpus:mixed_rank2", "--diagonal", "--mixed"]
+    assert main(argv) == 0
+    assert "mixed: status ok, e = [-1, 1]" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 _SUBCOMMANDS = {

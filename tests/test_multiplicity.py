@@ -259,20 +259,36 @@ def test_ladder_of_another_module_is_rejected():
 # -- bigraded fits ----------------------------------------------------------------------
 
 
+def _graded(fit, x, n):
+    """len((M^n)_X) read off the cumulative fit: P-bar(X, n) - P-bar(X-1, n)."""
+    return fit.evaluate(x, n) - fit.evaluate(x - 1, n)
+
+
 def test_bigraded_fit_maximal_ideal_is_x_plus_1():
+    # P-bar = sum_{j=n}^{X} (j + 1) = (X+1)(X+2)/2 - n(n+1)/2, whose
+    # graded lengths are X + 1
     fit = fit_bigraded_polynomial(M_XY)
-    assert fit.poly == {(1, 0): F(1), (0, 0): F(1)}
-    assert fit.h == 1
+    assert fit.poly == {(2, 0): F(1, 2), (1, 0): F(3, 2), (0, 0): F(1),
+                        (0, 2): F(-1, 2), (0, 1): F(-1, 2)}
+    for x, n in ((9, 4), (30, 7), (100, 50)):
+        assert _graded(fit, x, n) == x + 1
 
 
 def test_bigraded_fit_whole_free_module():
+    # every power is A itself: P-bar = (X+1)(X+2)/2, graded lengths X + 1
     fit = fit_bigraded_polynomial(ideal([(0, 0)]))
-    assert fit.poly == {(1, 0): F(1), (0, 0): F(1)}
+    assert fit.poly == {(2, 0): F(1, 2), (1, 0): F(3, 2), (0, 0): F(1)}
+    assert _graded(fit, 12, 5) == 13
 
 
 def test_bigraded_fit_x2_xy():
+    # (x^2, xy)^n = x^n (x, y)^n has X - n + 1 terms in degree X >= 2n, so
+    # P-bar = (X-n+1)(X-n+2)/2 - n(n+1)/2
     fit = fit_bigraded_polynomial(M_X2_XY)
-    assert fit.poly == {(1, 0): F(1), (0, 1): F(-1), (0, 0): F(1)}
+    assert fit.poly == {(2, 0): F(1, 2), (1, 1): F(-1), (1, 0): F(3, 2),
+                        (0, 1): F(-2), (0, 0): F(1)}
+    for x, n in ((9, 4), (40, 11)):
+        assert _graded(fit, x, n) == x - n + 1
 
 
 def test_bigraded_fit_evaluates_lengths_exactly():
@@ -280,15 +296,19 @@ def test_bigraded_fit_evaluates_lengths_exactly():
     table = LengthLadder(M_SQ)
     for n in (5, 9):
         for m_deg in (3 * n + 2, 3 * n + 7):
-            assert fit.evaluate(m_deg, n) == table.length(n, m_deg)
+            assert fit.evaluate(m_deg, n) == table.cumulative(n, m_deg)
+            assert _graded(fit, m_deg, n) == table.length(n, m_deg)
 
 
 def test_bigraded_fit_cumulative_raises_degree():
-    fit = fit_bigraded_polynomial(M_XY, cumulative=True)
+    # P-bar has total degree d+e-1, one more than its graded lengths X + 1
+    fit = fit_bigraded_polynomial(M_XY)
     assert fit.total_degree_bound == 2
+    assert max(i + j for i, j in fit.poly) == 2
     table = LengthLadder(M_XY)
     for n in (6, 11):
         assert fit.evaluate(2 * n + 3, n) == table.cumulative(n, 2 * n + 3)
+        assert _graded(fit, 2 * n + 3, n) == table.length(n, 2 * n + 3) == 2 * n + 4
 
 
 def test_density_polynomial_from_fit_matches_top_chamber():
@@ -368,9 +388,8 @@ def test_mixed_fit_doubles_its_margin_past_the_regularity():
     assert ext.values["e"] == (-20 * 21, 0, 1)  # (-e(I), 0, 1)
     assert ext.diagnostics["fit"]["margin"] == 16
     fit = fit_bigraded_polynomial(m, table=table)
-    cumulative = fit_bigraded_polynomial(m, cumulative=True, table=table)
     for x, n in ((22 * 7 + 16, 7), (22 * 9 + 17, 9), (22 * 10 + 40, 10)):
         gens = oracles.power_oracle([(20, 0), (0, 21)], n)
-        assert fit.evaluate(x, n) == len(oracles.ideal_members_at_degree(gens, 2, x))
+        assert _graded(fit, x, n) == len(oracles.ideal_members_at_degree(gens, 2, x))
         # cumulative length C(X+2, 2) - e(I) n(n+1)/2 past the regularity
-        assert cumulative.evaluate(x, n) == comb(x + 2, 2) - 420 * n * (n + 1) // 2
+        assert fit.evaluate(x, n) == comb(x + 2, 2) - 420 * n * (n + 1) // 2

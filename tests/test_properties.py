@@ -1,5 +1,6 @@
 """Structural invariants checked on randomized inputs."""
 
+import random
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from util import RING_XY, RING_XYZ, census_by_enumeration, census_by_lengths, ideal, module
+from util import (
+    RING_XY,
+    RING_XYZ,
+    census_by_enumeration,
+    census_by_lengths,
+    ideal,
+    module,
+    random_module,
+)
 
 from reesdensity import (
     FitNotConvergedError,
@@ -20,6 +29,7 @@ from reesdensity import (
     is_submodule,
     length_component,
     load_corpus_module,
+    mixed_multiplicities,
     power,
     product,
     ray_extrapolate,
@@ -253,12 +263,13 @@ def test_ladder_lengths_match_enumeration(m, n):
 
 
 def _assert_fit_matches_enumeration(m, cumulative):
-    # P(X, n) against terms of M^n counted one by one, at n past every
-    # sampled n, with offsets k = X - c*n - margin inside and beyond the
-    # sampled ones
+    # P-bar(X, n), or with cumulative False the graded length P-bar(X, n) -
+    # P-bar(X-1, n), against terms of M^n counted one by one, at n past
+    # every sampled n, with offsets k = X - c*n - margin inside and beyond
+    # the sampled ones
     ladder = LengthLadder(m)
-    fit = fit_bigraded_polynomial(m, cumulative=cumulative, table=ladder)
-    top = fit.n_base + (fit.total_degree_bound + 1) * fit.h
+    fit = fit_bigraded_polynomial(m, table=ladder)
+    top = fit.n_base + fit.total_degree_bound + 1
     for n in (top + 1, top + 2):
         p = ladder.power(n)
         comps = {b: list(g) for b, g in p.components}
@@ -269,7 +280,10 @@ def _assert_fit_matches_enumeration(m, cumulative):
         for k in (0, 3, 7):
             x = fit.c * n + fit.margin + k
             below = sum(v for deg, v in counts.items() if deg <= x)
-            assert fit.evaluate(x, n) == (below if cumulative else counts[x])
+            if cumulative:
+                assert fit.evaluate(x, n) == below
+            else:
+                assert fit.evaluate(x, n) - fit.evaluate(x - 1, n) == counts[x]
 
 
 @pytest.mark.parametrize("cumulative", [False, True])
@@ -279,15 +293,38 @@ def test_bigraded_fit_matches_enumeration_off_its_grid(name, cumulative):
 
 
 @given(term_modules(), st.booleans())
-# fits that validate only at margins 8, 4 and 4 past c*n
-@example(module({0: [(10, 0), (0, 11)]}, (0,)), False)
-@example(module({0: [(10, 0), (0, 11)]}, (0,)), True)
+# fits that validate only at margins 8 and 2 past c*n
+@example(module({0: [(11, 0), (0, 12)]}, (0,)), False)
+@example(module({0: [(11, 0), (0, 12)]}, (0,)), True)
 @example(module({0: [(8, 0), (0, 9)], 1: [(0, 1), (4, 0)]}, (0, 1)), False)
 @settings(max_examples=30, deadline=None)
 def test_bigraded_fit_matches_enumeration_on_random_modules(m, cumulative):
     # one fit per margin on consecutive n: past X = d_M*n the lengths are a
     # polynomial in (X, n), with no residue classes in n to search
     _assert_fit_matches_enumeration(m, cumulative)
+
+
+@st.composite
+def random_modules(draw):
+    """``util.random_module`` over 2 or 3 variables, of rank 1 to 3."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_module(rng, draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+
+
+@given(random_modules(), st.integers(1, 2))
+# margins 16 and 64 for the graded lengths, 16 and 32 for P-bar; the last
+# validates at no margin up to the cap on either route
+@example(ideal([(20, 0), (0, 21)]), 1)
+@example(ideal([(38, 0), (0, 39)]), 1)
+@example(ideal([(80, 0), (0, 81)]), 1)
+@settings(max_examples=40, deadline=None)
+def test_plain_mixed_vector_matches_the_graded_fit(m, step):
+    # e read off P-bar as e_i = e-bar_{i+1} against e read off a fit of the
+    # graded lengths, at the slopes d_M + 1 and d_M + 2
+    c = m.max_degree + step
+    table = LengthLadder(m)
+    rep = mixed_multiplicities(m, c=c, table=table)
+    assert (rep.values["e"], rep.status) == oracles.graded_mixed(table, c)
 
 
 @given(term_modules())
