@@ -63,7 +63,7 @@ from .core import (
 
 
 # no power M^n above this is built: memory grows with n, so a --nmax or
-# --ladder entry above it is refused, and a ray stops before sampling past it
+# --ladder entry above it is refused, and a ray or cone fit stops before sampling past it
 MAX_LADDER_N = 1000
 
 

@@ -8,10 +8,10 @@ quantities at scale n and abscissa x are
     epsilon    their difference
 
 together with chamber detection from generator degrees, exact piecewise
-polynomial fits and the exact cumulative identity.  Fitted values come from
-stabilized finite differences along rays, read at the period L(M) the
-generator degrees bound (an exact extrapolation, confirmed on a held-out n),
-so fitted polynomials have exact rational coefficients.
+polynomial fits and the exact cumulative identity.  Each chamber polynomial
+is one exact bigraded fit of the lengths in its cone (``polyfit.fit_cone``)
+and a limit at one x is read along its ray (``ray_extrapolate``), both at
+the step L(M) the generator degrees bound, so both are exact rationals.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from types import SimpleNamespace
 from typing import Optional
 
@@ -54,10 +54,10 @@ from .polyfit import (
     Poly,
     difference_rows,
     extrapolate,
+    fit_cone,
     poly_degree,
     poly_eval,
     poly_trim,
-    solve_exact,
     stabilized_difference,
 )
 
@@ -65,8 +65,6 @@ DEFAULT_LADDER: tuple[int, ...] = (8, 16, 24, 32, 40)
 DEFAULT_STEP = Fraction(1, 8)
 # ray samples start at the first multiple of the denominator of x past this n
 RAY_N_FLOOR = 8
-# chamber nodes beyond the d interpolation nodes, checked exactly
-HELD_OUT_NODES = 2
 # default fit validation tolerance, relative to each extrapolated value
 FIT_TOL = Fraction(1, 10)
 # an x grid with more points is refused before any is built
@@ -263,6 +261,12 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 # -- exact limits along rays --------------------------------------------------
 
 
+def _lattice_step(m: TermModule) -> int:
+    """L(M) = lcm |delta - delta'| over the distinct generator degrees (1 for
+    one degree): the period of every ray and the lattice step of every cone."""
+    return lcm(*(b - a for a, b in combinations(m.generator_degrees, 2)))
+
+
 def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = False) -> Fraction:
     """Exact limit of the adic density at x via finite differences along a ray.
 
@@ -286,7 +290,7 @@ def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = Fal
     x = require_rational(x, "x")
     r = m.ambient.ring.dim + m.ambient.rank - 2 + _cumulative
     length = table.cumulative if _cumulative else table.length
-    period = lcm(*(b - a for a, b in combinations(m.generator_degrees, 2)))
+    period = _lattice_step(m)
     q = x.denominator
     n0 = q * max(2, -(-RAY_N_FLOOR // q))
     ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
@@ -306,45 +310,26 @@ def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = Fal
     )
 
 
-def _chamber_nodes(lo: int, hi: Optional[int], count: int) -> list[Fraction]:
-    """Low-denominator sample points in the chamber (lo, hi], cheapest first:
-    the p/q in lowest terms for q = 1, 2, ....  The last chamber [lo, inf)
-    (``hi`` None) is sampled on (lo, lo + count]: no node is a breakpoint.
-    Breakpoints are integers, so each q adds lo + 1/q and the loop ends."""
-    hi = lo + count if hi is None else hi
-    nodes: list[Fraction] = []
-    q = 1
-    while len(nodes) < count:
-        nodes.extend(
-            Fraction(p, q)
-            for p in range(floor_times(lo, q) + 1, floor_times(hi, q) + 1)
-            if gcd(p, q) == 1
-        )
-        q += 1
-    return nodes[:count]
-
-
 def _fit_exact(chambers: ChamberDecomposition, table: LengthLadder) -> ChamberDecomposition:
     """The exact part of ``fit_piecewise``: fill in the polynomials, continuity
-    and top degree of ``chambers``, the ``detect_chambers`` of ``table.module``,
-    each polynomial through d+e-1 interior ray limits and held to
-    ``HELD_OUT_NODES`` more."""
+    and top degree of ``chambers``, the ``detect_chambers`` of ``table.module``.
+
+    On the cone d_i*n < t < d_(i+1)*n, len((M^n)_t) is a vector partition
+    function (Sturmfels, JCTA 1995; Brion-Vergne, J. AMS 1997): deep inside,
+    a polynomial on each coset of a lattice holding L(M)*Z^2.  ``fit_cone``
+    reads the one P of total degree r = d+e-2 on L(M)*Z^2; the chamber
+    polynomial is (r+1)! times P's degree-r part at (x, 1).
+    """
     m = table.module
-    fit_nodes = m.ambient.ring.dim + m.ambient.rank - 1
+    r = m.ambient.ring.dim + m.ambient.rank - 2
+    step = _lattice_step(m)
     bps = chambers.breakpoints
     polys: list[Poly] = [()]
     for lo, hi in zip(bps, [*bps[1:], None]):
-        nodes = _chamber_nodes(lo, hi, fit_nodes + HELD_OUT_NODES)
-        values = [ray_extrapolate(table, x) for x in nodes]
-        vandermonde = [[x**k for k in range(fit_nodes)] for x in nodes[:fit_nodes]]
-        poly = poly_trim(solve_exact(vandermonde, values[:fit_nodes]))
-        for x, v in zip(nodes[fit_nodes:], values[fit_nodes:]):
-            if poly_eval(poly, x) != v:
-                raise FitNotConvergedError(
-                    f"not converged; increase n ladder (held-out x = {x} "
-                    f"disagrees with the chamber fit)"
-                )
-        polys.append(poly)
+        fit, _, _ = fit_cone(table.length, lo, hi, step, r)
+        polys.append(poly_trim(
+            [factorial(r + 1) * fit.get((i, r - i), Fraction(0)) for i in range(r + 1)]
+        ))
     chambers.polynomials = tuple(polys)
     chambers.continuity = tuple(
         poly_eval(polys[j], bps[j]) == poly_eval(polys[j + 1], bps[j])
@@ -363,10 +348,9 @@ def fit_piecewise(
     """Fit exact polynomials of degree <= d+e-2 to the adic density on the
     chambers of ``detect_chambers``, filled into the decomposition it returns.
 
-    Each nontrivial chamber polynomial is interpolated through d+e-1 points
-    whose values are exact ray extrapolations (stabilized finite differences,
-    confirmed on held-out n), then validated exactly on further interior
-    points and within tolerance against every extrapolated grid value in the
+    Each chamber polynomial is read exactly from one bigraded fit of the
+    lengths deep inside its cone, confirmed on held-out samples, then
+    validated within tolerance against every extrapolated grid value in the
     chamber.  Refuses with a diagnostic instead of returning a doubtful fit.
     The last chamber's polynomial is (d+e-1)! * L(x, 1), L the leading form
     of the bigraded Hilbert polynomial, of degree <= d-1 in x

@@ -33,7 +33,7 @@ from .polyfit import (
     MAX_PERIOD,
     Poly2,
     extrapolate,
-    fit_poly2_triangular,
+    fit_cone,
     poly2_eval,
     poly_trim,
     reference_entry,
@@ -43,8 +43,6 @@ from .polyfit import (
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
 # default relative tolerance of the epsilon cross-check
 EPSILON_TOL = Fraction(3, 20)
-# bigraded fits: the margins past c*n tried in turn
-FIT_MARGINS = (2, 4, 8, 16, 32, 64)
 
 
 class MultiplicityReport(SimpleNamespace):
@@ -216,13 +214,9 @@ def fit_bigraded_polynomial(
     """Fit the polynomial P-bar(X, Y) with sum over j <= X of len((M^n)_j)
     = P-bar(X, n) deep in the cone.
 
-    Interpolates P-bar of total degree <= d+e-1 directly in (X, Y) through
-    exact cumulative lengths at X = c*n + margin + k, Y = n, one sample per
-    (k, n) of a triangular grid; the fit must then reproduce four held-out
-    samples exactly.  The margin doubles until they agree: the polynomial
-    region's onset is unknown a priori.
-
-    There is one fit per margin, on consecutive n.  len((M^n)_X) is a sum of
+    ``polyfit.fit_cone`` reads P-bar, of total degree <= d+e-1, off the
+    exact cumulative lengths in the cone X > c*n on consecutive n: the
+    lattice step is 1 there.  len((M^n)_X) is a sum of
     shifted p(X, n) = sum over |b| = n of C(X - b.deg + d - 1, d - 1), whose
     binomials all have a nonnegative top once X >= d_M*n + C for a constant
     C; a polynomial summed over the lattice points of the dilate n*simplex
@@ -233,28 +227,10 @@ def fit_bigraded_polynomial(
     require_samplable(m)
     c = require_slope(m.max_degree, c)
     table = ladder_for(m, table)
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-    total_degree = d + e - 1
-    n0 = total_degree + 2
-    grid = [(k, n0 + j) for j in range(total_degree + 1) for k in range(total_degree + 1 - j)]
-    top = n0 + total_degree + 1
-    held_out = [(0, top), (1, top), (total_degree + 1, n0), (total_degree + 2, n0 + 1)]
-
-    def sample(marg: int, k: int, n: int) -> tuple[int, int, int]:
-        x = c * n + marg + k
-        return x, n, table.cumulative(n, x)
-
-    for marg in FIT_MARGINS:
-        # an affine image of the triangular grid: the system is never singular
-        poly = fit_poly2_triangular([sample(marg, k, n) for k, n in grid], total_degree)
-        if all(poly2_eval(poly, x, n) == v for x, n, v in (sample(marg, *p) for p in held_out)):
-            return BigradedFit(
-                poly=poly, c=c, margin=marg, n_base=n0, total_degree_bound=total_degree
-            )
-    raise FitNotConvergedError(
-        f"no polynomial region found (held-out samples disagree up to the margin "
-        f"cap {FIT_MARGINS[-1]})"
+    total_degree = m.ambient.ring.dim + m.ambient.rank - 1
+    poly, margin, n_base = fit_cone(table.cumulative, c, None, 1, total_degree)
+    return BigradedFit(
+        poly=poly, c=c, margin=margin, n_base=n_base, total_degree_bound=total_degree
     )
 
 

@@ -4,7 +4,9 @@ sampled sequences, and exact fits by Gaussian elimination over Fraction.
 Every limit the engine reads off an n ladder comes from here: the exact one
 from a stabilized difference table at the period the sequence has
 (``stabilized_difference``), the finite-n estimate from the top rung and
-its n_max/2 reference rung (``extrapolate``, ``reference_entry``).
+its n_max/2 reference rung (``extrapolate``, ``reference_entry``).  Every
+polynomial read off the lengths in (degree, n) at once, the bigraded P-bar
+and each adic chamber, comes from one cone reader (``fit_cone``).
 
 Univariate polynomials are coefficient tuples in ascending order; bivariate
 polynomials are {(i, j): coefficient} maps for X^i * Y^j.
@@ -15,6 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .core import FitNotConvergedError
+from .counting import MAX_LADDER_N
+
 Poly = tuple[Fraction, ...]
 Poly2 = dict[tuple[int, int], Fraction]
 
@@ -22,6 +27,8 @@ Poly2 = dict[tuple[int, int], Fraction]
 STABLE_WINDOW = 3
 # quasi-periods tried in turn by the epsilon ladder only; a density ray reads at L(M)
 MAX_PERIOD = 12
+# cone fits: the margins past the lower wall tried in turn
+FIT_MARGINS = (2, 4, 8, 16, 32, 64)
 
 
 # -- univariate ------------------------------------------------------------
@@ -127,27 +134,6 @@ def extrapolate(
     return top, abs(top - low)
 
 
-# -- linear algebra over Fraction -------------------------------------------
-
-
-def solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact arithmetic; raises on singular systems."""
-    n = len(matrix)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular interpolation system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 # -- bivariate -------------------------------------------------------------
 
 
@@ -171,14 +157,66 @@ def fit_poly2_triangular(samples: list[tuple[int, int, int]], total_degree: int)
         for i in range(total_degree + 1)
         for j in range(total_degree + 1 - i)
     ]
-    if len(samples) != len(keys):
+    size = len(keys)
+    if len(samples) != size:
         raise ValueError(
-            f"need {len(keys)} samples for total degree {total_degree}, got {len(samples)}"
+            f"need {size} samples for total degree {total_degree}, got {len(samples)}"
         )
-    matrix = [
-        [Fraction(u) ** i * Fraction(v) ** j for (i, j) in keys]
-        for (u, v, _) in samples
-    ]
-    rhs = [Fraction(val) for (_, _, val) in samples]
-    coeffs = solve_exact(matrix, rhs)
-    return {k: c for k, c in zip(keys, coeffs) if c != 0}
+    # Gauss-Jordan elimination over Fraction on the augmented rows
+    a = [[Fraction(u) ** i * Fraction(v) ** j for i, j in keys] + [Fraction(val)]
+         for u, v, val in samples]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular interpolation system")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [v / inv for v in a[col]]
+        for r in range(size):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    return {key: row[size] for key, row in zip(keys, a) if row[size] != 0}
+
+
+def fit_cone(
+    value: Callable[[int, int], int], lower: int, upper: Optional[int], step: int, degree: int
+) -> tuple[Poly2, int, int]:
+    """(P, margin, b0): the polynomial P(t, n) of total degree <= ``degree``
+    that ``value(n, t)`` follows on step*Z^2 deep inside the cone lower*n < t
+    (< upper*n unless ``upper`` is None).
+
+    For each margin mu of ``FIT_MARGINS`` in turn, P interpolates the grid
+    n = step*(b0 + j), t = lower*n + step*(mu + k), k + j <= degree, with
+    b0 = degree + 2, raised in a cone of width w to (2*mu + degree + 3)/w so
+    that every sample lies step*mu inside both walls.  It is accepted when it
+    reproduces the held-out (k, j) = (degree+1, 0), (degree+2, 1),
+    (0, degree+1) and (1, degree+1), and in a bounded cone t = upper*n -
+    step*mu on the rows j = 0 and degree+1; rows are asked in ascending n.
+    A margin whose rows pass ``MAX_LADDER_N`` is refused before any is asked,
+    and so is a cone with no accepted margin, with ``FitNotConvergedError``.
+    """
+    for margin in FIT_MARGINS:
+        b0 = degree + 2
+        if upper is not None:
+            b0 = max(b0, -(-(2 * margin + degree + 3) // (upper - lower)))
+        top = step * (b0 + degree + 1)
+        if top > MAX_LADDER_N:
+            raise FitNotConvergedError(f"not converged; the cone fit at margin {margin} would "
+                                       f"sample M^{top}, above MAX_LADDER_N = {MAX_LADDER_N}")
+
+        def point(k: int, j: int) -> tuple[int, int]:
+            return lower * step * (b0 + j) + step * (margin + k), step * (b0 + j)
+
+        grid = [point(k, j) for j in range(degree + 1) for k in range(degree + 1 - j)]
+        # an affine image of the triangular grid: the system is never singular
+        poly = fit_poly2_triangular([(t, n, value(n, t)) for t, n in grid], degree)
+        held_out = [point(degree + 1, 0), point(degree + 2, 1), point(0, degree + 1),
+                    point(1, degree + 1)]
+        if upper is not None:
+            held_out += [(upper * n - step * margin, n) for n in (step * b0, top)]
+        held_out.sort(key=lambda p: p[1])
+        if all(poly2_eval(poly, t, n) == value(n, t) for t, n in held_out):
+            return poly, margin, b0
+    raise FitNotConvergedError(f"no polynomial region found (held-out samples disagree up to "
+                               f"the margin cap {FIT_MARGINS[-1]})")

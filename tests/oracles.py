@@ -13,24 +13,30 @@ readings of one bigraded fit.  ``ray_by_period_search`` is the ray reader
 that searched its period, kept as the reference for the engine's one reading
 at the period the generator degrees bound; it shares the engine's
 stabilization reader and differs only in the period it reads at.
+``ray_chamber_polynomials`` is the chamber fit that interpolated exact ray
+limits at rational nodes inside each chamber (by Lagrange's formula, no
+elimination), kept as the reference for the engine's one bigraded fit per
+chamber cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 from reesdensity import FitNotConvergedError, InternalInvariantError, TermModule
 from reesdensity.counting import MAX_LADDER_N
-from reesdensity.density import RAY_N_FLOOR, floor_times
-from reesdensity.multiplicity import FIT_MARGINS
+from reesdensity.density import RAY_N_FLOOR, floor_times, ray_extrapolate
 from reesdensity.polyfit import (
+    FIT_MARGINS,
     MAX_PERIOD,
     STABLE_WINDOW,
     difference_rows,
     fit_poly2_triangular,
     poly2_eval,
+    poly_eval,
+    poly_trim,
     stabilized_difference,
 )
 
@@ -460,3 +466,57 @@ def ray_by_period_search(table, x):
             continue
         return (r + 1) * ext["normalized"] if degree == r else Fraction(0)
     raise FitNotConvergedError(f"no stable ray at x = {x} with period <= {MAX_PERIOD}")
+
+
+def chamber_nodes(lo, hi, count):
+    """Low-denominator sample points in the chamber (lo, hi], cheapest first:
+    the p/q in lowest terms for q = 1, 2, ....  The last chamber [lo, inf)
+    (``hi`` None) is sampled on (lo, lo + count]: no node is a breakpoint.
+    Breakpoints are integers, so each q adds lo + 1/q and the loop ends."""
+    hi = lo + count if hi is None else hi
+    nodes = []
+    q = 1
+    while len(nodes) < count:
+        nodes.extend(
+            Fraction(p, q)
+            for p in range(lo * q + 1, hi * q + 1)
+            if gcd(p, q) == 1
+        )
+        q += 1
+    return nodes[:count]
+
+
+def lagrange_coefficients(xs, ys):
+    """Ascending coefficients of the polynomial of degree < len(xs) through
+    the points (xs[i], ys[i]), by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, denominator = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                # multiply by (X - xj)
+                basis = [a - xj * b for a, b in zip([Fraction(0), *basis], [*basis, Fraction(0)])]
+                denominator *= xi - xj
+        coeffs = [c + yi * b / denominator for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def ray_chamber_polynomials(table):
+    """The chamber polynomials of the adic density of the module of
+    ``table``, a ``LengthLadder``, one per chamber of ``detect_chambers``
+    (the empty one below d_1 first): each interpolated through d+e-1 exact
+    ray limits (``ray_extrapolate``) at ``chamber_nodes`` and held to two
+    more, else ``FitNotConvergedError``."""
+    m = table.module
+    fit_nodes = m.ambient.ring.dim + m.ambient.rank - 1
+    bps = m.generator_degrees
+    polys = [()]
+    for lo, hi in zip(bps, [*bps[1:], None]):
+        nodes = chamber_nodes(lo, hi, fit_nodes + 2)
+        values = [ray_extrapolate(table, x) for x in nodes]
+        poly = poly_trim(lagrange_coefficients(nodes[:fit_nodes], values[:fit_nodes]))
+        for x, v in zip(nodes[fit_nodes:], values[fit_nodes:]):
+            if poly_eval(poly, x) != v:
+                raise FitNotConvergedError(f"held-out x = {x} disagrees with the chamber fit")
+        polys.append(poly)
+    return tuple(polys)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from util import M_SCALE_D4, ideal, module
 
-from reesdensity import counting, density
+from reesdensity import counting, density, polyfit
 from reesdensity.io import corpus_names
 from reesdensity import (
     ChamberDecomposition,
@@ -487,14 +487,29 @@ def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder(
 
 
 def test_fit_not_converged_error_message():
-    # the first node of the chamber (1, 3] is x = 2, whose ray leaves its
-    # polynomial at the held-out n = 19
-    grid = sample_adic(M_X_Y3, [F(2)], (8,))
+    # the cone of (x, y) past t = n is read on the rows n = 3, 4, 5 at every
+    # margin, where n^2 mod 7 (2, 2, 4) is no polynomial
+    grid = sample_adic(M_XY, [F(2)], (8,))
     with pytest.raises(
         FitNotConvergedError,
-        match=r"^not converged; increase n ladder \(no stable ray at x = 2 with period L = 2\)$",
+        match=r"^no polynomial region found \(held-out samples disagree up to the margin cap 64\)$",
     ):
-        fit_piecewise(grid, table=_BumpedLadder())
+        fit_piecewise(grid, table=_NeverStableLadder(M_XY))
+
+
+def test_cone_fit_stops_before_sampling_past_the_power_bound(monkeypatch):
+    # the chamber (1, 3] of (x, y^3) is read on rows n = 2*(b0 + j), j <= 2,
+    # with b0 = ceil((2*mu + 4)/2): up to n = 12, 16 and 24 at the margins
+    # 2, 4 and 8, and n = 40, past a bound of 30, at the margin 16
+    monkeypatch.setattr(polyfit, "MAX_LADDER_N", 30)
+    ladder = _NeverStableLadder(M_X_Y3)
+    with pytest.raises(
+        FitNotConvergedError,
+        match=r"^not converged; the cone fit at margin 16 would sample M\^40, "
+        r"above MAX_LADDER_N = 30$",
+    ):
+        fit_piecewise(sample_adic(M_X_Y3, [], (8,)), table=ladder)
+    assert max(ladder.asked) == 24
 
 
 # -- integrals ----------------------------------------------------------------------

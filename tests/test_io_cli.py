@@ -31,7 +31,7 @@ from reesdensity import (
     sample_adic,
     serialize_module,
 )
-import reesdensity.multiplicity as multiplicity
+import reesdensity.polyfit as polyfit
 from reesdensity.cli import MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
 from reesdensity.counting import normalize_ladder
@@ -402,8 +402,8 @@ def test_cli_diagonal_and_mixed_share_one_fit(monkeypatch, capsys):
     # both reports are read off one fit of the cumulative lengths, which for
     # mixed_rank2 validates at the first margin: one interpolation in all
     calls = []
-    real = multiplicity.fit_poly2_triangular
-    monkeypatch.setattr(multiplicity, "fit_poly2_triangular",
+    real = polyfit.fit_poly2_triangular
+    monkeypatch.setattr(polyfit, "fit_poly2_triangular",
                         lambda *args: calls.append(args) or real(*args))
     argv = ["multiplicity", "--module", "corpus:mixed_rank2", "--diagonal", "--mixed"]
     assert main(argv) == 0

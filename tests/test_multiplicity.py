@@ -18,7 +18,8 @@ from reesdensity import (
     load_corpus_module,
     mixed_multiplicities,
 )
-from reesdensity.multiplicity import FIT_MARGINS, extract_polynomial_growth
+from reesdensity.multiplicity import extract_polynomial_growth
+from reesdensity.polyfit import FIT_MARGINS
 
 M_XY = ideal([(1, 0), (0, 1)])
 M_X2_XY = ideal([(2, 0), (1, 1)])

@@ -26,6 +26,7 @@ from reesdensity import (
     check_dependence,
     epsilon_multiplicity,
     fit_bigraded_polynomial,
+    fit_piecewise,
     is_submodule,
     length_component,
     load_corpus_module,
@@ -40,7 +41,6 @@ from reesdensity import (
 )
 from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
-from reesdensity.density import _chamber_nodes
 from reesdensity.multiplicity import extract_polynomial_growth
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
@@ -471,9 +471,9 @@ def ray_modules(draw):
     return module(comps, shifts, RING_XY if d == 2 else RING_XYZ)
 
 
-def _ray_outcome(read, table, x):
+def _outcome(read, *args):
     try:
-        return read(table, x)
+        return read(*args)
     except FitNotConvergedError:
         return "not converged"
 
@@ -492,8 +492,37 @@ def test_ray_read_at_the_module_period_matches_the_period_search(m):
     # powers up to n ~ 44q at L = 6 and d + e = 5)
     table = LengthLadder(m)
     bps = m.generator_degrees
-    nodes = [x for lo, hi in zip(bps, [*bps[1:], None]) for x in _chamber_nodes(lo, hi, 2)]
+    nodes = [x for lo, hi in zip(bps, [*bps[1:], None]) for x in oracles.chamber_nodes(lo, hi, 2)]
     for x in [*map(F, bps), *nodes]:
-        assert _ray_outcome(ray_extrapolate, table, x) == _ray_outcome(
+        assert _outcome(ray_extrapolate, table, x) == _outcome(
             oracles.ray_by_period_search, table, x
         ), x
+
+
+@st.composite
+def chamber_modules(draw):
+    """d = 2 of rank 1 or 2 with generators in degree 0..3, or d = 3 of rank
+    1 with generators in degree 0..2, with shifts in -1..1."""
+    d = draw(st.integers(2, 3))
+    top = 5 - d
+    shifts = tuple(draw(st.lists(st.integers(-1, 1), min_size=1, max_size=4 - d)))
+    comps = {}
+    for i, shift in enumerate(shifts):
+        degrees = draw(st.lists(st.integers(max(0, -shift), top - shift), min_size=1, max_size=3))
+        comps[i] = [draw(st.sampled_from(oracles.monomials_of_degree(d, k))) for k in degrees]
+    return module(comps, shifts, RING_XY if d == 2 else RING_XYZ)
+
+
+@given(chamber_modules())
+# degrees {0, 2}: L = 2
+@example(load_corpus_module("mixed_rank2"))
+# (x^2, xy^3, y^5) in degrees {0, 2, 3}: L = 6
+@example(ideal([(2, 0), (1, 3), (0, 5)], shift=-2))
+@settings(max_examples=40, deadline=None)
+def test_cone_fit_matches_the_ray_fit_at_rational_nodes(m):
+    # the lengths on a chamber's cone are polynomial on cosets of a lattice
+    # holding L(M)*Z^2, so the one fit on L(M)*Z^2 gives every polynomial the
+    # rays read, limit by limit, at nodes p/q inside the chamber
+    table = LengthLadder(m)
+    cone = _outcome(lambda: fit_piecewise(sample_adic(m, [], (1,)), table=table).polynomials)
+    assert cone == _outcome(oracles.ray_chamber_polynomials, table)
