@@ -47,11 +47,12 @@ def _flag(flag: str, rule, *args):
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
-    """The n ladder and tolerance of ``--ladder``, ``--nmax`` and ``--tol``,
-    each None when not given (the engine default), refused by the engine's
-    rules before any work.  ``nmax_ladder`` builds the ladder from ``--nmax``
-    (1 to ``MAX_LADDER_N``) where ``--nmax`` tops it; ``--ladder`` wins over
-    it.  ``check`` passes none: its ``--nmax`` bounds the certificate search.
+    """The n ladder of ``--ladder`` and ``--nmax`` and the tolerance of
+    ``--tol`` (``multiplicity`` only), each None when not given (the engine
+    default), refused by the engine's rules before any work.  ``nmax_ladder``
+    builds the ladder from ``--nmax`` (1 to ``MAX_LADDER_N``) where ``--nmax``
+    tops it; ``--ladder`` wins over it.  ``check`` passes none: its ``--nmax``
+    bounds the certificate search.
     """
     if nmax_ladder and args.nmax is not None and not 1 <= args.nmax <= MAX_LADDER_N:
         raise InputError(f"--nmax must lie in [1, MAX_LADDER_N = {MAX_LADDER_N}], "
@@ -112,7 +113,7 @@ def _check_outputs(*paths) -> None:
 
 
 def _cmd_density(args) -> int:
-    from .density import FIT_TOL, default_grid, fit_piecewise
+    from .density import default_grid, fit_piecewise
     from .density import sample_adic, sample_epsilon, sample_saturated
 
     module = _load_module(args.module)
@@ -125,9 +126,7 @@ def _cmd_density(args) -> int:
         )
     if args.fit and "adic" not in kinds:
         raise InputError(f"--fit fits the adic density only; add adic to --kind {args.kind!r}")
-    if args.tol is not None and not args.fit:
-        raise InputError("--tol is the fit validation tolerance; add --fit")
-    ladder, tol = _parse_ladder_options(args, _scaled_ladder)
+    ladder, _ = _parse_ladder_options(args, _scaled_ladder)
     # either grid is refused here when oversized, before anything is written
     grid = _parse_grid(args.grid) if args.grid else default_grid(module)
     many = len(kinds) > 1
@@ -136,6 +135,9 @@ def _cmd_density(args) -> int:
                   for k in kinds}
     _check_outputs(*csv_paths.values(), *json_paths.values())
     table = LengthLadder(module, args.cache_dir)
+    # the fit reads its rows in ascending n on a fresh ladder, and a fit that
+    # does not converge is refused before any file is written
+    fit = fit_piecewise(module, table=table) if args.fit else None
     for kind in kinds:
         grid_obj = samplers[kind](module, grid, ladder, table=table, richardson=args.richardson)
         csv_path = csv_paths[kind]
@@ -144,9 +146,11 @@ def _cmd_density(args) -> int:
               f"{len(grid_obj.xs)} grid points, csv -> {csv_path}")
         payload = grid_payload(grid_obj)
         if kind == "adic" and args.fit:
-            fit = fit_piecewise(grid_obj, table=table, tol=tol or FIT_TOL)
             payload["chambers"] = chambers_payload(fit)
-            for ch, poly in zip(fit.chambers, fit.polynomials):
+            for k, (ch, poly) in enumerate(zip(fit.chambers, fit.polynomials)):
+                if k:
+                    print(f"  at x = {fit.breakpoints[k - 1]}: "
+                          f"{fraction_str(fit.breakpoint_values[k - 1])}")
                 print(f"  {ch}: {polynomial_str(poly)}")
         json_path = json_paths[kind]
         if json_path:
@@ -312,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--grid",
                            help="x grid as LO:HI:STEP (rationals); write a "
                                 "negative LO as --grid=-1:4:1/4")
-    p_density.add_argument("--tol", help="fit validation tolerance (rational)")
     p_density.add_argument("--richardson", action="store_true",
                            help="two-point Richardson extrapolation in 1/n")
     p_density.add_argument("--fit", action="store_true",

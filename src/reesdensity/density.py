@@ -7,11 +7,13 @@ quantities at scale n and abscissa x are
     saturated  same with the saturation of M^n
     epsilon    their difference
 
-together with chamber detection from generator degrees, exact piecewise
-polynomial fits and the exact cumulative identity.  Each chamber polynomial
-is one exact bigraded fit of the lengths in its cone (``polyfit.fit_cone``)
-and a limit at one x is read along its ray (``ray_extrapolate``), both at
-the step L(M) the generator degrees bound, so both are exact rationals.
+together with chamber detection from generator degrees, the exact
+piecewise fit of the adic density and the exact cumulative identity.  Each
+chamber polynomial is one exact bigraded fit of the lengths in its cone
+(``polyfit.fit_cone``) and a limit at one x, a breakpoint's value among
+them, is read along its ray (``ray_extrapolate``), both at the step L(M) the
+generator degrees bound, so both are exact rationals and the fit needs no
+sampled grid.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
@@ -40,7 +42,6 @@ from .core import (
     InternalInvariantError,
     TermModule,
     require_rational,
-    require_tolerance,
 )
 from .counting import (
     MAX_LADDER_N,
@@ -65,8 +66,6 @@ DEFAULT_LADDER: tuple[int, ...] = (8, 16, 24, 32, 40)
 DEFAULT_STEP = Fraction(1, 8)
 # ray samples start at the first multiple of the denominator of x past this n
 RAY_N_FLOOR = 8
-# default fit validation tolerance, relative to each extrapolated value
-FIT_TOL = Fraction(1, 10)
 # an x grid with more points is refused before any is built
 MAX_GRID_POINTS = 10**5
 
@@ -214,35 +213,39 @@ def sample_epsilon(
 
 
 class ChamberDecomposition(SimpleNamespace):
-    """Breakpoints, chamber intervals, and (after fitting) exact polynomials.
+    """Breakpoints, open chambers between them, and (after fitting) the
+    exact density on each.
 
-    Fields: ``breakpoints`` (d_1 < ... < d_l), ``chambers`` (one interval
-    string per chamber: ``(-inf, d_1)``, then ``(d_i, d_(i+1)]``, then
-    ``[d_l, inf)``), and the fit's ``polynomials`` (one per chamber),
-    ``continuity`` (one flag per breakpoint past the first), ``top_degree``
-    and ``diagnostics``; all four are None or empty before fitting.
+    Fields: ``breakpoints`` (d_1 < ... < d_l), ``chambers`` (one open
+    interval string per chamber: ``(-inf, d_1)``, ``(d_i, d_(i+1))``,
+    ``(d_l, inf)``), and the fit's ``polynomials`` (one per chamber),
+    ``breakpoint_values`` (the density at each d_i), ``continuity`` (one
+    flag per breakpoint past the first: do the polynomials on either side
+    agree there), ``top_degree`` and ``diagnostics``; all five are None or
+    empty before fitting.
     """
 
     def evaluate(self, x: Fraction) -> Fraction:
-        """0 below d_1, else the polynomial of the first chamber that holds x,
-        and chamber 1's at x = d_1."""
+        """0 below d_1, the breakpoint's own value at each d_i, else the
+        polynomial of the chamber that holds x."""
         if self.polynomials is None:
             raise InputError("decomposition has no fitted polynomials")
         x = require_rational(x, "x")
-        if x < self.breakpoints[0]:
-            return Fraction(0)
-        return poly_eval(self.polynomials[max(1, bisect_left(self.breakpoints, x))], x)
+        k = bisect_left(self.breakpoints, x)
+        if k < len(self.breakpoints) and self.breakpoints[k] == x:
+            return self.breakpoint_values[k]
+        return poly_eval(self.polynomials[k], x) if k else Fraction(0)
 
 
 def _interval(lo: Optional[int], hi: Optional[int]) -> str:
-    """The chamber between two breakpoints, None meaning unbounded."""
-    if lo is None:
-        return f"(-inf, {hi})"
-    return f"[{lo}, inf)" if hi is None else f"({lo}, {hi}]"
+    """The open chamber between two breakpoints, None meaning unbounded."""
+    return f"({'-inf' if lo is None else lo}, {'inf' if hi is None else hi})"
 
 
 def detect_chambers(m: TermModule) -> ChamberDecomposition:
-    """Breakpoints are the distinct generator degrees d_1 < ... < d_l."""
+    """The unfitted decomposition: its breakpoints are the distinct
+    generator degrees d_1 < ... < d_l, its chambers the open intervals
+    between them."""
     require_samplable(m)
     if not m.is_nonneg_graded:
         raise InputError("chamber detection requires a module graded in degrees >= 0")
@@ -252,6 +255,7 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
         breakpoints=bps,
         chambers=tuple(map(_interval, bounds, bounds[1:])),
         polynomials=None,
+        breakpoint_values=None,
         continuity=None,
         top_degree=None,
         diagnostics={},
@@ -310,72 +314,44 @@ def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = Fal
     )
 
 
-def _fit_exact(chambers: ChamberDecomposition, table: LengthLadder) -> ChamberDecomposition:
-    """The exact part of ``fit_piecewise``: fill in the polynomials, continuity
-    and top degree of ``chambers``, the ``detect_chambers`` of ``table.module``.
+def fit_piecewise(m: TermModule, *, table: Optional[LengthLadder] = None) -> ChamberDecomposition:
+    """The ``detect_chambers`` of M with its adic density filled in exactly:
+    one polynomial of degree <= d+e-2 per chamber and one value per
+    breakpoint.
 
     On the cone d_i*n < t < d_(i+1)*n, len((M^n)_t) is a vector partition
     function (Sturmfels, JCTA 1995; Brion-Vergne, J. AMS 1997): deep inside,
     a polynomial on each coset of a lattice holding L(M)*Z^2.  ``fit_cone``
-    reads the one P of total degree r = d+e-2 on L(M)*Z^2; the chamber
-    polynomial is (r+1)! times P's degree-r part at (x, 1).
+    reads the one P of total degree r = d+e-2 on L(M)*Z^2, confirmed on
+    held-out samples; the chamber polynomial is (r+1)! times P's degree-r
+    part at (x, 1).  Each breakpoint's value is its own ``ray_extrapolate``.
+    A cone or ray that does not converge is refused with
+    ``FitNotConvergedError``, a cone naming its chamber.  The last chamber's
+    polynomial is (d+e-1)! * L(x, 1), L the leading form of the bigraded
+    Hilbert polynomial, of degree <= d-1 in x (``top_degree_expected``).
     """
-    m = table.module
+    chambers = detect_chambers(m)
+    table = ladder_for(m, table)
     r = m.ambient.ring.dim + m.ambient.rank - 2
     step = _lattice_step(m)
     bps = chambers.breakpoints
     polys: list[Poly] = [()]
-    for lo, hi in zip(bps, [*bps[1:], None]):
-        fit, _, _ = fit_cone(table.length, lo, hi, step, r)
+    for label, lo, hi in zip(chambers.chambers[1:], bps, [*bps[1:], None]):
+        try:
+            fit, _, _ = fit_cone(table.length, lo, hi, step, r)
+        except FitNotConvergedError as exc:
+            raise FitNotConvergedError(f"chamber {label}: {exc}") from exc
         polys.append(poly_trim(
             [factorial(r + 1) * fit.get((i, r - i), Fraction(0)) for i in range(r + 1)]
         ))
     chambers.polynomials = tuple(polys)
+    chambers.breakpoint_values = tuple(ray_extrapolate(table, Fraction(b)) for b in bps)
     chambers.continuity = tuple(
         poly_eval(polys[j], bps[j]) == poly_eval(polys[j + 1], bps[j])
         for j in range(1, len(bps))
     )
     chambers.top_degree = poly_degree(polys[-1])
-    return chambers
-
-
-def fit_piecewise(
-    grid: DensityGrid,
-    *,
-    table: Optional[LengthLadder] = None,
-    tol: Fraction = FIT_TOL,
-) -> ChamberDecomposition:
-    """Fit exact polynomials of degree <= d+e-2 to the adic density on the
-    chambers of ``detect_chambers``, filled into the decomposition it returns.
-
-    Each chamber polynomial is read exactly from one bigraded fit of the
-    lengths deep inside its cone, confirmed on held-out samples, then
-    validated within tolerance against every extrapolated grid value in the
-    chamber.  Refuses with a diagnostic instead of returning a doubtful fit.
-    The last chamber's polynomial is (d+e-1)! * L(x, 1), L the leading form
-    of the bigraded Hilbert polynomial, of degree <= d-1 in x
-    (``top_degree_expected``).
-    """
-    if grid.kind != "adic":
-        raise InputError("piecewise chamber fits are defined for adic grids")
-    tol = require_tolerance(tol, "the fit tolerance")
-    m = grid.module
-    chambers = _fit_exact(detect_chambers(m), ladder_for(m, table))
-    bps = chambers.breakpoints
-    d = m.ambient.ring.dim
-    chambers.diagnostics = {"tol": tol, "ladder": grid.ladder, "top_degree_expected": d - 1}
-
-    # validate against the sampled grid
-    for x, v in zip(grid.xs, grid.extrapolated):
-        if x == bps[0] and len(bps) > 1:
-            continue  # no chamber holds d_1 when there are several breakpoints
-        expected = chambers.evaluate(x)
-        residual = abs(v - expected)
-        if residual > tol * (1 + abs(expected)):
-            raise FitNotConvergedError(
-                f"not converged; increase n ladder (grid value at x = {x} "
-                f"off the fit by {residual})"
-            )
+    chambers.diagnostics = {"top_degree_expected": m.ambient.ring.dim - 1}
     return chambers
 
 
@@ -403,12 +379,13 @@ def cumulative_identity(
     ``x``, ``lhs``, ``integral`` and ``rhs``; sides that differ break the
     theorem and raise ``InternalInvariantError``.
     """
-    chambers = detect_chambers(m)
+    # a module with no chambers is refused before the ray does any work
+    detect_chambers(m)
     x = require_rational(x, "x")
     table = ladder_for(m, table)
     lhs = ray_extrapolate(table, x, _cumulative=True)
-    polys = _fit_exact(chambers, table).polynomials
-    bps = chambers.breakpoints
+    fit = fit_piecewise(m, table=table)
+    bps, polys = fit.breakpoints, fit.polynomials
     integral = Fraction(0)
     for lo, hi, poly in zip(bps, [*bps[1:], x], polys[1:]):
         if x <= lo:

@@ -300,6 +300,7 @@ def chambers_payload(fit: ChamberDecomposition) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "breakpoints": [fraction_str(b) for b in fit.breakpoints],
+        "breakpoint_values": fit.breakpoint_values,
         "chambers": [
             {"interval": ch, "polynomial": poly}
             for ch, poly in zip(fit.chambers, fit.polynomials)

@@ -278,18 +278,12 @@ def degree_truncation(m, c):
 
 
 def chamber_index(breakpoints, x):
-    """Index of the first chamber that holds x, by the closedness of each end:
-    (-inf, d_1) is open, (d_i, d_(i+1)] closed above, [d_l, inf) closed
-    below.  At x = d_1 with l >= 2 none holds x, and chamber 1 is taken."""
-    bounds = [None, *breakpoints, None]
-    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        lower_closed = hi is None
-        upper_closed = lo is not None and hi is not None
-        above = lo is None or x > lo or (x == lo and lower_closed)
-        below = hi is None or x < hi or (x == hi and upper_closed)
-        if above and below:
-            return k
-    return 1
+    """Index of the open chamber that holds x, counting the breakpoints below
+    it: 0 for (-inf, d_1), i for (d_i, d_(i+1)), l for (d_l, inf).  None at a
+    breakpoint, which no chamber holds."""
+    if x in breakpoints:
+        return None
+    return sum(1 for b in breakpoints if b < x)
 
 
 def term_degree(m, term):
@@ -470,7 +464,7 @@ def ray_by_period_search(table, x):
 
 def chamber_nodes(lo, hi, count):
     """Low-denominator sample points in the chamber (lo, hi], cheapest first:
-    the p/q in lowest terms for q = 1, 2, ....  The last chamber [lo, inf)
+    the p/q in lowest terms for q = 1, 2, ....  The last chamber (lo, inf)
     (``hi`` None) is sampled on (lo, lo + count]: no node is a breakpoint.
     Breakpoints are integers, so each q adds lo + 1/q and the loop ends."""
     hi = lo + count if hi is None else hi

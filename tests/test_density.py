@@ -170,13 +170,13 @@ def test_default_grid_bounds():
 def test_chambers_single_degree():
     dec = detect_chambers(ideal([(2, 0), (1, 1), (0, 2)]))
     assert dec.breakpoints == (2,)
-    assert [str(c) for c in dec.chambers] == ["(-inf, 2)", "[2, inf)"]
+    assert [str(c) for c in dec.chambers] == ["(-inf, 2)", "(2, inf)"]
 
 
 def test_chambers_two_degrees():
     dec = detect_chambers(M_X2_Y3)
     assert dec.breakpoints == (2, 3)
-    assert [str(c) for c in dec.chambers] == ["(-inf, 2)", "(2, 3]", "[3, inf)"]
+    assert [str(c) for c in dec.chambers] == ["(-inf, 2)", "(2, 3)", "(3, inf)"]
 
 
 def test_chambers_read_shifted_degrees():
@@ -192,18 +192,23 @@ def test_chambers_reject_negative_grading():
 
 @pytest.mark.parametrize("bps", [(2,), (0, 3), (2, 3), (1, 2, 4)], ids=str)
 def test_evaluate_bisects_to_the_chamber_of_the_closedness_rule(bps):
-    # chamber k holds the constant k, so a value names the chamber evaluated
+    # chambers are open and each breakpoint is a point of its own: chamber k
+    # holds the constant k and breakpoint i the value -1 - i, so a value
+    # names what was evaluated; no chamber's polynomial is read at a
+    # breakpoint, and 0 is read below d_1 whatever chamber 0 holds
     dec = ChamberDecomposition(
         breakpoints=bps,
         chambers=None,
-        polynomials=tuple((F(k),) for k in range(len(bps) + 1)),
+        polynomials=tuple((F(k + 7 * (k == 0)),) for k in range(len(bps) + 1)),
+        breakpoint_values=tuple(F(-1 - i) for i in range(len(bps))),
         continuity=None,
         top_degree=0,
         diagnostics={},
     )
     midpoints = [F(a + b, 2) for a, b in zip(bps, bps[1:])]
     for x in [F(bps[0] - 1), *bps, *midpoints, F(bps[-1] + 1)]:
-        assert dec.evaluate(x) == oracles.chamber_index(bps, x), x
+        k = oracles.chamber_index(bps, x)
+        assert dec.evaluate(x) == (-1 - bps.index(x) if k is None else k), x
 
 
 # -- exact limits along rays ---------------------------------------------------------
@@ -384,18 +389,14 @@ def test_saturated_density_builds_no_power_of_the_module(name, monkeypatch):
 
 
 def test_fit_maximal_ideal_is_2x():
-    table = LengthLadder(M_XY)
-    grid = sample_adic(M_XY, None, None, table=table)
-    fit = fit_piecewise(grid, table=table)
+    fit = fit_piecewise(M_XY)
     assert fit.polynomials == ((), (F(0), F(2)))
     assert fit.top_degree == 1
     assert fit.diagnostics["top_degree_expected"] == 1
 
 
 def test_fit_two_chambers_continuous_at_breakpoint():
-    table = LengthLadder(M_X2_Y3)
-    grid = sample_adic(M_X2_Y3, None, None, table=table)
-    fit = fit_piecewise(grid, table=table)
+    fit = fit_piecewise(M_X2_Y3)
     assert fit.polynomials == ((), (F(-12), F(6)), (F(0), F(2)))
     assert fit.continuity == (True,)
     assert fit.evaluate(F(3)) == 6
@@ -404,11 +405,9 @@ def test_fit_two_chambers_continuous_at_breakpoint():
 
 
 def test_fit_shifted_module():
-    table = LengthLadder(M_SHIFTED)
-    grid = sample_adic(M_SHIFTED, None, None, table=table)
-    fit = fit_piecewise(grid, table=table)
+    fit = fit_piecewise(M_SHIFTED)
     assert fit.polynomials == ((), (F(2), F(2)))
-    assert fit.chambers[1] == "[0, inf)"
+    assert fit.chambers[1] == "(0, inf)"
 
 
 def test_fit_of_the_d4_ideal_matches_the_hand_derived_chambers():
@@ -416,9 +415,8 @@ def test_fit_of_the_d4_ideal_matches_the_hand_derived_chambers():
     # (3/2 >= 1).  On the slice |a| = x put s = a_1 + a_2 + a_3: the part of
     # the slice outside NP(I) is s < min(x, 6 - 2x), of volume
     # min(x, 6 - 2x)^3 / 6, so the density is 4 x^3 - 4 max(0, min(x, 6 - 2x))^3
-    table = LengthLadder(M_SCALE_D4)
-    fit = fit_piecewise(sample_adic(M_SCALE_D4, None, None, table=table), table=table)
-    assert fit.chambers == ("(-inf, 2)", "(2, 3]", "[3, inf)")
+    fit = fit_piecewise(M_SCALE_D4)
+    assert fit.chambers == ("(-inf, 2)", "(2, 3)", "(3, inf)")
     # 4 x^3 - 4 (6 - 2x)^3 = 36 x^3 - 288 x^2 + 864 x - 864, then 4 x^3
     assert fit.polynomials == ((), (F(-864), F(864), F(-288), F(36)), (0, 0, 0, F(4)))
     assert fit.continuity == (True,)
@@ -448,8 +446,8 @@ def test_fit_of_a_rank2_module_has_degree_d_plus_e_minus_2():
     for n in range(1, 7):
         for j in range(-1, 3 * n + 2):
             assert table.length(n, j) == _mixed_rank2_length(n, j)
-    fit = fit_piecewise(sample_adic(m, None, None, table=table), table=table)
-    assert fit.chambers == ("(-inf, 0)", "(0, 2]", "[2, inf)")
+    fit = fit_piecewise(m, table=table)
+    assert fit.chambers == ("(-inf, 0)", "(0, 2)", "(2, inf)")
     assert fit.polynomials == ((), (0, 0, F(9, 4)), (F(-3), F(6)))
     for x in (F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(7, 2)):
         assert fit.evaluate(x) == _mixed_rank2_density(x)
@@ -457,10 +455,41 @@ def test_fit_of_a_rank2_module_has_degree_d_plus_e_minus_2():
     assert fit.top_degree == fit.diagnostics["top_degree_expected"] == 1
 
 
+@pytest.mark.parametrize("name, values", [
+    # {x e1, y e2}: (M^n)_n holds x^a y^(n-a) e1^a e2^(n-a), l = n + 1, and
+    # 3! (n + 1) / n^2 -> 0
+    ("free_rank2", {1: 0}),
+    # (x^2, y^2): (M^n)_(2n) holds x^(2a) y^(2n-2a), l = n + 1, and 2 (n + 1)/n -> 2
+    ("reduction_sub_x2_y2", {2: 2}),
+    # (x^2, y^3): (M^n)_(2n) holds x^(2n) alone, l = 1, and 2/n -> 0; in
+    # degree 3n, x^(3n-j) y^j lies in M^n for j = 3k (k <= n), 3k + 1 (k < n)
+    # and 3k + 2 (k < n - 1), l = 3n, and 2 * 3n / n = 6
+    ("ideal_x2_y3", {2: 0, 3: 6}),
+    # {x^2 e1, xy e1, y e2}, shifts (0, -1): l((M^n)_(2n)) = sum over a <= n
+    # of (2n - a + 1) = (n + 1)(3n + 2)/2, and 3! l / n^2 -> 9
+    ("mixed_rank2", {0: 0, 2: 9}),
+])
+def test_breakpoint_values_are_the_limits_of_their_closed_forms(name, values):
+    fit = fit_piecewise(load_corpus_module(name))
+    assert dict(zip(fit.breakpoints, fit.breakpoint_values)) == values
+    for x, value in values.items():
+        assert fit.evaluate(F(x)) == value
+
+
+def test_a_breakpoint_value_is_its_own_not_a_chamber_polynomial():
+    # (x^2, y^2) has density 2x past 2, l((M^n)_j) = j + 1 for j >= 2n + 2,
+    # but 2 at x = 2 itself (l = n + 1 there), which no grid tolerance could
+    # tell from a 1/n error
+    fit = fit_piecewise(load_corpus_module("reduction_sub_x2_y2"))
+    assert fit.chambers == ("(-inf, 2)", "(2, inf)")
+    assert fit.polynomials == ((), (F(0), F(2)))
+    assert fit.evaluate(F(2)) == 2
+    assert fit.evaluate(F(201, 100)) == F(201, 50)
+
+
 _TOLERANCE_CALLS = pytest.mark.parametrize("name, call", [
-    ("the fit tolerance", lambda tol: fit_piecewise(sample_adic(M_XY, [F(1)], (8,)), tol=tol)),
     ("the tolerance", lambda tol: epsilon_multiplicity(M_XY, (1, 2), tol=tol)),
-], ids=["fit_piecewise", "epsilon_multiplicity"])
+], ids=["epsilon_multiplicity"])
 
 
 @pytest.mark.parametrize("tol", [0.1, True], ids=["float", "bool"])
@@ -474,7 +503,6 @@ def test_tolerances_are_refused_unless_rational(name, call, tol):
 @pytest.mark.parametrize("tol", [F(0), F(-1), F(-5)], ids=["0", "-1", "-5"])
 @_TOLERANCE_CALLS
 def test_tolerances_are_refused_unless_positive(name, call, tol):
-    # a fit with tol <= 0 failed as not converged, blaming the ladder, and
     # the epsilon cross-check passed with a negative tolerance
     with pytest.raises(InputError, match=f"^{name} must be positive, got {tol}"):
         call(tol)
@@ -488,27 +516,28 @@ def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder(
 
 def test_fit_not_converged_error_message():
     # the cone of (x, y) past t = n is read on the rows n = 3, 4, 5 at every
-    # margin, where n^2 mod 7 (2, 2, 4) is no polynomial
-    grid = sample_adic(M_XY, [F(2)], (8,))
+    # margin, where n^2 mod 7 (2, 2, 4) is no polynomial; the refusal names
+    # the chamber
     with pytest.raises(
         FitNotConvergedError,
-        match=r"^no polynomial region found \(held-out samples disagree up to the margin cap 64\)$",
+        match=r"^chamber \(1, inf\): no polynomial region found \(held-out samples "
+        r"disagree up to the margin cap 64\)$",
     ):
-        fit_piecewise(grid, table=_NeverStableLadder(M_XY))
+        fit_piecewise(M_XY, table=_NeverStableLadder(M_XY))
 
 
 def test_cone_fit_stops_before_sampling_past_the_power_bound(monkeypatch):
-    # the chamber (1, 3] of (x, y^3) is read on rows n = 2*(b0 + j), j <= 2,
+    # the chamber (1, 3) of (x, y^3) is read on rows n = 2*(b0 + j), j <= 2,
     # with b0 = ceil((2*mu + 4)/2): up to n = 12, 16 and 24 at the margins
     # 2, 4 and 8, and n = 40, past a bound of 30, at the margin 16
     monkeypatch.setattr(polyfit, "MAX_LADDER_N", 30)
     ladder = _NeverStableLadder(M_X_Y3)
     with pytest.raises(
         FitNotConvergedError,
-        match=r"^not converged; the cone fit at margin 16 would sample M\^40, "
-        r"above MAX_LADDER_N = 30$",
+        match=r"^chamber \(1, 3\): not converged; the cone fit at margin 16 would sample "
+        r"M\^40, above MAX_LADDER_N = 30$",
     ):
-        fit_piecewise(sample_adic(M_X_Y3, [], (8,)), table=ladder)
+        fit_piecewise(M_X_Y3, table=ladder)
     assert max(ladder.asked) == 24
 
 

@@ -51,7 +51,7 @@ def _cases() -> dict[str, list[str]]:
     cases["check-step3.ideal_x2_xy-in-square_maximal"] = [
         "check", "--sub", "corpus:ideal_x2_xy", "--sup", "corpus:square_maximal",
         "--ladder", ",".join(str(n) for n in range(3, 46, 3))]
-    for name in ("ideal_x2_y3", "three_vars"):
+    for name in ("free_rank2", "ideal_x2_y3", "reduction_sub_x2_y2", "three_vars"):
         cases[f"density-fit.{name}"] = [
             "density", "--module", f"corpus:{name}", "--kind", "adic,saturated,epsilon",
             "--richardson", "--fit"]

@@ -31,6 +31,7 @@ from reesdensity import (
     sample_adic,
     serialize_module,
 )
+import reesdensity.counting as counting
 import reesdensity.polyfit as polyfit
 from reesdensity.cli import MAX_LADDER_N, _parse_grid, _parse_ladder_options, main
 from reesdensity.core import MAX_RING_VARIABLES
@@ -222,7 +223,7 @@ M_X2_XY = ideal([(2, 0), (1, 1)])
 RECORDS = {
     "density grid": lambda: sample_adic(M_X2_XY, ladder=(8, 16)),
     "chambers": lambda: detect_chambers(M_X2_XY),
-    "chamber fit": lambda: fit_piecewise(sample_adic(M_X2_XY, ladder=(8, 16))),
+    "chamber fit": lambda: fit_piecewise(M_X2_XY),
     "epsilon report": lambda: epsilon_multiplicity(M_X2_XY, (1, 2, 3, 4, 5, 6, 7, 8)),
     "diagonal report": lambda: diagonal_multiplicity(M_X2_XY, 3),
     "mixed report": lambda: mixed_multiplicities(M_X2_XY, extended=True),
@@ -292,7 +293,39 @@ def test_cli_density_fit_prints_polynomials(tmp_path, monkeypatch, capsys):
     code = main(["density", "--module", str(path), "--fit"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "[2, inf)" in out
+    # (x^2, xy)^n = x^n (x, y)^n: l = j - n + 1, so 2(n + 1)/n -> 2 at x = 2
+    assert "  (-inf, 2): 0\n  at x = 2: 2\n  (2, inf): 2x - 2\n" in out
+
+
+def test_cli_density_fit_reads_its_rows_before_the_grid(tmp_path, monkeypatch):
+    # fitted first, the cone (x, y) reads M^3..M^5 and the breakpoint's ray
+    # M^8..M^15 in ascending n, and the grid climbs on to M^40: 39 products,
+    # M^2..M^40 once each; fitted after the grid, M^2..M^5 were built twice
+    monkeypatch.chdir(tmp_path)
+    built = []
+    real = counting.next_power
+
+    def recording(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "next_power", recording)
+    assert main(["density", "--module", "corpus:maximal_ideal", "--kind", "adic", "--fit"]) == 0
+    assert len(built) == 39
+
+
+def test_cli_density_fit_refused_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    # every cone of (x^2, y^3) would sample past a power bound of 2, so the
+    # fit is refused, naming its chamber, before any grid is sampled or written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(polyfit, "MAX_LADDER_N", 2)
+    argv = ["density", "--module", "corpus:ideal_x2_y3", "--kind", "adic,saturated",
+            "--fit", "--json-out", "x.json"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: chamber (2, 3): not converged; the cone fit")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_density_rejects_bad_kind(tmp_path, capsys):
@@ -425,10 +458,8 @@ _SUBCOMMANDS = {
     ("check", "--nmax=-1"),
     *[(command, ladder) for command in _SUBCOMMANDS
       for ladder in ("--ladder=0,1,2,3", "--ladder=3,2,1,1")],
-    ("density", "--tol=-1"),
     ("multiplicity", "--tol=-1"),
     # text that is no rational, and a slope the pair's generator degrees refuse
-    ("density", "--tol=abc"),
     ("multiplicity", "--tol=abc"),
     ("density", "--grid=0:x:1"),
     ("check", "--c=2"),
@@ -436,11 +467,9 @@ _SUBCOMMANDS = {
 def test_cli_validates_ladder_nmax_and_tol_alike(
     command, option, tmp_path, monkeypatch, capsys
 ):
-    # every subcommand rejects the same bad values, naming the flag; density
-    # runs with --fit, without which its --tol is refused before any value check
+    # every subcommand rejects the same bad values, naming the flag
     monkeypatch.chdir(tmp_path)
-    fit = ["--fit"] if command == "density" else []
-    assert main(_SUBCOMMANDS[command] + fit + [option]) == 2
+    assert main(_SUBCOMMANDS[command] + [option]) == 2
     assert option.split("=")[0] in capsys.readouterr().err
 
 
@@ -748,7 +777,7 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
     ("multiplicity", ["--c", "7", "--nmax", "6"], "--c", "--diagonal or --mixed"),
     ("multiplicity", ["--epsilon", "--c", "7"], "--c", "--diagonal or --mixed"),
     ("multiplicity", ["--diagonal", "--tol", "1/2"], "--tol", "--epsilon"),
-    ("density", ["--tol", "1/2"], "--tol", "--fit"),
+    ("density", ["--kind", "saturated", "--fit"], "--fit", "add adic to --kind"),
     ("multiplicity", ["--mixed", "--ladder", "1,2"], "--ladder", "--epsilon"),
     ("multiplicity", ["--diagonal", "--nmax", "5"], "--nmax", "--epsilon"),
 ])

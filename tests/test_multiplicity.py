@@ -313,15 +313,14 @@ def test_bigraded_fit_cumulative_raises_degree():
 
 
 def test_density_polynomial_from_fit_matches_top_chamber():
-    from reesdensity import fit_piecewise, sample_adic
+    from reesdensity import fit_piecewise
 
     fit = fit_bigraded_polynomial(M_XY)
     assert oracles.density_polynomial_from_fit(fit, 2, 1) == (F(0), F(2))
     # (x^2, xy): lengths m - n + 1 deep in the cone, so the density is 2x - 2
     fit2 = fit_bigraded_polynomial(M_X2_XY)
     assert oracles.density_polynomial_from_fit(fit2, 2, 1) == (F(-2), F(2))
-    table = LengthLadder(M_X2_XY)
-    chamber_fit = fit_piecewise(sample_adic(M_X2_XY, None, None, table=table), table=table)
+    chamber_fit = fit_piecewise(M_X2_XY)
     assert chamber_fit.polynomials[-1] == oracles.density_polynomial_from_fit(fit2, 2, 1)
 
 
