@@ -23,7 +23,7 @@ _EXPORTS = {
     "density": (
         "ChamberDecomposition", "DensityGrid", "cumulative_identity", "default_grid",
         "detect_chambers", "fit_piecewise", "ray_extrapolate", "sample_adic",
-        "sample_epsilon", "sample_saturated", "trapezoid",
+        "sample_epsilon", "sample_saturated",
     ),
     "dependence": (
         "CriterionEvidence", "DependenceVerdict", "check_dependence",

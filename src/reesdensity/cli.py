@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Optional
 
 from .core import FitNotConvergedError, InputError, InternalInvariantError, TermModule
-from .core import require_tolerance
 from .counting import MAX_LADDER_N, LengthLadder, normalize_ladder
 from .io import (
     chambers_payload,
@@ -47,27 +46,22 @@ def _flag(flag: str, rule, *args):
 
 
 def _parse_ladder_options(args, nmax_ladder=None):
-    """The n ladder of ``--ladder`` and ``--nmax`` and the tolerance of
-    ``--tol`` (``multiplicity`` only), each None when not given (the engine
-    default), refused by the engine's rules before any work.  ``nmax_ladder``
-    builds the ladder from ``--nmax`` (1 to ``MAX_LADDER_N``) where ``--nmax``
-    tops it; ``--ladder`` wins over it.  ``check`` passes none: its ``--nmax``
-    bounds the certificate search.
+    """The n ladder of ``--ladder`` and ``--nmax``, None when not given (the
+    engine default), refused by the engine's rule before any work.
+    ``nmax_ladder`` builds the ladder from ``--nmax`` (1 to ``MAX_LADDER_N``)
+    where ``--nmax`` tops it; ``--ladder`` wins over it.  ``check`` passes
+    none: its ``--nmax`` bounds the certificate search.
     """
     if nmax_ladder and args.nmax is not None and not 1 <= args.nmax <= MAX_LADDER_N:
         raise InputError(f"--nmax must lie in [1, MAX_LADDER_N = {MAX_LADDER_N}], "
                          f"got {args.nmax}")
-    ladder = None
     if args.ladder:
         try:
             ladder = tuple(int(part) for part in args.ladder.split(",") if part.strip())
         except ValueError as exc:
             raise InputError(f"bad --ladder {args.ladder!r}: {exc}") from exc
-        ladder = _flag("--ladder", normalize_ladder, ladder, None)
-    elif args.nmax is not None and nmax_ladder:
-        ladder = nmax_ladder(args.nmax)
-    tol = getattr(args, "tol", None)
-    return ladder, require_tolerance(_flag("--tol", parse_fraction, tol), "--tol") if tol else None
+        return _flag("--ladder", normalize_ladder, ladder, None)
+    return nmax_ladder(args.nmax) if args.nmax is not None and nmax_ladder else None
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -126,7 +120,7 @@ def _cmd_density(args) -> int:
         )
     if args.fit and "adic" not in kinds:
         raise InputError(f"--fit fits the adic density only; add adic to --kind {args.kind!r}")
-    ladder, _ = _parse_ladder_options(args, _scaled_ladder)
+    ladder = _parse_ladder_options(args, _scaled_ladder)
     # either grid is refused here when oversized, before anything is written
     grid = _parse_grid(args.grid) if args.grid else default_grid(module)
     many = len(kinds) > 1
@@ -163,7 +157,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_multiplicity(args) -> int:
-    from .multiplicity import EPSILON_TOL, diagonal_from_fit, epsilon_multiplicity
+    from .multiplicity import diagonal_from_fit, epsilon_multiplicity
     from .multiplicity import fit_or_error, mixed_from_fit, require_slope
 
     wants = [name for name, on in (
@@ -175,8 +169,6 @@ def _cmd_multiplicity(args) -> int:
     if args.c is not None and "diagonal" not in wants and "mixed" not in wants:
         raise InputError("--c is the slope of the diagonal and mixed multiplicities; "
                          "add --diagonal or --mixed")
-    if args.tol is not None and "epsilon" not in wants:
-        raise InputError("--tol is the epsilon cross-check tolerance; add --epsilon")
     for flag, value in (("--ladder", args.ladder), ("--nmax", args.nmax)):
         if value is not None and "epsilon" not in wants:
             raise InputError(f"{flag} sets the epsilon n ladder, which no other report "
@@ -184,7 +176,7 @@ def _cmd_multiplicity(args) -> int:
     module = _load_module(args.module)
     if "diagonal" in wants or "mixed" in wants:
         c = _flag("--c", require_slope, module.max_degree, args.c)
-    ladder, tol = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
+    ladder = _parse_ladder_options(args, lambda n: tuple(range(1, n + 1)))
     _check_outputs(args.json_out)
     table = LengthLadder(module, args.cache_dir)
     reports = []
@@ -196,7 +188,7 @@ def _cmd_multiplicity(args) -> int:
             # after epsilon has asked for the powers in ascending order
             fit = fit_or_error(module, c, table)
         if name == "epsilon":
-            report = epsilon_multiplicity(module, ladder, table=table, tol=tol or EPSILON_TOL)
+            report = epsilon_multiplicity(module, ladder, table=table)
             exact = report.values["exact"]
             print(f"epsilon: status {report.status}, "
                   f"estimate {fraction_str(report.values['estimate'])}"
@@ -241,7 +233,7 @@ def _cmd_check(args) -> int:
     sub = _load_module(args.sub)
     sup = _load_module(args.sup)
     _flag("--nmax", require_search_bound, args.nmax)
-    ladder, _ = _parse_ladder_options(args)
+    ladder = _parse_ladder_options(args)
     _check_outputs(args.json_out)
     try:
         # the pair is checked once, before the slope: its refusals are not the slope's
@@ -336,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.add_argument("--c", type=int, help="diagonal slope (default d_M + 1)")
     p_mult.add_argument("--nmax", type=int, help="top of the n ladder (1..nmax)")
     p_mult.add_argument("--ladder", help="explicit comma-separated n ladder")
-    p_mult.add_argument("--tol", help="epsilon cross-check tolerance (rational)")
     _add_common(p_mult)
     p_mult.set_defaults(func=_cmd_multiplicity)
 

@@ -70,14 +70,6 @@ def require_rational(value, name: str) -> Fraction:
     return Fraction(value)
 
 
-def require_tolerance(value, name: str) -> Fraction:
-    """``require_rational``, and refused unless positive."""
-    value = require_rational(value, name)
-    if value <= 0:
-        raise InputError(f"{name} must be positive, got {value}")
-    return value
-
-
 class RingSpec:
     """Polynomial ring k[x_1..x_d] with the standard grading: 2 to
     ``MAX_RING_VARIABLES`` distinct nonempty variable names."""

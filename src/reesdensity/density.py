@@ -8,12 +8,12 @@ quantities at scale n and abscissa x are
     epsilon    their difference
 
 together with chamber detection from generator degrees, the exact
-piecewise fit of the adic density and the exact cumulative identity.  Each
-chamber polynomial is one exact bigraded fit of the lengths in its cone
-(``polyfit.fit_cone``) and a limit at one x, a breakpoint's value among
-them, is read along its ray (``ray_extrapolate``), both at the step L(M) the
-generator degrees bound, so both are exact rationals and the fit needs no
-sampled grid.
+piecewise fit of the adic density, the exact cumulative identity and the
+exact integral of the epsilon density.  Each chamber polynomial is one
+exact bigraded fit of the lengths in its cone (``polyfit.fit_cone``) and a
+limit at one x, a breakpoint's value among them, is read along its ray
+(``ray_extrapolate``), both at the step L(M) the generator degrees bound,
+so both are exact rationals and neither fit needs a sampled grid.
 
 Lengths come from a ``LengthLadder`` of the module.  ``table=`` passes one
 in, to share powers, saturations and K-polynomials across calls, or a disk
@@ -265,10 +265,10 @@ def detect_chambers(m: TermModule) -> ChamberDecomposition:
 # -- exact limits along rays --------------------------------------------------
 
 
-def _lattice_step(m: TermModule) -> int:
-    """L(M) = lcm |delta - delta'| over the distinct generator degrees (1 for
-    one degree): the period of every ray and the lattice step of every cone."""
-    return lcm(*(b - a for a, b in combinations(m.generator_degrees, 2)))
+def _lattice_step(degrees) -> int:
+    """L = lcm |delta - delta'| over distinct degrees (1 for one); L(M) at the
+    generator degrees, the period of every ray and step of every adic cone."""
+    return lcm(*(b - a for a, b in combinations(degrees, 2)))
 
 
 def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = False) -> Fraction:
@@ -294,7 +294,7 @@ def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = Fal
     x = require_rational(x, "x")
     r = m.ambient.ring.dim + m.ambient.rank - 2 + _cumulative
     length = table.cumulative if _cumulative else table.length
-    period = _lattice_step(m)
+    period = _lattice_step(m.generator_degrees)
     q = x.denominator
     n0 = q * max(2, -(-RAY_N_FLOOR // q))
     ns = range(n0, n0 + ((r + 1 + STABLE_WINDOW) * period + 2) * q, q)
@@ -312,6 +312,22 @@ def ray_extrapolate(table: LengthLadder, x: Fraction, *, _cumulative: bool = Fal
     raise FitNotConvergedError(
         f"not converged; increase n ladder (no stable ray at x = {x} with period L = {period})"
     )
+
+
+def _fit_chambers(value, bps, end: Optional[int], step: int, r: int) -> list[Poly]:
+    """The density polynomial of ``value``'s lengths on each chamber (bps[i],
+    bps[i+1]), the last ending at ``end`` (None: unbounded): (r+1)! times the
+    degree-r part at (x, 1) of ``fit_cone``'s fit of its cone on step*Z^2, or
+    ``FitNotConvergedError`` naming the chamber."""
+    polys = []
+    for lo, hi in zip(bps, [*bps[1:], end]):
+        try:
+            fit, _, _ = fit_cone(value, lo, hi, step, r)
+        except FitNotConvergedError as exc:
+            raise FitNotConvergedError(f"chamber {_interval(lo, hi)}: {exc}") from exc
+        top = [fit.get((i, r - i), Fraction(0)) for i in range(r + 1)]
+        polys.append(poly_trim([factorial(r + 1) * c for c in top]))
+    return polys
 
 
 def fit_piecewise(m: TermModule, *, table: Optional[LengthLadder] = None) -> ChamberDecomposition:
@@ -333,17 +349,8 @@ def fit_piecewise(m: TermModule, *, table: Optional[LengthLadder] = None) -> Cha
     chambers = detect_chambers(m)
     table = ladder_for(m, table)
     r = m.ambient.ring.dim + m.ambient.rank - 2
-    step = _lattice_step(m)
     bps = chambers.breakpoints
-    polys: list[Poly] = [()]
-    for label, lo, hi in zip(chambers.chambers[1:], bps, [*bps[1:], None]):
-        try:
-            fit, _, _ = fit_cone(table.length, lo, hi, step, r)
-        except FitNotConvergedError as exc:
-            raise FitNotConvergedError(f"chamber {label}: {exc}") from exc
-        polys.append(poly_trim(
-            [factorial(r + 1) * fit.get((i, r - i), Fraction(0)) for i in range(r + 1)]
-        ))
+    polys = [(), *_fit_chambers(table.length, bps, None, _lattice_step(bps), r)]
     chambers.polynomials = tuple(polys)
     chambers.breakpoint_values = tuple(ray_extrapolate(table, Fraction(b)) for b in bps)
     chambers.continuity = tuple(
@@ -355,14 +362,13 @@ def fit_piecewise(m: TermModule, *, table: Optional[LengthLadder] = None) -> Cha
     return chambers
 
 
-# -- cumulative identity -------------------------------------------------------
+# -- integrals of the densities ------------------------------------------------
 
 
-def trapezoid(xs: list[Fraction], vs: list[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for (x0, v0), (x1, v1) in zip(zip(xs, vs), zip(xs[1:], vs[1:])):
-        acc += (v0 + v1) * (x1 - x0) / 2
-    return acc
+def _integral(poly: Poly, lo, hi) -> Fraction:
+    """The exact integral of ``poly`` from ``lo`` to ``hi``."""
+    primitive = (0, *(Fraction(c) / (k + 1) for k, c in enumerate(poly)))
+    return poly_eval(primitive, hi) - poly_eval(primitive, lo)
 
 
 def cumulative_identity(
@@ -390,8 +396,7 @@ def cumulative_identity(
     for lo, hi, poly in zip(bps, [*bps[1:], x], polys[1:]):
         if x <= lo:
             break
-        primitive = (0, *(Fraction(c) / (k + 1) for k, c in enumerate(poly)))
-        integral += poly_eval(primitive, min(hi, x)) - poly_eval(primitive, lo)
+        integral += _integral(poly, lo, min(hi, x))
     rhs = (m.ambient.ring.dim + m.ambient.rank) * integral
     if lhs != rhs:
         raise InternalInvariantError(
@@ -399,3 +404,32 @@ def cumulative_identity(
             f"!= {rhs}, (d+e) times the integral of the density"
         )
     return {"x": x, "lhs": lhs, "integral": integral, "rhs": rhs}
+
+
+def epsilon_integral(table: LengthLadder, rows) -> Fraction:
+    """The exact integral of the epsilon density of ``table``'s module, read
+    only off the length rows of the n in ``rows``: epsilon, as t_n sums
+    len(sat(M^n)_t) - len((M^n)_t) over t.
+
+    sat(M^n) intersects the n-th powers of the colon modules M : x_i^inf
+    (``table``'s colon ladders), so between consecutive points of the union
+    U of their generator degrees and M's the difference is a vector
+    partition function, read by ``_fit_chambers`` on L(U)*Z^2.  Both modules
+    are 0 below U's least point; every colon generator divides one of M's,
+    so U tops at d_M, past which the density is 0.  A chamber whose fit does
+    not converge, or would read a row off ``rows``, raises
+    ``FitNotConvergedError`` naming it before that row is built.
+    """
+    m = table.module
+    colons = (colon.module.generator_degrees for colon in table._colons)
+    union = sorted(set(m.generator_degrees).union(*colons))
+
+    def value(n: int, t: int) -> int:
+        if n not in rows:
+            raise FitNotConvergedError(f"the cone fit would read the row n = {n}, "
+                                       "which is not on the epsilon ladder")
+        return table.sat_length(n, t) - table.length(n, t)
+
+    r = m.ambient.ring.dim + m.ambient.rank - 2
+    polys = _fit_chambers(value, union[:-1], union[-1], _lattice_step(union), r)
+    return sum(map(_integral, polys, union, union[1:]), Fraction(0))

@@ -51,8 +51,7 @@ SCHEMA_VERSION = 1
 
 
 def fraction_str(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def polynomial_str(coeffs) -> str:
@@ -94,7 +93,7 @@ def parse_fraction(text) -> Fraction:
 def jsonable(obj):
     """Recursively convert exact values into JSON-safe structures."""
     if isinstance(obj, Fraction):
-        return fraction_str(obj)
+        return str(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str, float)):
         return obj
     if isinstance(obj, dict):

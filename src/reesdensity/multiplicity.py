@@ -1,9 +1,10 @@
 """Multiplicities from exact length data.
 
 Two invariants are read off the lengths: the epsilon multiplicity, the
-growth of the saturation-quotient totals on an n ladder, and the bigraded
-polynomial P-bar of the cumulative lengths, interpolated exactly deep
-inside its polynomial region (``fit_bigraded_polynomial``).  The extended
+growth of the saturation-quotient totals on an n ladder, cross-checked
+against the exact integral of its density on the same rows, and the
+bigraded polynomial P-bar of the cumulative lengths, interpolated exactly
+deep inside its polynomial region (``fit_bigraded_polynomial``).  The extended
 mixed multiplicities e-bar are the leading form of P-bar and the plain ones
 are e_i = e-bar_{i+1}, as the graded lengths are P-bar(X, n) - P-bar(X-1, n);
 the diagonal multiplicities along m = c*n (in the base ring and in the
@@ -24,9 +25,9 @@ from typing import Optional
 from .core import (
     FitNotConvergedError,
     InputError,
+    InternalInvariantError,
     TermModule,
     require_int,
-    require_tolerance,
 )
 from .counting import LengthLadder, ladder_for, normalize_ladder, require_samplable
 from .polyfit import (
@@ -41,8 +42,6 @@ from .polyfit import (
 )
 
 DEFAULT_MULT_LADDER: tuple[int, ...] = tuple(range(1, 21))
-# default relative tolerance of the epsilon cross-check
-EPSILON_TOL = Fraction(3, 20)
 
 
 class MultiplicityReport(SimpleNamespace):
@@ -103,33 +102,23 @@ def epsilon_multiplicity(
     *,
     table: Optional[LengthLadder] = None,
     cross_check: bool = True,
-    tol: Fraction = EPSILON_TOL,
 ) -> MultiplicityReport:
     """Epsilon multiplicity from exact saturation-quotient totals.
 
     t_n = total length of sat(M^n)/M^n; the reported estimate is
     (d+e-1)! * t_n / n^{d+e-1} at the top of the ladder with an n_max/2
-    diagnostic, the exact value comes from stabilized finite differences when
-    they certify a polynomial tail, and (optionally) the trapezoidal integral
-    of the epsilon density, sampled at the ladder's reference rung and top,
-    cross-checks the exact value, or without one the Richardson estimate of
-    the top and reference rungs.
+    diagnostic, and the exact value comes from stabilized finite differences
+    when they certify a polynomial tail.  ``cross_check`` reports the exact
+    ``integral`` of the epsilon density on the ladder's own rows
+    (``density.epsilon_integral``), or None with an ``integral_reason``
+    naming the chamber; an exact value that differs from it raises
+    ``InternalInvariantError``, and it never replaces the ladder's value.
     """
     require_samplable(m)
-    tol = require_tolerance(tol, "the tolerance")
-    if cross_check:
-        # the epsilon density is density work: only the cross-check loads it;
-        # an oversized grid is refused here, before any census
-        from .density import default_grid, sample_epsilon, trapezoid
-
-        xs = default_grid(m)
     ladder = normalize_ladder(ladder, DEFAULT_MULT_LADDER)
     table = ladder_for(m, table)
-    d = m.ambient.ring.dim
-    e = m.ambient.rank
-    big_d = d + e - 1
+    big_d = m.ambient.ring.dim + m.ambient.rank - 1
     totals = {n: table.sat_quotient_total(n) for n in ladder}
-    n_max = ladder[-1]
 
     def estimate_at(n: int) -> Fraction:
         return Fraction(factorial(big_d) * totals[n], n**big_d)
@@ -142,29 +131,21 @@ def epsilon_multiplicity(
         "extraction": ext,
     }
     if cross_check:
-        # the ladder's own reference rung: no rung off the ladder is sampled
-        ref = diagnostics["reference_n"]
-        grid_ladder = (n_max,) if ref is None else (ref, n_max)
-        grid = sample_epsilon(m, xs, grid_ladder, table=table, richardson=True)
-        integral = trapezoid(list(grid.xs), list(grid.extrapolated))
-        # like with like: the integral is a limit, so it is compared with the
-        # exact value where there is one, else with the Richardson estimate
-        limit = exact if exact is not None else extrapolate(estimate_at, ladder, True)[0]
-        gap = abs(integral - limit)
-        # combined tolerance: relative term for the 1/n error plus a grid-
-        # resolution term; the epsilon density jumps to 0 at d_M, and the
-        # trapezoid rule misses O(step * jump) there no matter how large n is
-        step = grid.xs[1] - grid.xs[0] if len(grid.xs) > 1 else Fraction(0)
-        peak = max((abs(v) for v in grid.extrapolated), default=Fraction(0))
-        combined = tol * max(Fraction(1), estimate) + Fraction(step * peak, 2)
+        # the epsilon density is density work: only the cross-check loads it
+        from .density import epsilon_integral
+
+        try:
+            integral = epsilon_integral(table, ladder)
+        except FitNotConvergedError as exc:
+            integral, diagnostics["integral_reason"] = None, str(exc)
         diagnostics["integral"] = integral
-        diagnostics["integral_gap"] = gap
-        diagnostics["integral_tolerance"] = combined
-        diagnostics["integral_ok"] = gap <= combined
-    status = "ok" if exact is not None else "estimate-only"
+        if None not in (exact, integral) and exact != integral:
+            raise InternalInvariantError(
+                f"epsilon {exact} from the ladder != {integral}, the integral of its density"
+            )
     return MultiplicityReport(
         kind="epsilon",
-        status=status,
+        status="ok" if exact is not None else "estimate-only",
         values={"estimate": estimate, "exact": exact, "totals": totals},
         ladder=ladder,
         diagnostics=diagnostics,

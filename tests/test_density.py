@@ -27,7 +27,6 @@ from reesdensity import (
     sample_adic,
     sample_epsilon,
     sample_saturated,
-    trapezoid,
     zero_module,
 )
 
@@ -487,33 +486,6 @@ def test_a_breakpoint_value_is_its_own_not_a_chamber_polynomial():
     assert fit.evaluate(F(201, 100)) == F(201, 50)
 
 
-_TOLERANCE_CALLS = pytest.mark.parametrize("name, call", [
-    ("the tolerance", lambda tol: epsilon_multiplicity(M_XY, (1, 2), tol=tol)),
-], ids=["epsilon_multiplicity"])
-
-
-@pytest.mark.parametrize("tol", [0.1, True], ids=["float", "bool"])
-@_TOLERANCE_CALLS
-def test_tolerances_are_refused_unless_rational(name, call, tol):
-    # 0.1 would be written to the diagnostics as a float, and True read as 1
-    with pytest.raises(InputError, match=f"^{name} must be an int or a Fraction, got"):
-        call(tol)
-
-
-@pytest.mark.parametrize("tol", [F(0), F(-1), F(-5)], ids=["0", "-1", "-5"])
-@_TOLERANCE_CALLS
-def test_tolerances_are_refused_unless_positive(name, call, tol):
-    # the epsilon cross-check passed with a negative tolerance
-    with pytest.raises(InputError, match=f"^{name} must be positive, got {tol}"):
-        call(tol)
-
-
-def test_epsilon_cross_check_refuses_a_negative_tolerance_on_the_default_ladder():
-    m = load_corpus_module("maximal_ideal")
-    with pytest.raises(InputError, match="must be positive"):
-        epsilon_multiplicity(m, tol=F(-5))
-
-
 def test_fit_not_converged_error_message():
     # the cone of (x, y) past t = n is read on the rows n = 3, 4, 5 at every
     # margin, where n^2 mod 7 (2, 2, 4) is no polynomial; the refusal names
@@ -542,11 +514,6 @@ def test_cone_fit_stops_before_sampling_past_the_power_bound(monkeypatch):
 
 
 # -- integrals ----------------------------------------------------------------------
-
-
-def test_trapezoid_exact_for_piecewise_linear():
-    xs = [F(0), F(1, 2), F(1)]
-    assert trapezoid(xs, [F(0), F(1), F(2)]) == 1
 
 
 def test_cumulative_identity_linear_case():

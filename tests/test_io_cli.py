@@ -48,6 +48,9 @@ from reesdensity.io import (
     write_density_csv,
 )
 
+# (x^12500, y): generator degrees 1 and 12500
+X12500_Y = [{"exponents": [12500, 0], "basis": 0}, {"exponents": [0, 1], "basis": 0}]
+
 GOOD_DOC = {
     "schema_version": 1,
     "ring": {"variables": ["x", "y"]},
@@ -458,9 +461,7 @@ _SUBCOMMANDS = {
     ("check", "--nmax=-1"),
     *[(command, ladder) for command in _SUBCOMMANDS
       for ladder in ("--ladder=0,1,2,3", "--ladder=3,2,1,1")],
-    ("multiplicity", "--tol=-1"),
     # text that is no rational, and a slope the pair's generator degrees refuse
-    ("multiplicity", "--tol=abc"),
     ("density", "--grid=0:x:1"),
     ("check", "--c=2"),
 ])
@@ -525,7 +526,7 @@ def test_cli_ladder_text_and_the_api_follow_one_rule(entries):
         with pytest.raises(InputError, match="^--ladder: "):
             _parse_ladder_options(args)
     else:
-        assert _parse_ladder_options(args)[0] == expected
+        assert _parse_ladder_options(args) == expected
 
 
 @pytest.mark.parametrize("kinds", [",", "adic,adic"])
@@ -632,25 +633,22 @@ def test_cli_oversized_ladder_fails_before_computing(argv, tmp_path, monkeypatch
 def test_cli_ladder_at_the_cap_is_accepted():
     # check: --nmax bounds the certificate search, which builds M^(nmax+1)
     below_cap = argparse.Namespace(nmax=MAX_LADDER_N - 1, ladder=None)
-    assert _parse_ladder_options(below_cap)[0] is None
+    assert _parse_ladder_options(below_cap) is None
     at_cap = argparse.Namespace(nmax=MAX_LADDER_N, ladder=None)
     top = tuple(range(1, MAX_LADDER_N + 1))
-    assert _parse_ladder_options(at_cap, lambda n: tuple(range(1, n + 1)))[0] == top
+    assert _parse_ladder_options(at_cap, lambda n: tuple(range(1, n + 1))) == top
     explicit = argparse.Namespace(nmax=None, ladder=f"1,{MAX_LADDER_N}")
-    assert _parse_ladder_options(explicit)[0] == (1, MAX_LADDER_N)
+    assert _parse_ladder_options(explicit) == (1, MAX_LADDER_N)
 
 
 @pytest.mark.parametrize("job", [
     ["density", "--csv-out", "x.csv"],
-    ["multiplicity", "--epsilon"],
-], ids=["density", "epsilon-cross-check"])
+], ids=["density"])
 def test_cli_oversized_default_grid_fails_before_computing(job, tmp_path, monkeypatch, capsys):
     # the default grid runs from -1 to d_M + 2 by 1/8: 100025 points for
     # (x^12500, y); --ladder 1 keeps a job that builds it short, and the
     # refusal comes before the cache directory exists
-    path = write_doc(tmp_path, {**GOOD_DOC, "generators": [
-        {"exponents": [12500, 0], "basis": 0}, {"exponents": [0, 1], "basis": 0},
-    ]})
+    path = write_doc(tmp_path, {**GOOD_DOC, "generators": X12500_Y})
     out = tmp_path / "out"
     out.mkdir()
     monkeypatch.chdir(out)
@@ -661,6 +659,25 @@ def test_cli_oversized_default_grid_fails_before_computing(job, tmp_path, monkey
     assert captured.out == ""
     assert "100025 points" in captured.err and str(MAX_GRID_POINTS) in captured.err
     assert not any(out.iterdir())
+
+
+def test_cli_epsilon_of_a_wide_module_answers_without_its_integral(tmp_path, monkeypatch):
+    # (x^12500, y) has epsilon-density breakpoints {0, 1, 12500}, whose
+    # lattice step L = 12500 * 12499 puts every cone row past MAX_LADDER_N:
+    # the integral is refused before any row is asked, and no power is built
+    path = write_doc(tmp_path, {**GOOD_DOC, "generators": X12500_Y})
+    built = []
+    monkeypatch.setattr(counting, "next_power", lambda *args: built.append(args))
+    out = tmp_path / "x.json"
+    argv = ["multiplicity", "--module", str(path), "--epsilon", "--ladder", "1",
+            "--json-out", str(out)]
+    assert main(argv) == 0
+    assert built == []
+    diagnostics = json.loads(out.read_text())["reports"][0]["diagnostics"]
+    assert diagnostics["integral"] is None
+    assert diagnostics["integral_reason"].startswith(
+        "chamber (0, 1): not converged; the cone fit at margin 2 would sample M^"
+    )
 
 
 def test_cli_grid_at_the_point_limit_is_accepted():
@@ -776,7 +793,7 @@ def test_cli_extended_without_mixed_fails_before_computing(flags, tmp_path, monk
 @pytest.mark.parametrize("command, flags, flag, remedy", [
     ("multiplicity", ["--c", "7", "--nmax", "6"], "--c", "--diagonal or --mixed"),
     ("multiplicity", ["--epsilon", "--c", "7"], "--c", "--diagonal or --mixed"),
-    ("multiplicity", ["--diagonal", "--tol", "1/2"], "--tol", "--epsilon"),
+    ("multiplicity", ["--mixed", "--nmax", "5"], "--nmax", "--epsilon"),
     ("density", ["--kind", "saturated", "--fit"], "--fit", "add adic to --kind"),
     ("multiplicity", ["--mixed", "--ladder", "1,2"], "--ladder", "--epsilon"),
     ("multiplicity", ["--diagonal", "--nmax", "5"], "--nmax", "--epsilon"),

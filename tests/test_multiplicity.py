@@ -8,9 +8,10 @@ import pytest
 import oracles
 from util import M_SCALE_D4, ideal, module
 
-from reesdensity import counting
+from reesdensity import counting, multiplicity
 from reesdensity import (
     InputError,
+    InternalInvariantError,
     LengthLadder,
     diagonal_multiplicity,
     epsilon_multiplicity,
@@ -18,6 +19,7 @@ from reesdensity import (
     load_corpus_module,
     mixed_multiplicities,
 )
+from reesdensity.cli import main
 from reesdensity.multiplicity import extract_polynomial_growth
 from reesdensity.polyfit import FIT_MARGINS
 
@@ -84,7 +86,7 @@ def test_epsilon_x2_xy_exact_one():
     assert rep.values["exact"] == 1
     for n, total in rep.values["totals"].items():
         assert total == n * (n + 1) // 2
-    assert rep.diagnostics["integral_ok"]
+    assert rep.diagnostics["integral"] == 1
 
 
 def test_equal_epsilon_calls_give_equal_reports():
@@ -132,19 +134,72 @@ def test_epsilon_estimate_and_diagnostic():
     assert rep.diagnostics["halfway_gap"] == abs(F(2 * 820, 1600) - F(2 * 210, 400))
 
 
-@pytest.mark.parametrize("ladder, integral, gap", [
-    ((1, 2), F(1), F(0)),
-    ((1, 2, 3), F(7, 8), F(1, 8)),
+@pytest.mark.parametrize("name, epsilon", [
+    # {x e1, y e2}: every component x^a y^b of M^n is principal, hence
+    # saturated, so t_n = 0
+    ("free_rank2", 0),
+    # x(x, y) and its shift: sat(M^n) = x^n A, t_n = l(A/(x, y)^n) = n(n+1)/2
+    ("ideal_x2_xy", 1),
+    ("ideal_x2_xy_shifted", 1),
+    # m-primary ideals: t_n = l(A/I^n), so epsilon is e(I): e((x, y)) = 1,
+    # e((x^2, y^2)) = e((x, y)^2) = 4, and e((x, y, z)) = 1 in three variables
+    ("maximal_ideal", 1),
+    ("reduction_sub_x2_y2", 4),
+    ("square_maximal", 4),
+    ("three_vars", 1),
 ])
-def test_epsilon_cross_check_compares_limits(ladder, integral, gap):
-    # no exact value on these ladders, so the integral of the epsilon
-    # density is compared with the Richardson estimate, 1 on both: 2 * 2 - 3
-    # from the rungs 1 and 2 (t_n = n(n+1)/2), (3 * 4/3 - 2) / 2 from 1 and 3
-    rep = epsilon_multiplicity(load_corpus_module("ideal_x2_xy"), ladder)
-    assert rep.values["exact"] is None
-    assert rep.diagnostics["integral"] == integral
-    assert rep.diagnostics["integral_gap"] == gap
-    assert rep.diagnostics["integral_ok"]
+def test_epsilon_integral_equals_the_closed_form_epsilon(name, epsilon):
+    # the chamber fits of the epsilon density read on the default ladder 1..20
+    rep = epsilon_multiplicity(load_corpus_module(name))
+    assert rep.values["exact"] == rep.diagnostics["integral"] == epsilon
+    assert "integral_reason" not in rep.diagnostics
+
+
+@pytest.mark.parametrize("name, chamber, row, top, epsilon", [
+    # (x^2, y^3): both colon modules are A, so the union is {0, 2, 3} and
+    # L = 6; the chamber (2, 3) of width 1 has b0 = 8 at margin 2, so rows up
+    # to 6 * (8 + 2) = 60, and the first fit, of (0, 2), reads n = 6 * 4 = 24
+    # first.  epsilon = e((x^2, y^3)) = 6
+    ("ideal_x2_y3", "(0, 2)", 24, 60, 6),
+    # {x^2 e1, xy e1, y e2}, shifts (0, -1): M's degrees {0, 2}, M : x^inf's
+    # {0}, M : y^inf = x e1 + e2 in {1, -1}, so the union is {-1, 0, 1, 2} and
+    # L = 6; the chamber (-1, 0) of width 1 at r = 2 has b0 = 9, rows 54..72.
+    # The component x^a y^b (x, y)^a of M^n saturates to x^a y^b A, so
+    # t_n = sum_a a(a+1)/2 = C(n+2, 3) and epsilon = 3! / 3! = 1
+    ("mixed_rank2", "(-1, 0)", 54, 72, 1),
+])
+def test_epsilon_integral_needs_rows_past_the_default_ladder(name, chamber, row, top, epsilon):
+    m = load_corpus_module(name)
+    table = LengthLadder(m)
+    rep = epsilon_multiplicity(m, table=table)
+    assert rep.values["exact"] == epsilon
+    assert rep.diagnostics["integral"] is None
+    assert rep.diagnostics["integral_reason"] == (
+        f"chamber {chamber}: the cone fit would read the row n = {row}, "
+        "which is not on the epsilon ladder"
+    )
+    long = epsilon_multiplicity(m, range(1, top + 1), table=table)
+    assert long.values["exact"] == long.diagnostics["integral"] == epsilon
+    # one row short, the narrowest chamber stays unread
+    assert epsilon_multiplicity(m, range(1, top), table=table).diagnostics["integral"] is None
+
+
+def test_a_wrong_ladder_epsilon_is_an_exact_disagreement(monkeypatch, capsys):
+    # a misread ladder, such as a faked period, meets the exact integral of
+    # the chamber fits wherever they converge: (x^2, xy) reads 1 on both
+    real = multiplicity._exact_epsilon
+
+    def off_by_one(totals, big_d):
+        exact, ext = real(totals, big_d)
+        return exact + 1, ext
+
+    monkeypatch.setattr(multiplicity, "_exact_epsilon", off_by_one)
+    with pytest.raises(InternalInvariantError, match="^epsilon 2 from the ladder != 1, "):
+        epsilon_multiplicity(M_X2_XY)
+    # without the cross-check the ladder's value stands: it is never replaced
+    assert epsilon_multiplicity(M_X2_XY, cross_check=False).values["exact"] == 2
+    assert main(["multiplicity", "--module", "corpus:ideal_x2_xy", "--epsilon"]) == 4
+    assert "internal invariant violation: epsilon 2" in capsys.readouterr().err
 
 
 def test_epsilon_estimate_only_on_tiny_ladder():

@@ -41,7 +41,8 @@ from reesdensity import (
 )
 from reesdensity.backend import intersect_exponents, minimalize_exponents, product_exponents
 from reesdensity.core import GradedFreeModule
-from reesdensity.multiplicity import extract_polynomial_growth
+from reesdensity.density import epsilon_integral
+from reesdensity.multiplicity import DEFAULT_MULT_LADDER, extract_polynomial_growth
 from reesdensity.polyfit import STABLE_WINDOW, stabilized_difference
 
 # Exponent vectors in two variables, total degree <= 4.
@@ -526,3 +527,18 @@ def test_cone_fit_matches_the_ray_fit_at_rational_nodes(m):
     table = LengthLadder(m)
     cone = _outcome(lambda: fit_piecewise(m, table=table).polynomials)
     assert cone == _outcome(oracles.ray_chamber_polynomials, table)
+
+
+@given(chamber_modules())
+# epsilon 1: (x^2, xy) = x(x, y), and (x, y, z) in three variables
+@example(ideal([(2, 0), (1, 1)], shift=-1))
+@example(ideal([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ring=RING_XYZ))
+@settings(max_examples=40, deadline=None)
+def test_epsilon_integral_agrees_with_the_ladder_wherever_both_are_exact(m):
+    # t_n sums the epsilon density's lengths, so the integral of its chamber
+    # fits is epsilon: two exact routes, read on the same rows 1..20
+    table = LengthLadder(m)
+    exact = epsilon_multiplicity(m, table=table, cross_check=False).values["exact"]
+    integral = _outcome(epsilon_integral, table, DEFAULT_MULT_LADDER)
+    if exact is not None and integral != "not converged":
+        assert integral == exact
